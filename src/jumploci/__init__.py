@@ -11,8 +11,7 @@ from .characters import Character, enumerate_torsion_characters, rplus_act
 from .subtorus import TranslatedSubtorus, orbit_closure
 from .cyclotomic import Cyc, is_root_of_unity, rank_exact
 from .laurent import LaurentPoly, rank_generic
-from .twisted import (TwistedComplex, twisted_complex,
-                      twisted_cohomology_dims, sigma_membership, scan_sigma)
+from .twisted import twisted_cohomology_dims, sigma_membership, scan_sigma
 from .discovery import (discover_components, certify_component,
                         count_genus_components, abelian_cover_certificate)
 from .alexander import (ModuleAction, is_weight, koszul_cohomology,
@@ -28,7 +27,6 @@ __all__ = [
     "TranslatedSubtorus", "orbit_closure",
     "Cyc", "is_root_of_unity", "rank_exact",
     "LaurentPoly", "rank_generic",
-    "TwistedComplex", "twisted_complex",
     "twisted_cohomology_dims", "sigma_membership", "scan_sigma",
     "discover_components", "certify_component", "count_genus_components",
     "abelian_cover_certificate",

@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .characters import Character
-from .cyclotomic import Cyc, rank_exact
+from .cyclotomic import Cyc
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
+from .linalg import inverse, koszul_dims, rank_exact
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
@@ -127,7 +128,7 @@ class ModuleAction:
             if not _mat_eq(_mat_mul(a, b), _mat_mul(b, a)):
                 raise ValueError("matrices do not commute")
         for m in self.matrices:
-            if rank_exact([list(r) for r in m]) != self.dim:
+            if rank_exact(m) != self.dim:
                 raise ValueError("matrices must be invertible")
 
     @staticmethod
@@ -140,7 +141,7 @@ class ModuleAction:
     def dual(self):
         """Contragredient action (inverse transpose)."""
         return ModuleAction.from_lists(
-            [_mat_transpose(_mat_inverse(m)) for m in self.matrices])
+            [_mat_transpose(inverse(m)) for m in self.matrices])
 
 
 def _mat_mul(a, b):
@@ -158,22 +159,6 @@ def _mat_eq(a, b):
 
 def _mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
-
-
-def _mat_inverse(a):
-    n = len(a)
-    aug = [list(row) + [Cyc.one() if i == j else Cyc.zero() for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if not aug[i][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
 
 
 def is_weight(chi_values, action: ModuleAction):
@@ -195,7 +180,6 @@ def koszul_cohomology(action: ModuleAction, chi_values):
     commuting operators N_j = chi_j M_j - I acting on V."""
     if len(chi_values) != action.rank:
         raise ValueError("one value per acting generator required")
-    b = action.rank
     dim = action.dim
     ops = []
     for m, val in zip(action.matrices, chi_values):
@@ -203,38 +187,7 @@ def koszul_cohomology(action: ModuleAction, chi_values):
         for i in range(dim):
             op[i][i] = op[i][i] - Cyc.one()
         ops.append(op)
-    subsets = {p: list(combinations(range(b), p)) for p in range(b + 1)}
-    index = {p: {s: i for i, s in enumerate(subsets[p])} for p in subsets}
-    ranks = []
-    for p in range(b):
-        src = subsets[p]
-        dst = subsets[p + 1]
-        rows = len(dst) * dim
-        cols = len(src) * dim
-        mat = [[Cyc.zero()] * cols for _ in range(rows)]
-        for si, s in enumerate(src):
-            for j in range(b):
-                if j in s:
-                    continue
-                t = tuple(sorted(s + (j,)))
-                sign = (-1) ** sum(1 for x in s if x < j)
-                ti = index[p + 1][t]
-                op = ops[j]
-                for r in range(dim):
-                    for c in range(dim):
-                        v = op[r][c]
-                        if sign < 0:
-                            v = -v
-                        mat[ti * dim + r][si * dim + c] = \
-                            mat[ti * dim + r][si * dim + c] + v
-        ranks.append(rank_exact(mat) if rows and cols else 0)
-    dims = []
-    for p in range(b + 1):
-        total = dim * len(subsets[p])
-        up = ranks[p] if p < b else 0
-        down = ranks[p - 1] if p > 0 else 0
-        dims.append(total - up - down)
-    return tuple(dims)
+    return koszul_dims(ops, dim, Cyc.zero(), rank_exact)
 
 
 @dataclass

@@ -165,18 +165,7 @@ class NumericCharacter:
         return out
 
 
-def character_on_word(chi, ab, letters):
-    """Value of a character on a word through the H1 projection."""
-    free, tors = ab.project_word(letters)
-    return chi.value(free, tors)
-
-
-def evaluate_on_generators(chi: Character, ab):
-    """Cyc value of chi at every generator image."""
-    return [chi.value(f, t) for f, t in ab.gen_images]
-
-
-def enumerate_torsion_characters(free_rank, torsion, max_order, tors_only_orders=None):
+def enumerate_torsion_characters(free_rank, torsion, max_order):
     """All unitary characters whose order divides some k <= max_order,
     each exactly once, in canonical lexicographic order."""
     if max_order < 1:

@@ -13,6 +13,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
+from .linalg import rank_exact  # noqa: F401  (the public name of the field rank)
 from .numutil import divisors, euler_phi, lcm
 
 
@@ -216,8 +217,11 @@ class Cyc:
             k >>= 1
         return out
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self):
         return self.n == 1 and self.coeffs[0] == 1
@@ -345,88 +349,3 @@ def as_root_of_unity(x: Cyc):
             if x == Cyc.root_of_unity(order, k):
                 return Fraction(k, order)
     raise AssertionError("order found but no matching primitive root")
-
-
-def rank_exact(matrix):
-    """Rank over Q(zeta) of a matrix of Cyc entries.
-
-    Bareiss-style fraction-free elimination; pivot is the first nonzero
-    entry of the trailing block in row-major order, so the result is
-    deterministic and independent of representation conductor.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    prev = Cyc.one()
-    rank = 0
-    r = 0
-    for _ in range(min(nrows, ncols)):
-        piv = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if not rows[i][j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        rows[r], rows[pi] = rows[pi], rows[r]
-        if pj != r:
-            for row in rows:
-                row[r], row[pj] = row[pj], row[r]
-        p = rows[r][r]
-        prev_inv = prev.inverse()
-        for i in range(r + 1, nrows):
-            ri_r = rows[i][r]
-            if ri_r.is_zero():
-                for j in range(r + 1, ncols):
-                    rows[i][j] = p * rows[i][j] * prev_inv
-            else:
-                for j in range(r + 1, ncols):
-                    num = p * rows[i][j] - ri_r * rows[r][j]
-                    rows[i][j] = num * prev_inv
-                rows[i][r] = Cyc.zero()
-        prev = p
-        rank += 1
-        r += 1
-    return rank
-
-
-def kernel_vector(matrix):
-    """One nonzero vector in the kernel of a Cyc matrix, or None.
-
-    Gauss-Jordan over the field; used by weight and eigenvector checks.
-    """
-    if not matrix or not matrix[0]:
-        return None
-    nrows, ncols = len(matrix), len(matrix[0])
-    m = [list(r) for r in matrix]
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][j].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][j].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][j].is_zero():
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(j)
-        r += 1
-        if r == nrows:
-            break
-    free = [j for j in range(ncols) if j not in pivots]
-    if not free:
-        return None
-    j0 = free[0]
-    vec = [Cyc.zero()] * ncols
-    vec[j0] = Cyc.one()
-    for rr, j in enumerate(pivots):
-        vec[j] = -m[rr][j0]
-    return vec

@@ -360,24 +360,8 @@ def restrict_subtorus_to_cover(sub: TranslatedSubtorus, base_ab, cover_p,
         for lift in cover_ab.basis_lifts:
             coord.append(sum(Fraction(l) * a for l, a in zip(lift, gen_angles)))
         new_dirs.append(coord)
-    # Translate transport: restrict tau, then express on the cover basis.
-    tau = sub.translate
-    gen_tau = [tau.value_parts(img[0], img[1]) for img in images]
-    tau_angles = [frac_mod1(sum(Fraction(l) * gen_tau[i][1]
-                                for i, l in enumerate(lift)))
-                  for lift in cover_ab.basis_lifts]
-    tau_tors = [frac_mod1(sum(Fraction(l) * gen_tau[i][1]
-                              for i, l in enumerate(lift)))
-                for lift in cover_ab.torsion_lifts]
-    tau_moduli = []
-    for lift in cover_ab.basis_lifts:
-        m = Fraction(1)
-        for i, l in enumerate(lift):
-            if l:
-                m *= gen_tau[i][0] ** l
-        tau_moduli.append(m)
-    translate = Character(cover_ab.free_rank, cover_ab.torsion,
-                          tuple(tau_moduli), tuple(tau_angles), tuple(tau_tors))
+    translate = transport_character(sub.translate, base_ab, cover_p,
+                                    schreier_words)
     return subtorus_from_directions(new_dirs, translate)
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .cyclotomic import Cyc, rank_exact
+from .cyclotomic import Cyc
 from .laurent import LaurentPoly, rank_generic
+from .linalg import koszul_differential, koszul_dims, rank_exact, solve
 from .numutil import frac_mod1, lcm_all
 
 
@@ -41,7 +41,7 @@ class ComplexTorusModel:
             tuple((Fraction(re), Fraction(im)) for re, im in row)
             for row in self.periods)
         object.__setattr__(self, "periods", periods)
-        if _det_rational(self.real_period_matrix()) == 0:
+        if rank_exact(self.real_period_matrix()) < 2 * self.n:
             raise TorusModelError("lattice does not span")
 
     @staticmethod
@@ -62,42 +62,6 @@ class ComplexTorusModel:
             row = [2 * re for re, _ in lam] + [-2 * im for _, im in lam]
             rows.append(row)
         return rows
-
-
-def _det_rational(m):
-    n = len(m)
-    mat = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                f = mat[i][col] * inv
-                for j in range(col, n):
-                    mat[i][j] -= f * mat[col][j]
-    return det
-
-
-def _solve_rational(m, rhs):
-    n = len(m)
-    mat = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if mat[i][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -190,7 +154,7 @@ def character_to_higgs(x: ComplexTorusModel, rho: LatticeCharacter):
     complex-linear functional with 2 Re theta(lambda_j) = log r_j."""
     if rho.rank != 2 * x.n:
         raise TorusModelError("character rank does not match the lattice")
-    sol = _solve_rational(x.real_period_matrix(), list(rho.log_moduli))
+    sol = solve(x.real_period_matrix(), list(rho.log_moduli))
     theta = tuple((sol[k], sol[x.n + k]) for k in range(x.n))
     return HiggsLineBundle(rho.angles, theta)
 
@@ -210,24 +174,6 @@ def higgs_to_character(x: ComplexTorusModel, h: HiggsLineBundle):
 # Cohomology of a Higgs line bundle on the torus model
 
 
-def _wedge_matrix(n, p, theta_gauss):
-    """Matrix of wedging with theta: Lambda^p W* -> Lambda^(p+1) W*,
-    over Gaussian rationals embedded in Q(i)."""
-    src = list(combinations(range(n), p))
-    dst = list(combinations(range(n), p + 1))
-    dst_index = {s: i for i, s in enumerate(dst)}
-    rows = [[Cyc.zero() for _ in src] for _ in dst]
-    for si, s in enumerate(src):
-        for j in range(n):
-            if j in s:
-                continue
-            t = tuple(sorted(s + (j,)))
-            sign = (-1) ** sum(1 for y in s if y < j)
-            val = theta_gauss[j]
-            rows[dst_index[t]][si] = val * sign
-    return rows
-
-
 def _theta_gauss(h: HiggsLineBundle):
     i_unit = Cyc.root_of_unity(4)
     return [Cyc.rational(re) + i_unit * im for re, im in h.theta]
@@ -243,13 +189,11 @@ def higgs_cohomology_dim(x: ComplexTorusModel, h: HiggsLineBundle, p, q):
         raise TorusModelError("(p, q) out of range")
     if not h.flat_is_trivial:
         return 0
-    theta = _theta_gauss(h)
-    up = _wedge_matrix(n, p, theta)
-    down = _wedge_matrix(n, p - 1, theta) if p >= 1 else []
-    rank_up = rank_exact(up) if up and up[0] else 0
-    rank_down = rank_exact(down) if down and down[0] else 0
-    middle = comb(n, p) - rank_up - rank_down
-    return middle * comb(n, q)
+    # Wedging with theta is the Koszul differential of the scalars theta_j.
+    ops = [[[t]] for t in _theta_gauss(h)]
+    ranks = [rank_exact(koszul_differential(ops, k, Cyc.zero()))
+             for k in (p - 1, p) if 0 <= k < n]
+    return (comb(n, p) - sum(ranks)) * comb(n, q)
 
 
 def sigma_pq_membership(x, h, p, q, mult):
@@ -275,38 +219,17 @@ def lattice_cohomology_dims(x: ComplexTorusModel, rho: LatticeCharacter):
 
     Values exp(q_j) zeta live in Q(zeta)[e^(1/D)] with e^(1/D) treated as
     a Laurent variable; transcendence makes generic rank exact."""
-    b = 2 * x.n
+    if rho.rank != 2 * x.n:
+        raise TorusModelError("character rank does not match the lattice")
     den = lcm_all([q.denominator for q in rho.log_moduli], start=1)
-    ang_den = lcm_all([a.denominator for a in rho.angles], start=1)
     values = []
     for q, a in zip(rho.log_moduli, rho.angles):
         coeff = Cyc.from_angle(a)
         exp_int = int(q * den)
         values.append(LaurentPoly.monomial(((exp_int,), ()), 1, coeff=coeff))
     one = LaurentPoly.one(1)
-    ops = [v - one for v in values]
-    subsets = {p: list(combinations(range(b), p)) for p in range(b + 1)}
-    index = {p: {s: i for i, s in enumerate(subsets[p])} for p in subsets}
-    ranks = []
-    for p in range(b):
-        src, dst = subsets[p], subsets[p + 1]
-        mat = [[LaurentPoly.zero(1) for _ in src] for _ in dst]
-        for si, s in enumerate(src):
-            for j in range(b):
-                if j in s:
-                    continue
-                t = tuple(sorted(s + (j,)))
-                sign = (-1) ** sum(1 for y in s if y < j)
-                entry = ops[j] if sign > 0 else -ops[j]
-                mat[index[p + 1][t]][si] = entry
-        ranks.append(rank_generic(mat) if mat and mat[0] else 0)
-    dims = []
-    for p in range(b + 1):
-        total = comb(b, p)
-        up = ranks[p] if p < b else 0
-        down = ranks[p - 1] if p > 0 else 0
-        dims.append(total - up - down)
-    return tuple(dims)
+    ops = [[[v - one]] for v in values]
+    return koszul_dims(ops, 1, LaurentPoly.zero(1), rank_generic)
 
 
 def splitting_check(x: ComplexTorusModel, rho: LatticeCharacter, degree):

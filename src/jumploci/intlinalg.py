@@ -8,7 +8,6 @@ minimal nonzero entry, never randomly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -194,30 +193,6 @@ def snf_diagonal(a):
     return out
 
 
-def rank_int(a):
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][j]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][j]
-        for i in range(r + 1, rows):
-            if m[i][j]:
-                f = m[i][j] * inv
-                for jj in range(j, cols):
-                    m[i][jj] -= f * m[r][jj]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def kernel_columns(a, ncols=None):
     """Columns spanning {x in Z^cols : a @ x = 0}.
 
@@ -338,10 +313,6 @@ def solve_integer(a, b):
     return mat_vec(v, y)
 
 
-def row_lattice_equal(a, b):
-    return hnf_rows(a) == hnf_rows(b)
-
-
 def row_lattice_subset(a, b):
     """Whether row lattice of a is contained in the row lattice of b."""
     return all(lattice_contains(b, row) for row in a)
@@ -361,10 +332,3 @@ def kernel_rational_rows(rows_of_fractions, ncols):
     if not cleared:
         return identity(ncols)
     return kernel_columns(cleared)
-
-
-def gcd_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g

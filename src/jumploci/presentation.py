@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import words
+from .intlinalg import smith_normal_form
 from .laurent import LaurentPoly
-from .intlinalg import smith_normal_form, rank_int
+from .linalg import inverse, rank_exact
 
 
 class PresentationError(ValueError):
@@ -132,7 +133,7 @@ def abelianize(p: FinitePresentation) -> AbelianizationData:
         tors = tuple(col[torsion_pos[k]] % torsion[k] for k in range(len(torsion_pos)))
         gen_images.append((free, tors))
     # Lift basis vectors through u^{-1}: solve u @ x = e_pos.
-    uinv = _unimodular_inverse(u)
+    uinv = [[int(x) for x in row] for row in inverse(u)]
     basis_lifts = tuple(tuple(uinv[r][pos] for r in range(g)) for pos in free_pos)
     torsion_lifts = tuple(tuple(uinv[r][pos] for r in range(g)) for pos in torsion_pos)
     data = AbelianizationData(b, torsion, tuple(gen_images), basis_lifts, torsion_lifts)
@@ -140,30 +141,11 @@ def abelianize(p: FinitePresentation) -> AbelianizationData:
     return data
 
 
-def _unimodular_inverse(u):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(u)
-    from fractions import Fraction
-    m = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    out = [[int(m[i][n + j]) for j in range(n)] for i in range(n)]
-    return out
-
-
 def _check_accounting(p, data, rank):
     # b + #(nontrivial torsion) <= g and b = g - rank(exponent matrix).
     g = p.generator_count
     e = p.exponent_matrix()
-    assert data.free_rank == g - rank_int(e), "free rank accounting failed"
+    assert data.free_rank == g - rank_exact(e), "free rank accounting failed"
     for rel in p.relators:
         free, tors = data.project_word(rel)
         assert all(x == 0 for x in free) and all(x == 0 for x in tors), \

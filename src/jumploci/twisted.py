@@ -20,13 +20,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import Character, enumerate_torsion_characters
-from .cyclotomic import Cyc, rank_exact
+from .cyclotomic import Cyc
+from .linalg import rank_exact
 from .numutil import first_prime_congruent_one, lcm_all, primitive_root_mod
 from .presentation import FinitePresentation, abelianize, fox_matrix
 
 
 class DegreeError(ValueError):
     """Raised for degree-2 requests on inputs not flagged aspherical."""
+
+
+class InvariantError(RuntimeError):
+    """A mathematical identity the computation relies on has failed: an
+    internal bug, never a refusal, so deliberately not a ValueError."""
 
 
 @lru_cache(maxsize=None)
@@ -47,45 +53,6 @@ def coboundary_matrices(p: FinitePresentation, chi: Character):
     return d0, d1
 
 
-def complex_is_consistent(p: FinitePresentation, chi: Character):
-    """d1 composed with d0 vanishes (Fox fundamental identity)."""
-    d0, d1 = coboundary_matrices(p, chi)
-    for row in d1:
-        s = Cyc.zero()
-        for a, b in zip(row, d0):
-            s = s + a * b
-        if not s.is_zero():
-            return False
-    return True
-
-
-@dataclass
-class TwistedComplex:
-    """The cochain complex of a presentation at one character: d0 entries
-    (chi(x_j) - 1), the evaluated Fox matrix d1, and whether degree 2 is
-    meaningful for this input."""
-
-    chi: Character
-    d0: list
-    d1: list
-    degree_two_enabled: bool
-
-    def dims(self):
-        g = len(self.d0)
-        r = len(self.d1)
-        h0 = 1 if self.chi.is_trivial else 0
-        rank_d1 = rank_exact(self.d1) if r else 0
-        h1 = (g - rank_d1) - (1 - h0)
-        if self.degree_two_enabled:
-            return (h0, h1, r - rank_d1)
-        return (h0, h1)
-
-
-def twisted_complex(p: FinitePresentation, chi: Character):
-    d0, d1 = coboundary_matrices(p, chi)
-    return TwistedComplex(chi, d0, d1, p.aspherical)
-
-
 def twisted_cohomology_dims(p: FinitePresentation, chi: Character,
                             include_h2=None):
     """(h0, h1) and, for aspherical inputs, (h0, h1, h2) at chi."""
@@ -95,16 +62,15 @@ def twisted_cohomology_dims(p: FinitePresentation, chi: Character,
         raise DegreeError("H^2 undefined for this input")
     d0, d1 = coboundary_matrices(p, chi)
     for row in d1:
-        composite = Cyc.zero()
-        for a, b in zip(row, d0):
-            composite = composite + a * b
-        assert composite.is_zero(), "d1 after d0 must vanish"
+        if sum((a * b for a, b in zip(row, d0)), Cyc.zero()):
+            raise InvariantError("d1 after d0 does not vanish")
     g = p.generator_count
     r = p.relator_count
     h0 = 1 if chi.is_trivial else 0
     rank_d1 = rank_exact(d1) if r else 0
     h1 = (g - rank_d1) - (1 - h0)
-    assert h1 >= 0
+    if h1 < 0:
+        raise InvariantError(f"negative h1 = {h1}")
     if include_h2:
         h2 = r - rank_d1
         return (h0, h1, h2)

@@ -122,13 +122,6 @@ class UPoly:
         return f"UPoly({self.coeffs!r})"
 
 
-def gcd_upoly(a: UPoly, b: UPoly):
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
 def row_kernel_basis(row):
     """Kernel data of a 1 x g row over Q(zeta)[T].
 

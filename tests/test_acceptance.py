@@ -16,7 +16,7 @@ from math import comb, gcd
 from conftest import REPO_ROOT, cli_env
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction, _mat_inverse, _mat_mul,
+from jumploci.alexander import (ModuleAction, _mat_mul,
                                 finite_locus_cover_check, is_weight,
                                 vanishing_check, weights_and_inverses)
 from jumploci.characters import (Character, enumerate_torsion_characters,
@@ -27,6 +27,7 @@ from jumploci.discovery import (count_genus_components, discover_components,
 from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
                             lattice_cohomology_dims, partition_check,
                             splitting_check)
+from jumploci.linalg import inverse as _mat_inverse
 from jumploci.presentation import FinitePresentation
 from jumploci.subtorus import orbit_closure
 from jumploci.twisted import scan_sigma, twisted_cohomology_dims

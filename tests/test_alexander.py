@@ -123,7 +123,8 @@ def test_vanishing_against_brute_force_search():
             from jumploci.cyclotomic import rank_exact
             if rank_exact(cand) == dim:
                 s = cand
-        from jumploci.alexander import _mat_inverse, _mat_mul
+        from jumploci.alexander import _mat_mul
+        from jumploci.linalg import inverse as _mat_inverse
         sinv = _mat_inverse(s)
         mats = []
         for dcol in diags:

@@ -5,7 +5,7 @@ import pytest
 
 from jumploci.cyclotomic import (Cyc, RootOfUnityError, as_root_of_unity,
                                  cyclotomic_polynomial, is_root_of_unity,
-                                 kernel_vector, rank_exact)
+                                 rank_exact)
 from jumploci.numutil import euler_phi
 
 CONDUCTORS = [1, 2, 3, 4, 5, 8, 12]
@@ -78,18 +78,6 @@ def test_rank_exact_permutation_invariance():
         rng.shuffle(perm)
         mp = [[m[perm[i]][j] for j in range(3)] for i in range(3)]
         assert rank_exact(mp) == r
-
-
-def test_kernel_vector_is_in_kernel():
-    z3 = Cyc.root_of_unity(3)
-    m = [[Cyc.one(), z3], [z3 ** 2, Cyc.one()]]
-    v = kernel_vector(m)
-    for row in m:
-        s = Cyc.zero()
-        for x, y in zip(row, v):
-            s = s + x * y
-        assert s.is_zero()
-    assert kernel_vector([[Cyc.one(), Cyc.zero()], [Cyc.zero(), Cyc.one()]]) is None
 
 
 def test_root_of_unity_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from jumploci import corpus
 from jumploci.characters import Character, enumerate_torsion_characters
-from jumploci.twisted import (DegreeError, complex_is_consistent,
+from jumploci.twisted import (DegreeError, InvariantError, coboundary_matrices,
                               numeric_unitary_scan, scan_sigma,
                               sigma_membership, twisted_cohomology_dims)
 
@@ -46,15 +46,30 @@ def test_degree_two_requires_asphericity():
         sigma_membership(tb, chi, 2, 1)
 
 
-def test_complex_consistency_on_corpus():
-    # d1 composed with d0 vanishes at sampled characters (Fox identity).
+def test_dims_check_fox_identity_on_corpus():
+    # twisted_cohomology_dims raises unless d1 composed with d0 vanishes
+    # (Fox fundamental identity) and h1 >= 0, at sampled characters.
     for name in ("surface2", "z2", "c3xz", "trefoil", "swap_torus"):
         p = corpus.get(name)
         from jumploci.twisted import presentation_data
         ab, _ = presentation_data(p)
         chars = enumerate_torsion_characters(ab.free_rank, ab.torsion, 3)
         for chi in chars[:10]:
-            assert complex_is_consistent(p, chi)
+            dims = twisted_cohomology_dims(p, chi)
+            assert len(dims) == (3 if p.aspherical else 2)
+            assert min(dims) >= 0
+
+
+def test_dims_raise_invariant_error_on_broken_complex(monkeypatch):
+    import jumploci.twisted as tw
+    p = corpus.get("z2")
+    chi = Character.unitary(2, (), (Fraction(1, 2), Fraction(0)))
+    d0, d1 = coboundary_matrices(p, chi)
+    monkeypatch.setattr(tw, "coboundary_matrices",
+                        lambda p_, chi_: ([x + 1 for x in d0], d1))
+    with pytest.raises(InvariantError) as info:
+        twisted_cohomology_dims(p, chi)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_scan_conjugation_and_inversion_symmetry():
@@ -101,14 +116,12 @@ def test_numeric_fallback_runs_and_is_flagged():
     assert numeric_unitary_scan(z2, 1, 1, samples=5, seed=0) == []
 
 
-def test_twisted_complex_object():
-    from jumploci.twisted import twisted_complex
+def test_dims_at_trivial_characters():
     s2 = corpus.get("surface2")
-    cx = twisted_complex(s2, Character.trivial(4))
-    assert cx.degree_two_enabled
-    assert cx.dims() == (1, 4, 1)
-    assert all(v.is_zero() for v in cx.d0)       # trivial character
+    assert s2.aspherical
+    assert twisted_cohomology_dims(s2, Character.trivial(4)) == (1, 4, 1)
+    d0, _ = coboundary_matrices(s2, Character.trivial(4))
+    assert all(v.is_zero() for v in d0)       # trivial character
     tb = corpus.get("torus_bundle3")
-    cx2 = twisted_complex(tb, Character.trivial(1, (3,)))
-    assert not cx2.degree_two_enabled
-    assert cx2.dims() == (1, 1)
+    assert not tb.aspherical
+    assert twisted_cohomology_dims(tb, Character.trivial(1, (3,))) == (1, 1)
