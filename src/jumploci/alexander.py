@@ -4,10 +4,11 @@ vanishing/nonvanishing dichotomy, and the identity between inverse
 weights and low-degree jump loci.
 
 Conventions (recorded in the repo decisions): the module of the cover is
-computed from the Fox presentation as ker(d1)/im(d2) over the group ring,
-the trivial weight contributed by degree 0 is added explicitly, and
-cohomology weights are the inverses of the homology eigenvalues (pinned
-by an asymmetric fixture where the two conventions differ).
+ker(d1)/im(d2) over the group ring, read from the Smith form of the Fox
+matrix (see cover_homology_rank_one), the trivial weight contributed by
+degree 0 is added explicitly, and cohomology weights are the inverses of
+the homology eigenvalues (pinned by an asymmetric fixture where the two
+conventions differ).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from itertools import combinations
 
 from .characters import Character
 from .cyclotomic import Cyc
+from .errors import InvariantError
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import inverse, koszul_dims, rank_exact
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
-from .upoly import UPoly, cyclotomic_roots, numeric_roots, row_kernel_basis, smith_invariants
+from .upoly import UPoly, cyclotomic_roots, numeric_roots, smith_invariants
 
 
 class WeightsRefused(ValueError):
@@ -235,22 +237,12 @@ class CoverModule:
     detail: str = ""
 
 
-def _specialized_complex(p, ab, omega_tors_angles):
-    """(d1 column entries, fox rows) specialized at a torsion-dual
-    character, over 1-variable Laurent polynomials."""
+def _specialized_fox(p, omega_tors_angles):
+    """Fox matrix rows specialized at a torsion-dual character: Laurent
+    polynomials in the free variables."""
     _, fox = presentation_data(p)
     tors_vals = [Cyc.from_angle(a) for a in omega_tors_angles]
-    fox_s = [[e.specialize_torsion(tors_vals) for e in row] for row in fox]
-    d1 = []
-    for f, t in ab.gen_images:
-        mono = LaurentPoly.monomial((tuple(f), ()), ab.free_rank)
-        val = Cyc.one()
-        for x, e in zip(tors_vals, t):
-            if e:
-                val = val * (x ** e)
-        entry = mono * val - LaurentPoly.one(ab.free_rank)
-        d1.append(entry)
-    return d1, fox_s
+    return [[e.specialize_torsion(tors_vals) for e in row] for row in fox]
 
 
 def _laurent1_to_upoly(poly, shift=None):
@@ -263,7 +255,8 @@ def _laurent1_to_upoly(poly, shift=None):
         shift = min(k[0][0] for k in poly.terms)
     coeffs = {}
     for (v, _), c in poly.terms.items():
-        assert v[0] - shift >= 0, "common shift too small"
+        if v[0] < shift:
+            raise InvariantError("common shift too small")
         coeffs[v[0] - shift] = c
     top = max(coeffs)
     return UPoly([coeffs.get(i, Cyc.zero()) for i in range(top + 1)])
@@ -276,37 +269,36 @@ def _common_shift(polys):
 
 def cover_homology_rank_one(p: FinitePresentation):
     """Exact Alexander module computation for free rank 1 (plus finite
-    torsion, split by Maschke along the finite dual)."""
+    torsion, split by Maschke along the finite dual).
+
+    At each torsion-dual character the Fox matrix presents R^g / im d2
+    over the PID R = Q(zeta)[T, T^-1].  Its image im d1 is a nonzero ideal
+    (some generator has a nonzero free coordinate), so free of rank one,
+    and ker d1 is a direct summand: R^g / im d2 = H1(cover) + R (Crowell).
+    The Smith form of the Fox matrix therefore gives H1 of the cover: the
+    torsion invariants are its diagonal entries with their unit factors
+    c T^k removed, and the free rank is g - rank - 1."""
     ab, _ = presentation_data(p)
-    assert ab.free_rank == 1
+    if ab.free_rank != 1:
+        raise InvariantError("cover homology is computed for free rank 1 only")
     eigen = []
     numeric = []
     factors = []
     total_dim = 0
     for omega in _all_torsion_duals(ab.torsion):
-        d1, fox_s = _specialized_complex(p, ab, omega)
-        shift_d1 = min(0, _common_shift(d1))
-        shift_fox = min(0, _common_shift([e for r_ in fox_s for e in r_]))
-        row = [_laurent1_to_upoly(e, shift_d1) for e in d1]
-        cols = [[_laurent1_to_upoly(fox_s[i][j], shift_fox)
-                 for i in range(p.relator_count)]
-                for j in range(p.generator_count)]
-        delta, basis, coords = row_kernel_basis(row)
-        pres_cols = []
-        for i in range(p.relator_count):
-            w = [cols[j][i] for j in range(p.generator_count)]
-            pres_cols.append(coords(w))
-        if basis and pres_cols:
-            mat = [[pres_cols[c][rdx] for c in range(len(pres_cols))]
-                   for rdx in range(len(basis))]
-        else:
-            mat = [[] for _ in range(len(basis))]
-        invariants, rank = smith_invariants(mat) if mat and mat[0] else ([], 0)
-        free_left = len(basis) - rank
-        if free_left > 0:
+        fox_s = _specialized_fox(p, omega)
+        shift = _common_shift([e for row in fox_s for e in row])
+        mat = [[_laurent1_to_upoly(e, shift) for e in row] for row in fox_s]
+        invariants, rank = smith_invariants(mat)
+        free = p.generator_count - rank - 1
+        if free < 0:
+            raise InvariantError("Fox matrix rank exceeds g - 1")
+        if free > 0:
             return CoverModule(False, -1, [], [], [],
                                detail="cover homology has positive rank")
         for f in invariants:
+            low = next(i for i, c in enumerate(f.coeffs) if c)
+            f = UPoly(f.coeffs[low:])       # T is a unit of R
             if f.is_unit():
                 continue
             factors.append((tuple(omega), f))
@@ -322,7 +314,8 @@ def cover_homology_rank_one(p: FinitePresentation):
 def cover_module_action(p: FinitePresentation):
     """Generator action on the cover homology as a ModuleAction, for
     torsion-free H1 of rank one: companion blocks of the invariant
-    factors (unit monomial factors stripped so blocks stay invertible)."""
+    factors (monic with a nonzero constant term, so each block is
+    invertible)."""
     ab, _ = presentation_data(p)
     if ab.free_rank != 1 or ab.torsion:
         raise WeightsRefused("module action exposed for H1 = Z only")
@@ -331,14 +324,8 @@ def cover_module_action(p: FinitePresentation):
         raise WeightsRefused("cover homology has positive rank")
     blocks = []
     for _omega, f in module.invariant_factors:
-        coeffs = list(f.coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)     # strip T | f, a unit in the Laurent ring
-        d = len(coeffs) - 1
-        if d == 0:
-            continue
-        lead_inv = coeffs[-1].inverse()
-        blocks.append([[-(coeffs[i] * lead_inv) if j == d - 1
+        d = f.degree
+        blocks.append([[-f.coeffs[i] if j == d - 1
                         else (Cyc.one() if i == j + 1 else Cyc.zero())
                        for j in range(d)] for i in range(d)])
     if not blocks:
@@ -375,8 +362,7 @@ def _candidate_points_rank_two(p: FinitePresentation, omega):
     Returns (candidate angle pairs, numeric flag, certified);
     certified=False means no nonzero eliminant was found, so finiteness
     could not be established this way."""
-    ab, _ = presentation_data(p)
-    _, fox_s = _specialized_complex(p, ab, omega)
+    fox_s = _specialized_fox(p, omega)
     g, r = p.generator_count, p.relator_count
     size = g - 1
     minors = []
@@ -486,14 +472,13 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
                 finite_dim = "scan-bounded"
         else:
             finite_dim = "scan-bounded"
+    hits = _sigma_union_hits(p, degree_bound, max_order)
     if finite_dim == "scan-bounded":
-        hits = _sigma_union_hits(p, degree_bound, max_order)
         for chi in hits:
             inv = chi.inverse()
             weights[inv.sort_key()] = inv
     w_list = sorted(weights.values(), key=Character.sort_key)
     w_inv = sorted((c.inverse() for c in w_list), key=Character.sort_key)
-    hits = _sigma_union_hits(p, degree_bound, max_order)
     hit_keys = {c.sort_key() for c in hits}
     winv_small = {c.sort_key() for c in w_inv if c.order() <= max_order}
     identity = winv_small == hit_keys
@@ -513,18 +498,13 @@ def _sigma_union_hits(p, degree_bound, max_order):
 def _cover_module_is_torsion(p, ab):
     """Generic-rank test: the cover homology is a torsion module iff the
     Fox matrix has generic rank g - 1 after every torsion-dual
-    specialization (with the degree-1 part of the complex accounting for
-    the augmentation line)."""
+    specialization.  At free rank b >= 1, d1 is nonzero at every one, so
+    ker d1 has rank g - 1 (the augmentation line)."""
     g, r = p.generator_count, p.relator_count
     if r == 0:
         return g - 1 <= 0
-    for omega in _all_torsion_duals(ab.torsion):
-        d1, fox_s = _specialized_complex(p, ab, omega)
-        rank = rank_generic(fox_s)
-        ker_dim = g - (0 if all(e.is_zero() for e in d1) else 1)
-        if rank < ker_dim:
-            return False
-    return True
+    return all(rank_generic(_specialized_fox(p, omega)) >= g - 1
+               for omega in _all_torsion_duals(ab.torsion))
 
 
 # ---------------------------------------------------------------------------

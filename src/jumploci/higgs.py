@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .cyclotomic import Cyc
@@ -213,12 +214,15 @@ def s_pq_membership(x, angles, p, q, mult):
 # Group-cohomology side and the splitting check
 
 
+@lru_cache(maxsize=8)
 def lattice_cohomology_dims(x: ComplexTorusModel, rho: LatticeCharacter):
     """Exact Betti numbers of the lattice Z^(2n) with coefficients in
     the rank-one system rho, via the Koszul complex.
 
     Values exp(q_j) zeta live in Q(zeta)[e^(1/D)] with e^(1/D) treated as
-    a Laurent variable; transcendence makes generic rank exact."""
+    a Laurent variable; transcendence makes generic rank exact.  Cached
+    per (model, character): splitting_check asks once per degree and
+    partition_check once more, and every answer needs all the ranks."""
     if rho.rank != 2 * x.n:
         raise TorusModelError("character rank does not match the lattice")
     den = lcm_all([q.denominator for q in rho.log_moduli], start=1)

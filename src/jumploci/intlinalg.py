@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms, kernels,
-lattice saturation and congruence solving.
+lattice saturation and congruence solving.  The Smith form also serves
+any Euclidean domain (upoly uses it over Q(zeta)[T]).
 
 All matrices are lists of lists of Python ints (arbitrary precision), rows
 first.  Everything here is deterministic: pivots are chosen by first
@@ -45,142 +46,128 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _find_pivot(d, start, rows, cols):
-    """Position of the nonzero entry of least absolute value in the
-    trailing block, first in row-major order among ties."""
+def _find_pivot(d, k, size):
+    """Position of the nonzero entry of least size in the trailing block
+    d[k:][k:], first in row-major order among ties."""
     best = None
-    for i in range(start, rows):
-        for j in range(start, cols):
+    for i in range(k, len(d)):
+        for j in range(k, len(d[i])):
             x = d[i][j]
-            if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                best = (i, j)
-                if abs(x) == 1:
-                    return best
-    return best
+            if x and (best is None or size(x) < best[0]):
+                best = (size(x), i, j)
+    return best and best[1:]
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms.
+def _elimination(p, x, one, zero):
+    """(s, t, y, z) with s*z - t*y = 1, y*p + z*x = 0 and s*p + t*x a gcd
+    of p and x.  When p divides x this is the plain subtraction
+    (1, 0, -x // p, 1); otherwise the extended-gcd transform."""
+    q = x // p
+    if not x - q * p:
+        return one, zero, -q, one
+    # Euclid on (p, x), keeping s*p + t*x == g and s1*p + t1*x == r.
+    g, s, t = p, one, zero
+    r, s1, t1 = x, zero, one
+    while r:
+        q = g // r
+        g, r = r, g - q * r
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return s, t, -(x // g), p // g
 
-    Returns (u, d, v) with u @ a @ v == d, u and v unimodular, d diagonal
-    with d[0][0] | d[1][1] | ... and nonnegative diagonal entries.
+
+def _row_op(m, k, i, op):
+    """Rows (k, i) of m become (s*row_k + t*row_i, y*row_k + z*row_i)."""
+    s, t, y, z = op
+    rk, ri = m[k], m[i]
+    m[i] = [y * a + z * b for a, b in zip(rk, ri)]
+    if t:
+        m[k] = [s * a + t * b for a, b in zip(rk, ri)]
+
+
+def _col_op(m, k, j, op):
+    """Columns (k, j) of m, combined as _row_op combines rows."""
+    s, t, y, z = op
+    for row in m:
+        a, b = row[k], row[j]
+        row[j] = y * a + z * b
+        if t:
+            row[k] = s * a + t * b
+
+
+def smith_form(a, size):
+    """Smith form with transforms over a Euclidean domain.
+
+    Entries are ints (size=abs) or ring elements supporting + - * // %
+    and a truth test, such as upoly.UPoly (size = degree); size(x) is the
+    Euclidean size of a nonzero x.  Returns (u, d, v) with u @ a @ v == d,
+    u and v invertible over the ring, and d diagonal with
+    d[0][0] | d[1][1] | ..., zeros last.  Diagonal entries are fixed only
+    up to units; callers normalize them.
+
+    The pivot is the entry of least size in the trailing block.  An entry
+    in its row or column that it divides is cleared by subtracting a
+    multiple; any other entry is cleared by the unimodular extended-gcd
+    transform of the two rows (columns), which puts their gcd at the pivot.
+    When the pivot does not divide some entry of the trailing block, that
+    entry's row is added to the pivot row and the clearing runs again.
+    Every extended-gcd transform strictly lowers the pivot's size and every
+    repair forces one, so the loop ends, and on leaving it the pivot
+    divides the whole trailing block (Cohen, GTM 138, Algorithm 2.4.14).
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = mat_copy(a)
-    u = identity(rows)
-    v = identity(cols)
-    k = 0
-    while True:
-        piv = _find_pivot(d, k, rows, cols)
+    x = next((x for row in a for x in row if x), 1)
+    one = x // x          # the ring's 1, taken from a nonzero entry
+    zero = one - one
+    u = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
+    v = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
+    for k in range(min(rows, cols)):
+        piv = _find_pivot(d, k, size)
         if piv is None:
             break
         pi, pj = piv
-        if pi != k:
-            d[k], d[pi] = d[pi], d[k]
-            u[k], u[pi] = u[pi], u[k]
-        if pj != k:
-            for row in d:
+        d[k], d[pi] = d[pi], d[k]
+        u[k], u[pi] = u[pi], u[k]
+        for m in (d, v):
+            for row in m:
                 row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
-        # Clear row and column k; a reduction may reintroduce entries, so loop.
-        dirty = True
-        while dirty:
-            dirty = False
+        while True:
             for i in range(k + 1, rows):
                 if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    if q:
-                        for j in range(cols):
-                            d[i][j] -= q * d[k][j]
-                        for j in range(rows):
-                            u[i][j] -= q * u[k][j]
-                    if d[i][k]:
-                        d[k], d[i] = d[i], d[k]
-                        u[k], u[i] = u[i], u[k]
-                        dirty = True
+                    op = _elimination(d[k][k], d[i][k], one, zero)
+                    _row_op(d, k, i, op)
+                    _row_op(u, k, i, op)
             for j in range(k + 1, cols):
                 if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    if q:
-                        for i in range(rows):
-                            d[i][j] -= q * d[i][k]
-                        for i in range(cols):
-                            v[i][j] -= q * v[i][k]
-                    if d[k][j]:
-                        for i in range(rows):
-                            d[i][k], d[i][j] = d[i][j], d[i][k]
-                        for i in range(cols):
-                            v[i][k], v[i][j] = v[i][j], v[i][k]
-                        dirty = True
-        k += 1
-        if k >= rows or k >= cols:
-            break
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    n = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            x, y = d[i][i], d[i + 1][i + 1]
-            if y % x if x else y:
-                # Fold entry i+1 into column i and re-clear with gcd trick.
-                for r in range(rows):
-                    d[r][i] += d[r][i + 1]
-                for r in range(cols):
-                    v[r][i] += v[r][i + 1]
-                _reclear_pair(d, u, v, i, rows, cols)
-                changed = True
-    for i in range(n):
-        if d[i][i] < 0:
-            for j in range(cols):
-                d[i][j] = -d[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+                    op = _elimination(d[k][k], d[k][j], one, zero)
+                    _col_op(d, k, j, op)
+                    _col_op(v, k, j, op)
+            if any(d[i][k] for i in range(k + 1, rows)):
+                continue
+            p = d[k][k]
+            bad = next((i for i in range(k + 1, rows)
+                        if any(y % p for y in d[i][k + 1:])), None)
+            if bad is None:
+                break
+            d[k] = [y + z for y, z in zip(d[k], d[bad])]
+            u[k] = [y + z for y, z in zip(u[k], u[bad])]
     return u, d, v
 
 
-def _reclear_pair(d, u, v, k, rows, cols):
-    """Restore diagonal form on the 2x2 block at k after a column fold."""
-    while True:
-        piv = _find_pivot(d, k, rows, cols)
-        pi, pj = piv
-        if pi != k:
-            d[k], d[pi] = d[pi], d[k]
-            u[k], u[pi] = u[pi], u[k]
-        if pj != k:
-            for row in d:
-                row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
-        done = True
-        for i in range(k + 1, rows):
-            if d[i][k]:
-                q = d[i][k] // d[k][k]
-                for j in range(cols):
-                    d[i][j] -= q * d[k][j]
-                for j in range(rows):
-                    u[i][j] -= q * u[k][j]
-                if d[i][k]:
-                    d[k], d[i] = d[i], d[k]
-                    u[k], u[i] = u[i], u[k]
-                    done = False
-        for j in range(k + 1, cols):
-            if d[k][j]:
-                q = d[k][j] // d[k][k]
-                for i in range(rows):
-                    d[i][j] -= q * d[i][k]
-                for i in range(cols):
-                    v[i][j] -= q * v[i][k]
-                if d[k][j]:
-                    for i in range(rows):
-                        d[i][k], d[i][j] = d[i][j], d[i][k]
-                    for i in range(cols):
-                        v[i][k], v[i][j] = v[i][j], v[i][k]
-                    done = False
-        if done:
-            return
+def smith_normal_form(a):
+    """Smith normal form over Z with transforms.
+
+    Returns (u, d, v) with u @ a @ v == d, u and v unimodular, d diagonal
+    with d[0][0] | d[1][1] | ... and nonnegative diagonal entries.
+    """
+    u, d, v = smith_form(a, abs)
+    for i in range(min(len(d), len(v))):
+        if d[i][i] < 0:
+            d[i][i] = -d[i][i]
+            u[i] = [-x for x in u[i]]
+    return u, d, v
 
 
 def snf_diagonal(a):

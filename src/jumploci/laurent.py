@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc
+from .errors import InvariantError
 
 
 def _coerce(c):
@@ -252,7 +253,8 @@ class LaurentPoly:
         divisibility check proves inexactness (and guarantees termination,
         which plain Laurent leading-term division would not).
         """
-        assert not self.torsion and not other.torsion
+        if self.torsion or other.torsion:
+            raise InvariantError("exact division needs torsion-free operands")
         if other.is_zero():
             raise ZeroDivisionError("Laurent division by zero")
         if self.is_zero():
@@ -292,36 +294,38 @@ class LaurentPoly:
         ]
 
 
-def rank_generic(matrix):
-    """Rank over the fraction field of the Laurent ring.
+def _bareiss(matrix):
+    """Fraction-free (Bareiss) elimination of a torsion-free LaurentPoly
+    matrix, pivoting on the first nonzero entry of the trailing block in
+    row-major order (the canonical term order fixes which entries are
+    nonzero, so the pivots are deterministic).
 
-    Fraction-free Bareiss elimination with first-nonzero pivoting in the
-    canonical term order.  Entries must be torsion-free LaurentPoly.
+    Returns (rank, last), where last is the final pivot times the sign of
+    the row and column swaps.  Each Bareiss pivot is a leading principal
+    minor of the permuted matrix, so for a square matrix of full rank
+    last is its determinant, whatever the pivots were.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
-        return 0
+        return 0, None
     nrows, ncols = len(rows), len(rows[0])
     nvars = rows[0][0].nvars
     prev = LaurentPoly.one(nvars)
-    rank = 0
+    sign = 1
     r = 0
-    for _ in range(min(nrows, ncols)):
-        piv = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if not rows[i][j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+    while r < min(nrows, ncols):
+        piv = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
+                    if not rows[i][j].is_zero()), None)
         if piv is None:
             break
         pi, pj = piv
-        rows[r], rows[pi] = rows[pi], rows[r]
+        if pi != r:
+            rows[r], rows[pi] = rows[pi], rows[r]
+            sign = -sign
         if pj != r:
             for row in rows:
                 row[r], row[pj] = row[pj], row[r]
+            sign = -sign
         p = rows[r][r]
         for i in range(r + 1, nrows):
             for j in range(r + 1, ncols):
@@ -329,16 +333,22 @@ def rank_generic(matrix):
                 rows[i][j] = num.exact_div(prev)
             rows[i][r] = LaurentPoly.zero(nvars)
         prev = p
-        rank += 1
         r += 1
-    return rank
+    return r, prev if sign == 1 else -prev
+
+
+def rank_generic(matrix):
+    """Rank over the fraction field of the Laurent ring.  Entries must be
+    torsion-free LaurentPoly."""
+    return _bareiss(matrix)[0]
 
 
 def univariate_view(poly, var):
     """Coefficient dict {degree: LaurentPoly in the remaining variables}
     of a torsion-free poly seen in one variable, exponents shifted to be
     nonnegative (a unit shift, harmless for root sets on the torus)."""
-    assert not poly.torsion
+    if poly.torsion:
+        raise InvariantError("univariate view needs a torsion-free polynomial")
     if poly.is_zero():
         return {}
     shift = min(k[0][var] for k in poly.terms)
@@ -398,23 +408,5 @@ def det_bareiss(matrix):
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one(0)
-    nvars = matrix[0][0].nvars
-    rows = [list(r) for r in matrix]
-    prev = LaurentPoly.one(nvars)
-    sign = 1
-    for r in range(n - 1):
-        piv = next((i for i in range(r, n) if not rows[i][r].is_zero()), None)
-        if piv is None:
-            return LaurentPoly.zero(nvars)
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        p = rows[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = p * rows[i][j] - rows[i][r] * rows[r][j]
-                rows[i][j] = num.exact_div(prev)
-            rows[i][r] = LaurentPoly.zero(nvars)
-        prev = p
-    out = rows[n - 1][n - 1]
-    return out if sign == 1 else -out
+    rank, last = _bareiss(matrix)
+    return last if rank == n else LaurentPoly.zero(matrix[0][0].nvars)

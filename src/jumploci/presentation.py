@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import words
+from .errors import InvariantError
 from .intlinalg import smith_normal_form
 from .laurent import LaurentPoly
 from .linalg import inverse, rank_exact
@@ -137,19 +138,20 @@ def abelianize(p: FinitePresentation) -> AbelianizationData:
     basis_lifts = tuple(tuple(uinv[r][pos] for r in range(g)) for pos in free_pos)
     torsion_lifts = tuple(tuple(uinv[r][pos] for r in range(g)) for pos in torsion_pos)
     data = AbelianizationData(b, torsion, tuple(gen_images), basis_lifts, torsion_lifts)
-    _check_accounting(p, data, rank)
+    _check_accounting(p, data)
     return data
 
 
-def _check_accounting(p, data, rank):
-    # b + #(nontrivial torsion) <= g and b = g - rank(exponent matrix).
+def _check_accounting(p, data):
+    """Guard the Smith form: b = g - rank(exponent matrix), and every
+    relator projects to zero in H1."""
     g = p.generator_count
-    e = p.exponent_matrix()
-    assert data.free_rank == g - rank_exact(e), "free rank accounting failed"
+    if data.free_rank != g - rank_exact(p.exponent_matrix()):
+        raise InvariantError("free rank accounting failed")
     for rel in p.relators:
         free, tors = data.project_word(rel)
-        assert all(x == 0 for x in free) and all(x == 0 for x in tors), \
-            "projection does not kill a relator"
+        if any(free) or any(tors):
+            raise InvariantError("projection does not kill a relator")
 
 
 def fox_derivative(rel, j, ab: AbelianizationData):

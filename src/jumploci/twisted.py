@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .characters import Character, enumerate_torsion_characters
 from .cyclotomic import Cyc
+from .errors import InvariantError
 from .linalg import rank_exact
 from .numutil import first_prime_congruent_one, lcm_all, primitive_root_mod
 from .presentation import FinitePresentation, abelianize, fox_matrix
@@ -28,11 +29,6 @@ from .presentation import FinitePresentation, abelianize, fox_matrix
 
 class DegreeError(ValueError):
     """Raised for degree-2 requests on inputs not flagged aspherical."""
-
-
-class InvariantError(RuntimeError):
-    """A mathematical identity the computation relies on has failed: an
-    internal bug, never a refusal, so deliberately not a ValueError."""
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +128,8 @@ class _ModularEvaluator:
                 terms = []
                 for (v, t), c in e.sorted_terms():
                     q = c.rational_value()
-                    assert q.denominator == 1
+                    if q.denominator != 1:
+                        raise InvariantError("Fox coefficient is not an integer")
                     sparse = ([(j, x) for j, x in enumerate(v) if x]
                               + [(b + j, x) for j, x in enumerate(t) if x])
                     terms.append((int(q), sparse))

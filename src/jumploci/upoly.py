@@ -1,6 +1,6 @@
 """Univariate polynomials with cyclotomic coefficients: Euclidean
-division, Smith normal form over the PID Q(zeta)[T], and exact detection
-of root-of-unity roots.
+division, invariant factors over the PID Q(zeta)[T] (through the one
+Smith form in `intlinalg`), and exact detection of root-of-unity roots.
 """
 
 from __future__ import annotations
@@ -8,6 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc
+from .errors import InvariantError
+from .intlinalg import smith_form
 from .numutil import euler_phi
 
 
@@ -37,6 +39,9 @@ class UPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_zero(self):
         return not self.coeffs
@@ -97,6 +102,12 @@ class UPoly:
                     rem[i + k] = rem[i + k] - c * oc
         return UPoly(q), UPoly(rem)
 
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
     def __eq__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
@@ -122,117 +133,13 @@ class UPoly:
         return f"UPoly({self.coeffs!r})"
 
 
-def row_kernel_basis(row):
-    """Kernel data of a 1 x g row over Q(zeta)[T].
-
-    Returns (delta, basis, coords) where row . V = (delta, 0, ..., 0) for
-    the implicit column transform V, basis is the list of kernel basis
-    vectors (columns of V past the first when delta != 0, all columns
-    otherwise), and coords(w) expresses any kernel vector w in that basis.
-    """
-    g = len(row)
-    v = [[UPoly.one() if i == j else UPoly.zero() for j in range(g)] for i in range(g)]
-    vinv = [[UPoly.one() if i == j else UPoly.zero() for j in range(g)] for i in range(g)]
-    r = list(row)
-
-    def col_swap(i, j):
-        r[i], r[j] = r[j], r[i]
-        for t in range(g):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_addmul(dst, src, q):
-        # col_dst += q * col_src; inverse: row_src -= q * row_dst on vinv.
-        for t in range(g):
-            v[t][dst] = v[t][dst] + q * v[t][src]
-        vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
-        r[dst] = r[dst] + q * r[src]
-
-    while True:
-        nz = [i for i in range(g) if not r[i].is_zero()]
-        if not nz:
-            delta = UPoly.zero()
-            break
-        piv = min(nz, key=lambda i: r[i].degree)
-        if piv != 0:
-            col_swap(0, piv)
-        done = True
-        for i in range(1, g):
-            if r[i].is_zero():
-                continue
-            q, rem = r[i].divmod(r[0])
-            col_addmul(i, 0, -q)
-            if not r[i].is_zero():
-                done = False
-        if done:
-            delta = r[0]
-            break
-
-    if delta.is_zero():
-        basis_cols = list(range(g))
-    else:
-        basis_cols = list(range(1, g))
-    basis = [[v[t][j] for t in range(g)] for j in basis_cols]
-
-    def coords(w):
-        # vinv @ w, restricted to the basis columns; first coord must die.
-        full = []
-        for i in range(g):
-            acc = UPoly.zero()
-            for t in range(g):
-                acc = acc + vinv[i][t] * w[t]
-            full.append(acc)
-        if not delta.is_zero():
-            assert full[0].is_zero(), "vector not in the kernel"
-        return [full[i] for i in basis_cols]
-
-    return delta, basis, coords
-
-
 def smith_invariants(mat):
-    """Nonzero diagonal invariant factors of a UPoly matrix, plus the
-    rank; the matrix presents coker = sum R/(f_i) + R^(rows - rank)."""
-    rows = [list(r) for r in mat]
-    if not rows or not rows[0]:
-        return [], 0
-    nr, nc = len(rows), len(rows[0])
-    invariants = []
-    top = 0
-    while top < min(nr, nc):
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if not rows[i][j].is_zero():
-                    if best is None or rows[i][j].degree < rows[best[0]][best[1]].degree:
-                        best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        rows[top], rows[bi] = rows[bi], rows[top]
-        for row in rows:
-            row[top], row[bj] = row[bj], row[top]
-        dirty = False
-        for i in range(top + 1, nr):
-            if rows[i][top].is_zero():
-                continue
-            q, _ = rows[i][top].divmod(rows[top][top])
-            for j in range(top, nc):
-                rows[i][j] = rows[i][j] - q * rows[top][j]
-            if not rows[i][top].is_zero():
-                dirty = True
-        for j in range(top + 1, nc):
-            if rows[top][j].is_zero():
-                continue
-            q, _ = rows[top][j].divmod(rows[top][top])
-            for i in range(top, nr):
-                rows[i][j] = rows[i][j] - q * rows[i][top]
-            if not rows[top][j].is_zero():
-                dirty = True
-        if dirty:
-            continue
-        invariants.append(rows[top][top].monic())
-        top += 1
-    return invariants, top
+    """Nonzero monic invariant factors of a UPoly matrix, plus the rank;
+    the matrix presents coker = sum R/(f_i) + R^(rows - rank)."""
+    _, d, _ = smith_form(mat, lambda f: f.degree)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    invariants = [f.monic() for f in diag if f]
+    return invariants, len(invariants)
 
 
 def cyclotomic_roots(poly: UPoly):
@@ -259,7 +166,8 @@ def cyclotomic_roots(poly: UPoly):
                     and current.evaluate(root).is_zero():
                 lin = UPoly([-root, Cyc.one()])
                 current, rem = current.divmod(lin)
-                assert rem.is_zero()
+                if rem:
+                    raise InvariantError("a root leaves a nonzero remainder")
                 angles.append(Fraction(a, q))
     return sorted(angles), current
 

@@ -171,6 +171,17 @@ def test_cover_homology_examples():
     assert modz.finite_dimensional and modz.dim_over_field == 0
 
 
+def test_cover_homology_drops_unit_factors():
+    # <a, b, c | b^-1, c^-1 b^-1 a^-1> presents Z, whose maximal abelian
+    # cover has H1 = 0.  Its Fox entries need a shift by T, and the power
+    # of T this leaves in an invariant factor is a unit of the Laurent
+    # ring, not homology.
+    p = FinitePresentation(3, (((1, -1),), ((2, -1), (1, -1), (0, -1))))
+    mod = cover_homology_rank_one(p)
+    assert mod.finite_dimensional and mod.dim_over_field == 0
+    assert mod.invariant_factors == [] and mod.numeric_eigenvalues == []
+
+
 def test_weight_convention_pinned_by_asymmetric_fixture():
     # For the eigenvalue-2 fixture the jump locus is {1, chi(t) = 2}, so
     # W must be {1, 1/2}: cohomology weights invert homology eigenvalues.

@@ -7,7 +7,7 @@ from fractions import Fraction
 from jumploci.cyclotomic import Cyc
 from jumploci.laurent import LaurentPoly, det_bareiss
 from jumploci.subtorus import _solve_angle_congruences
-from jumploci.upoly import UPoly, row_kernel_basis, smith_invariants
+from jumploci.upoly import UPoly, smith_invariants
 
 
 def test_angle_congruences_against_brute_force():
@@ -48,44 +48,25 @@ def test_angle_congruences_against_brute_force():
                 assert not found, (rows, rhs)
 
 
-def test_row_kernel_basis_coordinates_roundtrip():
-    rng = random.Random(92)
-    for _ in range(60):
-        g = rng.randint(1, 4)
-        row = [UPoly([Cyc.rational(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))])
-               for _ in range(g)]
-        delta, basis, coords = row_kernel_basis(row)
-        # every basis vector lies in the kernel
-        for vec in basis:
-            acc = UPoly.zero()
-            for a, x in zip(row, vec):
-                acc = acc + a * x
-            assert acc.is_zero()
-        if not basis:
-            continue
-        # random kernel combinations have reproducible coordinates
-        combo = [UPoly([Cyc.rational(rng.randint(-2, 2))]) for _ in basis]
-        w = [UPoly.zero() for _ in range(g)]
-        for c, vec in zip(combo, basis):
-            for i in range(g):
-                w[i] = w[i] + c * vec[i]
-        got = coords(w)
-        rebuilt = [UPoly.zero() for _ in range(g)]
-        for c, vec in zip(got, basis):
-            for i in range(g):
-                rebuilt[i] = rebuilt[i] + c * vec[i]
-        assert all((a - b).is_zero() for a, b in zip(w, rebuilt))
-
-
 def test_smith_invariants_product_matches_determinant():
     # For square matrices the product of the invariant factors agrees
-    # with the determinant up to a unit (nonzero scalar here).
+    # with the determinant up to a unit (nonzero scalar here), and each
+    # invariant factor divides the next.  The last 20 draw coefficients
+    # from Q(zeta_3).
     rng = random.Random(93)
-    for _ in range(40):
+    zeta3 = Cyc.root_of_unity(3)
+    for case in range(60):
         n = rng.randint(1, 3)
-        mat = [[UPoly([Cyc.rational(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))])
+
+        def coeff():
+            c = Cyc.rational(rng.randint(-2, 2))
+            return c + zeta3 * rng.randint(-1, 1) if case >= 40 else c
+        mat = [[UPoly([coeff() for _ in range(rng.randint(1, 3))])
                 for _ in range(n)] for _ in range(n)]
         inv, rank = smith_invariants([list(r) for r in mat])
+        assert all(f.leading() == 1 for f in inv)
+        for f, g in zip(inv, inv[1:]):
+            assert (g % f).is_zero()      # the divisibility chain
         det = _det_upoly(mat)
         if det.is_zero():
             assert rank < n

@@ -4,7 +4,9 @@ from jumploci.intlinalg import (annihilator_rows, column_span_saturation,
                                 hnf_columns, hnf_rows, kernel_columns,
                                 mat_mul, row_lattice_subset,
                                 smith_normal_form, solve_integer)
-from jumploci.linalg import rank_exact
+from jumploci.linalg import inverse, rank_exact
+
+from conftest import within_seconds
 
 
 def rand_matrix(rng, r, c, bound=6):
@@ -12,13 +14,17 @@ def rand_matrix(rng, r, c, bound=6):
 
 
 def test_smith_normal_form_randomized():
+    # The 6x6 and 8x8 shapes with entries up to 30 once ran without end:
+    # swap-and-repeat clearing grew their entries to millions of bits.
     rng = random.Random(11)
-    for _ in range(200):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        a = rand_matrix(rng, r, c)
-        u, d, v = smith_normal_form(a)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5), 6) for _ in range(200)]
+    shapes += [(6, 6, 30)] * 60 + [(8, 8, 30)] * 60
+    for r, c, bound in shapes:
+        a = rand_matrix(rng, r, c, bound)
+        u, d, v = within_seconds(5, smith_normal_form, a)
         assert mat_mul(mat_mul(u, a), v) == d
         diag = [d[i][i] for i in range(min(r, c))]
+        assert all(x >= 0 for x in diag)
         for i in range(len(diag) - 1):
             if diag[i] == 0:
                 assert diag[i + 1] == 0
@@ -28,6 +34,9 @@ def test_smith_normal_form_randomized():
             for j in range(c):
                 if i != j:
                     assert d[i][j] == 0
+        # An integer matrix has an integer inverse iff its det is +-1.
+        for m in (u, v):
+            assert all(x.denominator == 1 for row in inverse(m) for x in row)
 
 
 def test_kernel_columns_annihilate():

@@ -1,12 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from jumploci import corpus, words
+from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
-from jumploci.presentation import (CoverError, FinitePresentation, abelianize,
+from jumploci.presentation import (CoverError, FinitePresentation,
+                                   _check_accounting, abelianize,
                                    fox_identity_holds, fox_matrix,
                                    permuted_inverted, reidemeister_schreier)
+
+from conftest import within_seconds
 
 
 def test_abelianize_examples():
@@ -126,3 +131,26 @@ def test_snf_invariants_stable_under_tietze_moves():
             q = permuted_inverted(p, perm, signs)
             abq = abelianize(q)
             assert (abq.free_rank, abq.torsion) == (ab.free_rank, ab.torsion)
+
+
+def test_abelianize_large_exponents():
+    # Six relators with exponents up to 28: swap-and-repeat Smith steps
+    # once ran without end on this input.
+    rows = [(27, 13, -12, 9, 7, 28), (-2, -3, 13, -11, -7, 17),
+            (-10, -14, -16, -1, -5, 17), (-9, -28, 7, 19, -17, 21),
+            (19, 13, -24, 12, 10, -22), (-15, -8, 26, -21, 15, 2)]
+    rels = tuple(tuple((j, e) for j, e in enumerate(row)) for row in rows)
+    p = FinitePresentation(6, rels)
+    ab = within_seconds(10, abelianize, p)
+    assert (ab.free_rank, ab.torsion) == (0, (154772358,))
+
+
+def test_accounting_check_raises_invariant_error():
+    # Explicit raises, so the check survives python -O.
+    c3 = FinitePresentation(1, (words.generator(0, 3),))
+    ab = abelianize(c3)
+    with pytest.raises(InvariantError, match="free rank"):
+        _check_accounting(c3, dataclasses.replace(ab, free_rank=1,
+                                                  gen_images=(((1,), (1,)),)))
+    with pytest.raises(InvariantError, match="relator"):
+        _check_accounting(c3, dataclasses.replace(ab, torsion=(4,)))
