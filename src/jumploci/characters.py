@@ -110,7 +110,8 @@ class Character:
                          (Fraction(1),) * self.free_rank, self.angles, self.tors_angles)
 
     def __mul__(self, other):
-        assert self.free_rank == other.free_rank and self.torsion == other.torsion
+        if self.free_rank != other.free_rank or self.torsion != other.torsion:
+            raise CharacterError("characters live on different tori")
         return Character(self.free_rank, self.torsion,
                          tuple(a * b for a, b in zip(self.moduli, other.moduli)),
                          tuple(a + b for a, b in zip(self.angles, other.angles)),

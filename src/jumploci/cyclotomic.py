@@ -13,6 +13,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvariantError
 from .linalg import rank_exact  # noqa: F401  (the public name of the field rank)
 from .numutil import divisors, euler_phi, lcm
 
@@ -39,13 +40,15 @@ def _poly_div_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[len(den) - 1 + k]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InvariantError("inexact cyclotomic division")
         q = c // den[-1]
         out[k] = q
         if q:
             for i, dc in enumerate(den):
                 num[i + k] -= q * dc
-    assert all(x == 0 for x in num), "inexact cyclotomic division"
+    if any(num):
+        raise InvariantError("inexact cyclotomic division")
     return out
 
 
@@ -126,7 +129,8 @@ class Cyc:
     def lift_coeffs(self, m):
         """Coefficient tuple of this element in the power basis of
         Q(zeta_m), n | m; always full length phi(m)."""
-        assert m % self.n == 0
+        if m % self.n:
+            raise ValueError(f"conductor {self.n} does not divide {m}")
         if m == self.n:
             return self.coeffs
         step = m // self.n
@@ -194,7 +198,8 @@ class Cyc:
             s0, s1 = s1, _upoly_sub(s0, _upoly_mul(q, s1))
         # r0 is a nonzero constant gcd (Phi_n is irreducible over Q).
         c = next(x for x in r0 if x != 0)
-        assert all(x == 0 for x in r0[1:]), "cyclotomic inverse failed"
+        if any(r0[1:]):
+            raise InvariantError("cyclotomic inverse failed")
         inv = [x / c for x in s0]
         return Cyc(self.n, inv)
 
@@ -230,7 +235,8 @@ class Cyc:
         return self.n == 1
 
     def rational_value(self):
-        assert self.n == 1
+        if self.n != 1:
+            raise ValueError("not a rational cyclotomic number")
         return self.coeffs[0]
 
     def __eq__(self, other):
@@ -247,7 +253,8 @@ class Cyc:
 
     def galois(self, a):
         """Image under zeta -> zeta^a, gcd(a, n) = 1."""
-        assert gcd(a, self.n) == 1
+        if gcd(a, self.n) != 1:
+            raise ValueError(f"{a} is not a unit mod {self.n}")
         out = Cyc.zero()
         for i, c in enumerate(self.coeffs):
             if c:
@@ -348,4 +355,4 @@ def as_root_of_unity(x: Cyc):
         if gcd(k, order) == 1 or order == 1:
             if x == Cyc.root_of_unity(order, k):
                 return Fraction(k, order)
-    raise AssertionError("order found but no matching primitive root")
+    raise InvariantError("order found but no matching primitive root")

@@ -90,26 +90,42 @@ def rational_power(r: Fraction, t: Fraction):
 
 
 def first_prime_congruent_one(n, lower=10 ** 6):
-    """Smallest prime p > lower with p = 1 (mod n)."""
+    """Smallest prime p > lower with p = 1 (mod n).
+
+    Raises ValueError when the search reaches IS_PRIME_LIMIT, past which
+    _is_prime gives no certain answer."""
     p = lower - (lower % n) + 1
-    while True:
+    if p <= lower:
         p += n
-        if _is_prime(p):
-            return p
+    while not _is_prime(p):
+        p += n
+    return p
+
+
+# No composite below this bound passes Miller-Rabin for all twelve prime
+# bases 2..37 (Sorenson and Webster, Math. Comp. 86, 2017), so every answer
+# of _is_prime below it is a proof.
+IS_PRIME_LIMIT = 318665857834031151167461
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n):
+    """Whether n is prime, deterministically for n < IS_PRIME_LIMIT.
+
+    Raises ValueError at or above the limit instead of answering
+    "probably"."""
+    if n >= IS_PRIME_LIMIT:
+        raise ValueError(f"{n} is past the deterministic primality range")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _PRIME_BASES:
         if n % q == 0:
             return n == q
-    # Deterministic Miller-Rabin for 64-bit-ish inputs.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -120,13 +136,3 @@ def _is_prime(n):
         else:
             return False
     return True
-
-
-def primitive_root_mod(p):
-    """Smallest primitive root modulo a prime p."""
-    factors = factorint(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-        g += 1

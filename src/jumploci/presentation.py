@@ -188,14 +188,19 @@ def fox_matrix(p: FinitePresentation, ab: AbelianizationData):
 
 def fox_identity_holds(p: FinitePresentation, ab: AbelianizationData, rel):
     """sum_j (dr/dx_j)(x_j - 1) == r - 1 == 0 in Z[H1] for a relator."""
+    return fox_row_identity_holds(
+        [fox_derivative(rel, j, ab) for j in range(p.generator_count)], ab)
+
+
+def fox_row_identity_holds(row, ab: AbelianizationData):
+    """The fundamental identity sum_j row[j] (x_j - 1) == 0 in Z[H1] for
+    an already built Fox row."""
     b, torsion = ab.free_rank, ab.torsion
+    one = LaurentPoly.one(b, torsion)
     total = LaurentPoly.zero(b, torsion)
-    for j in range(p.generator_count):
-        d = fox_derivative(rel, j, ab)
-        xj = LaurentPoly.monomial(ab.project_vector(
-            [1 if k == j else 0 for k in range(p.generator_count)]), b, torsion)
-        one = LaurentPoly.one(b, torsion)
-        total = total + d * (xj - one)
+    for d, image in zip(row, ab.gen_images):
+        if not d.is_zero():
+            total = total + d * (LaurentPoly.monomial(image, b, torsion) - one)
     return total.is_zero()
 
 
@@ -224,12 +229,22 @@ class CoverError(ValueError):
     pass
 
 
+# Largest cover index reidemeister_schreier builds.  The cover of a
+# g-generator, r-relator presentation at index N has N(g - 1) + 1
+# generators and N r relators, and its abelianization ranks a dense
+# exponent matrix of that size, so the cost grows as N^2.  thm4 on s2xz2
+# asks for index 1,296 at K = 3 and 20,736 at K = 4; the latter exhausted
+# memory before this limit.
+MAX_COVER_INDEX = 512
+
+
 def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
     """Presentation of the kernel of pi1 -> Q, Q finite abelian.
 
     Q is given as Z/o_1 + ... + Z/o_k (group_orders, each >= 1) and
     gen_targets[j] is the image tuple of generator j.  Raises CoverError
-    when the images do not generate Q.  Schreier generators come from a
+    when |Q| exceeds MAX_COVER_INDEX, before any coset is built, and when
+    the images do not generate Q.  Schreier generators come from a
     BFS transversal; the output is simplified only by free reduction and
     dropping empty relators.
     """
@@ -238,6 +253,9 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
     size = 1
     for o in orders:
         size *= o
+    if size > MAX_COVER_INDEX:
+        raise CoverError(f"cover of index {size} is above the limit "
+                         f"{MAX_COVER_INDEX}")
 
     def add(c, t):
         return tuple((a + b) % o for a, b, o in zip(c, t, orders))

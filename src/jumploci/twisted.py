@@ -6,11 +6,38 @@ C^0 -> C^1 -> C^2 with d0 = (chi(x_j) - 1) and d1 the Fox matrix
 evaluated at chi.  Degree-2 answers are only defined when the input is
 flagged aspherical.
 
-Scans certify non-membership through rank over F_p, p = 1 (mod n) for n
-the lcm of the character orders in play: a minor that is nonzero mod p
-lifts to a nonzero cyclotomic minor, so "full rank mod p" is an exact
-certificate.  Candidate members are confirmed with exact cyclotomic
-elimination, so reported memberships are always exact.
+Scans rank d1 over F_p, p = 1 (mod n) for n the lcm of the character
+orders in play, through the ring map Z[zeta_n] -> F_p sending zeta_n to
+an element w of order n; its kernel is a prime P above p.  Two facts
+make these ranks exact certificates.
+
+* A minor that is nonzero mod P is nonzero in Z[zeta_n], so the mod-P
+  rank never exceeds the exact rank: "rank above the membership
+  threshold mod p" certifies non-membership at any such prime.  The
+  filter prime, the first p = 1 (mod n) above 10^6, rejects with it.
+* At a character chi of order k the entries of d1 lie in Z[zeta_k].  If
+  the mod-P rank is below the exact rank rho, some rho-minor D is
+  nonzero but lies in P, hence in the prime P meet Z[zeta_k] of residue
+  field F_p, so p divides the nonzero integer N(D), the product of the
+  phi(k) Galois conjugates of D.  Each conjugate is the same minor of d1
+  at a conjugate character, still unitary, so each entry is bounded by
+  the L1 norm of the Fox entry's coefficients, and Hadamard's inequality
+  bounds the conjugate by the product of the rho largest row 2-norms of
+  that L1 matrix L.  With H^2 the product of the min(r, g) largest
+  squared row norms of L, each taken as at least 1, 0 < |N(D)| <=
+  H^phi(k).  Every scanned character has order at most K, so a prime
+  with p^2 > (H^2)^phimax, phimax = max phi(k) over k <= K, cannot
+  divide N(D): its mod-P rank is the exact rank, and so are the dims
+  read from it (von zur Gathen and Gerhard, Modern Computer Algebra,
+  ch. 5).
+
+A scan's certifying prime is the filter prime when that prime already
+clears the bound; otherwise the smallest p = 1 (mod n) that does, at
+which only the filter's candidates are reranked.  When that prime would
+lie past numutil.IS_PRIME_LIMIT, candidates are confirmed by exact
+cyclotomic elimination (twisted_cohomology_dims) instead.  The Fox
+identity behind d1 d0 = 0 is checked once per presentation, in the
+group ring, by presentation_data.
 """
 
 from __future__ import annotations
@@ -18,13 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .characters import Character, enumerate_torsion_characters
 from .cyclotomic import Cyc
 from .errors import InvariantError
 from .linalg import rank_exact
-from .numutil import first_prime_congruent_one, lcm_all, primitive_root_mod
-from .presentation import FinitePresentation, abelianize, fox_matrix
+from .numutil import euler_phi, factorint, first_prime_congruent_one, lcm_all
+from .presentation import (FinitePresentation, abelianize, fox_matrix,
+                           fox_row_identity_holds)
 
 
 class DegreeError(ValueError):
@@ -33,8 +62,16 @@ class DegreeError(ValueError):
 
 @lru_cache(maxsize=None)
 def presentation_data(p: FinitePresentation):
+    """(abelianization, Fox matrix) of p, built once per presentation.
+
+    Raises InvariantError unless every Fox row satisfies the fundamental
+    identity sum_j (dr/dx_j)(x_j - 1) = 0 in Z[H1].  Evaluation at a
+    character is a ring map, so the identity gives d1 d0 = 0 at every
+    character at once."""
     ab = abelianize(p)
     fox = fox_matrix(p, ab)
+    if not all(fox_row_identity_holds(row, ab) for row in fox):
+        raise InvariantError("Fox identity fails in Z[H1]")
     return ab, fox
 
 
@@ -60,16 +97,18 @@ def twisted_cohomology_dims(p: FinitePresentation, chi: Character,
     for row in d1:
         if sum((a * b for a, b in zip(row, d0)), Cyc.zero()):
             raise InvariantError("d1 after d0 does not vanish")
-    g = p.generator_count
-    r = p.relator_count
+    rank_d1 = rank_exact(d1) if p.relator_count else 0
+    return _dims_from_rank(p, chi, rank_d1, include_h2)
+
+
+def _dims_from_rank(p: FinitePresentation, chi: Character, rank_d1,
+                    include_h2):
     h0 = 1 if chi.is_trivial else 0
-    rank_d1 = rank_exact(d1) if r else 0
-    h1 = (g - rank_d1) - (1 - h0)
+    h1 = (p.generator_count - rank_d1) - (1 - h0)
     if h1 < 0:
         raise InvariantError(f"negative h1 = {h1}")
     if include_h2:
-        h2 = r - rank_d1
-        return (h0, h1, h2)
+        return (h0, h1, p.relator_count - rank_d1)
     return (h0, h1)
 
 
@@ -94,52 +133,77 @@ def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
 
 @dataclass
 class ScanResult:
+    """Hits of a scan, with the primes behind them (kept out of reports).
+
+    filter_prime certified every rejection; certifying_prime gave the
+    hits' dims.  Both are None when nothing was ranked mod p (degree 0,
+    or no relators), and certifying_prime is None when the scan fell back
+    to exact elimination."""
+
     hits: list          # (Character, dims tuple) pairs, canonical order
     scanned: int
     max_order: int
+    filter_prime: int | None = None
+    certifying_prime: int | None = None
+
+    @property
+    def certificate(self):
+        """How the hits' dims were established: "bounded-prime" (the rank
+        at certifying_prime, exact by the bound in the module docstring)
+        or "exact-elimination" (over Q(zeta_n), or no Fox matrix)."""
+        if self.certifying_prime is None:
+            return "exact-elimination"
+        return "bounded-prime"
 
 
 class _ModularEvaluator:
     """Evaluates Fox matrix entries at torsion characters over F_p.
 
     Exponent vectors are pre-flattened to sparse (index, exponent) pairs;
-    only structurally nonzero entries are visited per character.
+    only structurally nonzero entries are visited per character.  The
+    evaluator carries the filter prime and the certifying prime of the
+    module docstring (None when that prime would be past the
+    deterministic primality range), with the powers of an order-n root
+    of unity mod each.
     """
 
-    def __init__(self, p: FinitePresentation, max_order):
-        ab, fox = presentation_data(p)
-        self.ab = ab
-        orders = [k for k in range(1, max_order + 1)] + list(ab.torsion)
-        self.n = lcm_all(orders, start=1)
-        self.prime = first_prime_congruent_one(self.n)
-        g = primitive_root_mod(self.prime)
-        w = pow(g, (self.prime - 1) // self.n, self.prime)
-        self.root_powers = [1] * self.n
-        for e in range(1, self.n):
-            self.root_powers[e] = self.root_powers[e - 1] * w % self.prime
-        b = ab.free_rank
+    def __init__(self, fox, free_rank, torsion, max_order):
+        self.n = lcm_all(list(range(1, max_order + 1)) + list(torsion),
+                         start=1)
         # Per row: list of (col, [(coeff, sparse exps over combined coords)]).
         self.rows_struct = []
+        norms_sq = []   # squared row 2-norms of the coefficient-L1 matrix
         for row in fox:
             srow = []
+            norm_sq = 0
             for col, e in enumerate(row):
                 if e.is_zero():
                     continue
                 terms = []
                 for (v, t), c in e.sorted_terms():
-                    q = c.rational_value()
-                    if q.denominator != 1:
+                    q = c.rational_value() if c.is_rational() else None
+                    if q is None or q.denominator != 1:
                         raise InvariantError("Fox coefficient is not an integer")
                     sparse = ([(j, x) for j, x in enumerate(v) if x]
-                              + [(b + j, x) for j, x in enumerate(t) if x])
+                              + [(free_rank + j, x)
+                                 for j, x in enumerate(t) if x])
                     terms.append((int(q), sparse))
                 srow.append((col, terms))
+                norm_sq += sum(abs(c) for c, _ in terms) ** 2
             self.rows_struct.append(srow)
+            norms_sq.append(norm_sq)
+        self.prime = first_prime_congruent_one(self.n)
+        size = min(len(fox), len(fox[0])) if fox else 0
+        self.certifying_prime = _certifying_prime(
+            self.n, norms_sq, size, max_order, self.prime)
+        self.root_powers = {q: _root_powers(q, self.n)
+                            for q in {self.prime, self.certifying_prime}
+                            if q is not None}
 
-    def matrix_rows(self, chi: Character):
-        """Sparse rows {col: value mod p} of d1 at chi."""
-        n, prime = self.n, self.prime
-        powers = self.root_powers
+    def matrix_rows(self, chi: Character, prime):
+        """Sparse rows {col: value mod prime} of d1 at chi."""
+        n = self.n
+        powers = self.root_powers[prime]
         na = [int(a * n) for a in chi.angles] + [int(a * n) for a in chi.tors_angles]
         rows = []
         for srow in self.rows_struct:
@@ -156,6 +220,45 @@ class _ModularEvaluator:
                     row[col] = val
             rows.append(row)
         return rows
+
+
+def _certifying_prime(n, norms_sq, size, max_order, filter_prime):
+    """Smallest prime p = 1 (mod n) with p^2 > (H^2)^phimax, preferring
+    filter_prime when it qualifies; None past the primality range.
+
+    H^2 is the product of the `size` largest squared row norms, each
+    taken as at least 1 so that a zero row cannot make the bound 0."""
+    h_sq = 1
+    for s in sorted(norms_sq, reverse=True)[:size]:
+        h_sq *= max(1, s)
+    phi_max = max(euler_phi(k) for k in range(1, max_order + 1))
+    floor = isqrt(h_sq ** phi_max)     # p^2 > (H^2)^phimax iff p > floor
+    if filter_prime > floor:
+        return filter_prime
+    try:
+        return first_prime_congruent_one(n, floor)
+    except ValueError:
+        return None
+
+
+def _root_powers(prime, n):
+    """[w^0, ..., w^(n-1)] for an element w of order exactly n mod prime.
+
+    w = a^((prime-1)/n) has order dividing n, and exactly n unless
+    w^(n/q) = 1 for a prime q | n, so only n is factored, never prime - 1.
+    """
+    cofactor = (prime - 1) // n
+    qs = factorint(n)
+    a = 2
+    while True:
+        w = pow(a, cofactor, prime)
+        if all(pow(w, n // q, prime) != 1 for q in qs):
+            break
+        a += 1
+    powers = [1] * n
+    for e in range(1, n):
+        powers[e] = powers[e - 1] * w % prime
+    return powers
 
 
 def _rank_mod_p(rows, prime, stop_at=None):
@@ -209,6 +312,10 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order, workers=None):
         return ScanResult(hits, len(chars), max_order)
     if degree == 2 and not p.aspherical:
         raise DegreeError("H^2 undefined for this input")
+    primes = ()
+    if p.relator_count:
+        evaluator = _modular_evaluator_cached(p, max_order)
+        primes = (evaluator.prime, evaluator.certifying_prime)
     if workers is None:
         workers = int(os.environ.get("JUMPLOCI_WORKERS", "1"))
     if workers > 1 and len(chars) >= 4 * workers and p.relator_count:
@@ -221,9 +328,9 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order, workers=None):
                              [(p, degree, mult, max_order, chunk)
                               for chunk in chunks])
         hits = [pair for part in parts for pair in part]
-        return ScanResult(hits, len(chars), max_order)
-    hits = _scan_chunk((p, degree, mult, max_order, chars))
-    return ScanResult(hits, len(chars), max_order)
+    else:
+        hits = _scan_chunk((p, degree, mult, max_order, chars))
+    return ScanResult(hits, len(chars), max_order, *primes)
 
 
 def _scan_chunk(args):
@@ -239,7 +346,7 @@ def _scan_chunk(args):
                 hits.append((chi, (h0, h1)))
         return hits
     evaluator = _modular_evaluator_cached(p, max_order)
-    prime = evaluator.prime
+    prime, cert = evaluator.prime, evaluator.certifying_prime
     for chi in chars:
         if degree == 1:
             h0 = 1 if chi.is_trivial else 0
@@ -248,11 +355,16 @@ def _scan_chunk(args):
             threshold = r - mult
         if threshold < 0:
             continue
-        rows = evaluator.matrix_rows(chi)
-        rank_p = _rank_mod_p(rows, prime, stop_at=threshold + 1)
-        if rank_p > threshold:
+        rank = _rank_mod_p(evaluator.matrix_rows(chi, prime), prime,
+                           stop_at=threshold + 1)
+        if rank > threshold:
             continue  # exact non-membership certificate
-        dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+        if cert is None:
+            dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+        else:
+            if cert != prime:
+                rank = _rank_mod_p(evaluator.matrix_rows(chi, cert), cert)
+            dims = _dims_from_rank(p, chi, rank, p.aspherical)
         value = dims[degree] if degree < len(dims) else 0
         if value >= mult:
             hits.append((chi, dims))
@@ -261,7 +373,8 @@ def _scan_chunk(args):
 
 @lru_cache(maxsize=8)
 def _modular_evaluator_cached(p, max_order):
-    return _ModularEvaluator(p, max_order)
+    ab, fox = presentation_data(p)
+    return _ModularEvaluator(fox, ab.free_rank, ab.torsion, max_order)
 
 
 def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed,

@@ -107,3 +107,9 @@ def test_order_and_errors():
         Character(0, (2,), (), (), (Fraction(1, 3),))
     with pytest.raises(CharacterError):
         Character(1, (), (Fraction(2),), (Fraction(0),), ()).order()
+    # Characters of different tori do not multiply (an explicit error, so
+    # it holds under python -O too).
+    with pytest.raises(CharacterError):
+        chi * Character.trivial(1)
+    with pytest.raises(CharacterError):
+        Character.trivial(1, (2,)) * Character.trivial(1, (3,))

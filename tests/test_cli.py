@@ -66,6 +66,10 @@ def test_refusal_exit_code():
     assert "refused" in res.stderr
     res2 = run_cli("ng", "surface2", "--g", "1", "--K", "3")
     assert res2.returncode == 2
+    # a cover past presentation.MAX_COVER_INDEX (index 1296 here)
+    res3 = run_cli("thm4", "s2xz2", "--K", "3")
+    assert res3.returncode == 2
+    assert "above the limit" in res3.stderr
 
 
 def test_weights_thm4_cover_commands(tmp_path):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.cyclotomic import (Cyc, RootOfUnityError, as_root_of_unity,
-                                 cyclotomic_polynomial, is_root_of_unity,
-                                 rank_exact)
+from jumploci.cyclotomic import (Cyc, RootOfUnityError, _poly_div_exact,
+                                 as_root_of_unity, cyclotomic_polynomial,
+                                 is_root_of_unity, rank_exact)
+from jumploci.errors import InvariantError
 from jumploci.numutil import euler_phi
 
 CONDUCTORS = [1, 2, 3, 4, 5, 8, 12]
@@ -33,6 +34,25 @@ def test_field_axioms_randomized():
         assert a + b == b + a
         if not a.is_zero():
             assert (a * a.inverse()).is_one()
+
+
+def test_explicit_errors_survive_optimization():
+    # These checks raise explicit errors, not asserts, so python -O keeps them.
+    z3 = Cyc.root_of_unity(3)
+    with pytest.raises(ValueError):
+        z3.lift_coeffs(4)
+    assert z3.lift_coeffs(6) == (Fraction(-1), Fraction(1))
+    with pytest.raises(ValueError):
+        z3.rational_value()
+    assert Cyc.rational(5).rational_value() == 5
+    with pytest.raises(ValueError):
+        Cyc.root_of_unity(4).galois(2)
+    assert Cyc.root_of_unity(4).galois(3) == Cyc.root_of_unity(4, 3)
+    with pytest.raises(InvariantError):
+        _poly_div_exact([1, 0, 1], [1, 1])          # x^2 + 1 by x + 1
+    with pytest.raises(InvariantError):
+        _poly_div_exact([1, 3], [1, 2])             # 3x + 1 by 2x + 1
+    assert _poly_div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def test_mixed_conductor_arithmetic():

@@ -6,8 +6,9 @@ import pytest
 from jumploci import corpus, words
 from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
-from jumploci.presentation import (CoverError, FinitePresentation,
-                                   _check_accounting, abelianize,
+from jumploci.presentation import (MAX_COVER_INDEX, CoverError,
+                                   FinitePresentation, _check_accounting,
+                                   abelianize,
                                    fox_identity_holds, fox_matrix,
                                    permuted_inverted, reidemeister_schreier)
 
@@ -98,6 +99,23 @@ def test_reidemeister_schreier_rejects_nonsurjective():
     z2 = corpus.get("z2")
     with pytest.raises(CoverError):
         reidemeister_schreier(z2, [(0,), (0,)], (2,))
+
+
+def test_reidemeister_schreier_refuses_large_index():
+    z2 = corpus.get("z2")
+    with pytest.raises(CoverError, match="above the limit"):
+        reidemeister_schreier(z2, [(1, 0), (0, 1)],
+                              (MAX_COVER_INDEX + 1, 1))
+    cover, _ = reidemeister_schreier(z2, [(1,), (0,)], (MAX_COVER_INDEX,))
+    assert cover.generator_count == MAX_COVER_INDEX + 1
+
+
+def test_thm4_on_s2xz2_refuses_its_index_20736_cover():
+    # The weights of s2xz2 at K = 4 ask for the quotient (Z/12)^4; building
+    # that cover exhausted memory before the preflight.
+    from jumploci.alexander import finite_locus_cover_check
+    with pytest.raises(CoverError, match="index 20736"):
+        within_seconds(60, finite_locus_cover_check, corpus.get("s2xz2"), 2, 4)
 
 
 def test_cover_free_rank_matches_euler_characteristic():

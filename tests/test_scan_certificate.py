@@ -1,0 +1,188 @@
+"""Differential tests of the bounded-prime scan against exact cyclotomic
+elimination: corpus scans, random Fox-like matrices, the large-exponent
+fallback, and the once-per-presentation Fox identity check."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jumploci.twisted as tw
+from jumploci import corpus
+from jumploci.characters import Character, enumerate_torsion_characters
+from jumploci.errors import InvariantError
+from jumploci.laurent import LaurentPoly
+from jumploci.linalg import rank_exact
+from jumploci.numutil import (IS_PRIME_LIMIT, first_prime_congruent_one,
+                              lcm_all)
+from jumploci.presentation import FinitePresentation
+from jumploci.twisted import (_ModularEvaluator, _rank_mod_p, scan_sigma,
+                              twisted_cohomology_dims)
+
+# (group, K) for the corpus differential; groups without relators have no
+# Fox matrix to rank and are left out.
+CORPUS_SCANS = ([(name, 4) for name in ("z2", "z3", "z4", "c3xz", "s2xz2",
+                                        "square_comm", "trefoil",
+                                        "swap_torus", "torus_bundle3", "bs12",
+                                        "surface2")]
+                + [("surface3", 3), ("product23", 2), ("z4", 8)])
+
+
+def _exact_hits(p, degree, mult, max_order):
+    ab, _ = tw.presentation_data(p)
+    out = []
+    for chi in enumerate_torsion_characters(ab.free_rank, ab.torsion,
+                                            max_order):
+        dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+        if degree < len(dims) and dims[degree] >= mult:
+            out.append((chi, dims))
+    return out
+
+
+@pytest.mark.parametrize("name,K", CORPUS_SCANS)
+def test_corpus_scan_dims_equal_exact_dims(name, K):
+    p = corpus.get(name)
+    for degree in ((1, 2) if p.aspherical else (1,)):
+        res = scan_sigma(p, degree, 1, K)
+        assert res.certificate == "bounded-prime"
+        assert res.filter_prime is not None
+        for chi, dims in res.hits:
+            assert dims == twisted_cohomology_dims(
+                p, chi, include_h2=p.aspherical), (name, chi)
+        if res.scanned <= 400:     # small enough to rank every character
+            assert res.hits == _exact_hits(p, degree, 1, K)
+    # z4 at K = 8 needs a 37-bit certifying prime; every other scan here
+    # is certified by the filter prime itself.
+    if (name, K) == ("z4", 8):
+        assert res.certifying_prime.bit_length() == 37
+    else:
+        assert res.certifying_prime == res.filter_prime
+
+
+def _commutator_power(m):
+    """<a, b | [a, b]^m>: Fox row (m(1 - b), m(a - 1)), L1 norms 2m."""
+    return FinitePresentation(2, (((0, 1), (1, 1), (0, -1), (1, -1)) * m,))
+
+
+def test_large_exponents_rerank_at_certifying_prime():
+    # H^2 = 8 * 10^6 and phimax = 2 at K = 4: the filter prime is too small.
+    p = _commutator_power(1000)
+    res = scan_sigma(p, 1, 1, 4)
+    assert res.certificate == "bounded-prime"
+    assert res.certifying_prime ** 2 > (8 * 10 ** 6) ** 2
+    assert res.certifying_prime > res.filter_prime
+    assert res.hits == _exact_hits(p, 1, 1, 4)
+
+
+def test_large_exponents_fall_back_to_exact_elimination():
+    # H^2 = 8 * 10^4 and phimax = phi(11) = 10 at K = 12: a certifying
+    # prime would exceed (8 * 10^4)^5 > IS_PRIME_LIMIT.
+    p = _commutator_power(100)
+    assert (8 * 10 ** 4) ** 5 > IS_PRIME_LIMIT
+    res = scan_sigma(p, 1, 1, 12)
+    assert res.certificate == "exact-elimination"
+    assert res.certifying_prime is None
+    assert res.filter_prime is not None
+    hits = _exact_hits(p, 1, 1, 12)
+    assert res.hits == hits
+    assert [chi.is_trivial for chi, _ in hits] == [True]
+
+
+def test_degree_zero_and_free_groups_need_no_prime():
+    res = scan_sigma(corpus.get("surface2"), 0, 1, 3)
+    assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
+    res = scan_sigma(corpus.get("free2"), 1, 1, 3)
+    assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
+
+
+@st.composite
+def fox_like(draw):
+    """An integer Laurent matrix in one or two variables and a character
+    of order k <= 12 on it.  Half the time one row is multiplied by the
+    filter prime, which makes that row vanish mod p but not exactly."""
+    nvars = draw(st.integers(1, 2))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12))
+    term = st.tuples(st.tuples(*[st.integers(-3, 3)] * nvars),
+                     st.integers(-3, 3))
+    scaled = draw(st.sampled_from([None] + list(range(rows))))
+    filter_prime = first_prime_congruent_one(lcm_all(range(1, k + 1)))
+    fox = []
+    for i in range(rows):
+        row = []
+        for _ in range(cols):
+            poly = LaurentPoly.zero(nvars)
+            for exps, c in draw(st.lists(term, max_size=2)):
+                poly = poly.add_term(
+                    (exps, ()), c * filter_prime if i == scaled else c)
+            row.append(poly)
+        fox.append(row)
+    angles = tuple(Fraction(draw(st.integers(0, k - 1)), k)
+                   for _ in range(nvars))
+    return fox, Character.unitary(nvars, (), angles), k
+
+
+def _exact_rank(fox, chi):
+    vals = chi.unitary_values()
+    return rank_exact([[e.evaluate(vals, []) for e in row] for row in fox])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fox_like())
+def test_certified_prime_rank_equals_exact_rank(case):
+    fox, chi, k = case
+    ev = _ModularEvaluator(fox, chi.free_rank, (), k)
+    exact = _exact_rank(fox, chi)
+    # The filter rank is a lower bound at any prime = 1 (mod n).
+    assert _rank_mod_p(ev.matrix_rows(chi, ev.prime), ev.prime) <= exact
+    if ev.certifying_prime is not None:
+        cert = ev.certifying_prime
+        assert _rank_mod_p(ev.matrix_rows(chi, cert), cert) == exact
+
+
+def test_filter_false_positive_is_corrected():
+    # The entry 1000003 is zero modulo the filter prime of n = 2.
+    fox = [[LaurentPoly.constant(1000003, 1)]]
+    chi = Character.unitary(1, (), (Fraction(1, 2),))
+    ev = _ModularEvaluator(fox, 1, (), 2)
+    assert ev.prime == 1000003
+    assert _rank_mod_p(ev.matrix_rows(chi, ev.prime), ev.prime) == 0
+    assert ev.certifying_prime > 1000003
+    cert = ev.certifying_prime
+    assert _rank_mod_p(ev.matrix_rows(chi, cert), cert) == 1
+
+
+def test_presentation_data_checks_fox_identity(monkeypatch):
+    p = corpus.get("trefoil")
+    real = tw.fox_matrix
+
+    def broken(p_, ab):
+        fox = real(p_, ab)
+        fox[0][0] = fox[0][0] + LaurentPoly.one(ab.free_rank, ab.torsion)
+        return fox
+
+    monkeypatch.setattr(tw, "fox_matrix", broken)
+    with pytest.raises(InvariantError):
+        tw.presentation_data.__wrapped__(p)
+    monkeypatch.setattr(tw, "fox_matrix", real)
+    ab, fox = tw.presentation_data.__wrapped__(p)
+    assert len(fox) == p.relator_count
+
+
+def test_modular_values_are_images_of_cyc_values():
+    # matrix_rows gives the images of the Cyc entries of d1 under
+    # zeta_n -> w, for w of order exactly n.
+    p = corpus.get("swap_torus")
+    ev = tw._modular_evaluator_cached(p, 4)
+    chi = Character.unitary(2, (), (Fraction(1, 4), Fraction(1, 2)))
+    _, d1 = tw.coboundary_matrices(p, chi)
+    q = ev.prime
+    w = ev.root_powers[q][1]
+    assert [e for e in range(1, ev.n + 1) if pow(w, e, q) == 1] == [ev.n]
+    for row, mod_row in zip(d1, ev.matrix_rows(chi, q)):
+        for col, entry in enumerate(row):
+            coeffs = entry.lift_coeffs(ev.n) if entry else ()
+            image = sum(int(c) * pow(w, i, q) for i, c in enumerate(coeffs))
+            assert image % q == mod_row.get(col, 0)
