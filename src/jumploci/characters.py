@@ -6,6 +6,18 @@ generator whose denominator divides that generator's order.  Its values on
 group elements are therefore positive rationals times roots of unity,
 exactly representable as cyclotomic numbers.
 
+Torsion points (unitary characters of finite order) have a second,
+integer form, and this module is the one place that defines it.  For a
+scan of order bound K the modulus is n = lcm(1..K, d_1..d_t)
+(torsion_modulus); a point of order dividing some k <= K is the exponent
+vector e in (Z/n)^(b+t) of its angles e_j / n, free coordinates first.
+Torsion coordinate i of a point is a multiple of n / d_i.  Since every
+angle has the same denominator n, lexicographic order on vectors is
+Character.sort_key order on the points they stand for, so a sorted list
+of vectors is already in the canonical report order.  Scans and coset
+growth work on vectors alone; Character.from_exponents turns the points
+that reach a report into characters.
+
 Numeric characters (complex values per generator) exist only for the
 flagged fallback paths.
 """
@@ -14,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from .cyclotomic import Cyc
 from .numutil import frac_mod1, lcm_all, rational_power
@@ -61,6 +75,21 @@ class Character:
             tors_angles = (Fraction(0),) * len(torsion)
         return Character(free_rank, tuple(torsion),
                          (Fraction(1),) * free_rank, tuple(angles), tuple(tors_angles))
+
+    @staticmethod
+    def from_exponents(free_rank, torsion, e, n):
+        """The torsion point with exponent vector e modulo n.
+
+        For data that is already normalised: 0 <= e_j < n, and torsion
+        coordinate i a multiple of n / d_i.  Nothing is checked again."""
+        chi = object.__new__(Character)
+        angles = tuple(Fraction(x, n) for x in e)
+        for name, value in (("free_rank", free_rank), ("torsion", tuple(torsion)),
+                            ("moduli", (Fraction(1),) * free_rank),
+                            ("angles", angles[:free_rank]),
+                            ("tors_angles", angles[free_rank:])):
+            object.__setattr__(chi, name, value)
+        return chi
 
     @property
     def is_unitary(self):
@@ -166,48 +195,29 @@ class NumericCharacter:
         return out
 
 
+def torsion_modulus(max_order, torsion):
+    """n = lcm(1..max_order, d_1..d_t), the common denominator of the
+    torsion points of order at most max_order and of the torsion dual."""
+    return lcm_all(list(range(1, max_order + 1)) + list(torsion), start=1)
+
+
 def enumerate_torsion_characters(free_rank, torsion, max_order):
-    """All unitary characters whose order divides some k <= max_order,
-    each exactly once, in canonical lexicographic order."""
+    """Exponent vectors (modulo torsion_modulus(max_order, torsion)) of all
+    unitary characters whose order divides some k <= max_order, each
+    exactly once, in canonical (Character.sort_key) order."""
     if max_order < 1:
         raise CharacterError("max order must be at least 1")
-    seen = set()
-    out = []
+    n = torsion_modulus(max_order, torsion)
+    points = set()
     for k in range(1, max_order + 1):
-        for chi in _characters_killed_by(free_rank, torsion, k):
-            key = chi.sort_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(chi)
-    out.sort(key=Character.sort_key)
-    return out
-
-
-def _characters_killed_by(free_rank, torsion, k):
-    from math import gcd
-    angle_choices = [[Fraction(a, k) for a in range(k)] for _ in range(free_rank)]
-    tors_choices = []
-    for d in torsion:
-        g = gcd(d, k)
-        tors_choices.append([Fraction(c * (d // g), d) for c in range(g)])
-    def rec(i, acc):
-        if i == free_rank:
-            yield from rec_tors(0, acc, [])
-            return
-        for a in angle_choices[i]:
-            yield from rec(i + 1, acc + [a])
-    def rec_tors(i, angles, acc):
-        if i == len(torsion):
-            yield Character.unitary(free_rank, tuple(torsion), tuple(angles), tuple(acc))
-            return
-        for a in tors_choices[i]:
-            yield from rec_tors(i + 1, angles, acc + [a])
-    yield from rec(0, [])
+        # chi^k = 1: free angles in (1/k)Z, torsion angle i in (1/gcd(d_i, k))Z.
+        steps = [n // k] * free_rank + [n // gcd(d, k) for d in torsion]
+        points.update(product(*(range(0, n, step) for step in steps)))
+    return sorted(points)
 
 
 def count_killed_by(free_rank, torsion, k):
     """|{chi : chi^k = 1}| = k^b * prod gcd(d_i, k)."""
-    from math import gcd
     n = k ** free_rank
     for d in torsion:
         n *= gcd(d, k)

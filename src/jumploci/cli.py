@@ -2,8 +2,10 @@
 
 Commands: analyze, ng, certify, orbit, weights, thm4, cover, and
 higgs verify-thm3.  Reports are deterministic JSON (sorted keys,
-canonical array orders); identical inputs and configuration give
-byte-identical files.  Exit codes: 0 success, 1 parse error, 2 refusal.
+canonical array orders).  A report is a function of the arguments and
+the input alone: no environment variable changes its bytes, and its
+config records only options that change results.  Exit codes: 0
+success, 1 parse error, 2 refusal.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def _fractions(text):
     return tuple(Fraction(x) for x in text.split(",")) if text else ()
 
 
-def _workers():
-    return int(os.environ.get("JUMPLOCI_WORKERS", "1"))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="jumploci",
@@ -56,7 +54,6 @@ def main(argv=None):
     pa.add_argument("--i", type=int, default=1, dest="degree")
     pa.add_argument("--m", type=int, default=1, dest="mult")
     pa.add_argument("--K", type=int, default=6)
-    pa.add_argument("--variant", choices=["A", "B"], default="B")
     pa.add_argument("--numeric-fallback", action="store_true")
     pa.add_argument("--samples", type=int, default=50)
     pa.add_argument("--seed", type=int, default=0)
@@ -134,16 +131,13 @@ def _dispatch(args):
             results["numeric_candidates"] = numeric_unitary_scan(
                 p, args.degree, args.mult, args.samples, args.seed)
         config = {"input": args.input, "i": args.degree, "m": args.mult,
-                  "K": args.K, "variant": args.variant,
-                  "numeric_fallback": bool(args.numeric_fallback),
-                  "samples": args.samples, "seed": args.seed,
-                  "workers": _workers()}
+                  "K": args.K, "numeric_fallback": bool(args.numeric_fallback),
+                  "samples": args.samples, "seed": args.seed}
         return build_report("analyze", config, results)
     if cmd == "ng":
         p = _load_input(args.input)
         value = count_genus_components(p, args.g, args.K)
-        config = {"input": args.input, "g": args.g, "K": args.K,
-                  "workers": _workers()}
+        config = {"input": args.input, "g": args.g, "K": args.K}
         return build_report("ng", config, {"N_g": value})
     if cmd == "certify":
         p = _load_input(args.input)

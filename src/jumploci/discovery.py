@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import Character
+from .characters import Character, torsion_modulus
 from .cyclotomic import Cyc
 from .laurent import rank_generic
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
-from .subtorus import TranslatedSubtorus, subtorus_from_directions
+from .subtorus import (TranslatedSubtorus, point_subtorus,
+                       subtorus_from_directions)
 from .twisted import (DegreeError, presentation_data, scan_sigma,
                       twisted_cohomology_dims)
 
@@ -125,32 +126,39 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     return ("certified" if generic_h >= mult else "refuted"), generic_h
 
 
-def _lift_difference(chi, base):
-    """Angle difference lifted to [0,1)^b as exact rationals."""
-    return [frac_mod1(a - b) for a, b in zip(chi.angles, base.angles)]
+def _lift_difference(e, base, n, b):
+    """Free part of the difference of two exponent vectors, lifted to
+    [0, n)^b: n times the angle difference lifted to [0, 1)^b, so it
+    spans the same direction."""
+    return [(x - y) % n for x, y in zip(e[:b], base[:b])]
 
 
-def _grow_candidate(seed, class_hits, hit_keys, max_order):
-    """Largest coset through seed whose scanned points are all hits.
+def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
+    """(largest coset through seed whose scanned points are all hits,
+    the exponent vectors of those points), or (None, None).
 
-    The subset check iterates lazily so rejected directions fail on the
-    first non-hit point of the enlarged coset."""
+    seed and class_hits are exponent vectors and translate is seed's
+    character.  The subset check iterates lazily so rejected directions
+    fail on the first non-hit point of the enlarged coset."""
+    n = torsion_modulus(max_order, translate.torsion)
+    b = translate.free_rank
     directions = []
-    current = None
+    current = covered = None
     for other in class_hits:
-        if other is seed:
+        if other == seed or (covered is not None and other in covered):
             continue
-        if current is not None and current.contains(other):
-            continue
-        cand_dirs = directions + [_lift_difference(other, seed)]
-        cand = subtorus_from_directions(cand_dirs, seed)
+        cand_dirs = directions + [_lift_difference(other, seed, n, b)]
+        cand = subtorus_from_directions(cand_dirs, translate)
         if current is not None and cand.dim == current.dim:
             continue
-        if all(pt.sort_key() in hit_keys
-               for pt in cand.iter_torsion_points(max_order)):
-            directions = cand_dirs
-            current = cand
-    return current
+        points = set()
+        for pt in cand.iter_torsion_points(max_order):
+            if pt not in hit_keys:
+                break
+            points.add(pt)
+        else:
+            directions, current, covered = cand_dirs, cand, points
+    return current, covered
 
 
 def discover_components(p: FinitePresentation, degree=1, mult=1, max_order=6):
@@ -167,37 +175,36 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
     if max_order < 2:
         raise ValueError("scan order must be at least 2")
     result = scan_sigma(p, degree, mult, max_order)
-    hits = [chi for chi, _ in result.hits]
-    dims_by_key = {chi.sort_key(): dims for chi, dims in result.hits}
-    hit_keys = set(dims_by_key)
+    # Hits travel as exponent vectors; their characters come from the scan.
+    member = dict(zip(result.points, result.hits))
+    hit_keys = set(member)
+    b = presentation_data(p)[0].free_rank
     by_class = {}
-    for chi in hits:
-        by_class.setdefault(chi.tors_angles, []).append(chi)
+    for e in result.points:
+        by_class.setdefault(e[b:], []).append(e)
 
     candidates = {}
     for tors_class, class_hits in sorted(by_class.items()):
-        class_hits = sorted(class_hits, key=Character.sort_key)
         covered = set()
         for seed in class_hits:
-            if seed.sort_key() in covered:
+            if seed in covered:
                 continue
-            grown = _grow_candidate(seed, class_hits, hit_keys, max_order)
+            grown, points = _grow_candidate(seed, member[seed][0], class_hits,
+                                            hit_keys, max_order)
             if grown is None or grown.dim == 0:
                 continue
             grown = grown.canonical_translate(max_order)
             key = (grown.annihilator, grown.translate.sort_key())
             if key not in candidates:
-                candidates[key] = grown
-            for pt in grown.torsion_points(max_order):
-                covered.add(pt.sort_key())
+                candidates[key] = grown, points
+            covered |= points
 
     components = []
     residual_keys = set()
     covered_keys = set()
     for key in sorted(candidates):
-        sub = candidates[key]
+        sub, pts = candidates[key]
         status, generic_h = certify_component(p, sub, degree, mult)
-        pts = {pt.sort_key() for pt in sub.torsion_points(max_order)}
         if status == "certified":
             components.append(Component(
                 sub, status, generic_h,
@@ -221,24 +228,19 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
     components = keep + [c for c in components if c.status != "certified"]
 
     # Leftover hits: isolated certified points unless already residual.
-    for chi in hits:
-        k = chi.sort_key()
-        if k in covered_keys or k in residual_keys:
+    for e in result.points:
+        if e in covered_keys or e in residual_keys:
             continue
-        from .subtorus import point_subtorus
-        sub = point_subtorus(chi)
-        val = dims_by_key[k][degree] if degree < len(dims_by_key[k]) else 0
-        components.append(Component(sub, "certified", val,
+        chi, dims = member[e]
+        components.append(Component(point_subtorus(chi), "certified",
+                                    dims[degree],
                                     contains_trivial=chi.is_trivial))
-        covered_keys.add(k)
+        covered_keys.add(e)
 
     components.sort(key=lambda c: c.subtorus.sort_key())
-    residual = sorted((chi for chi in hits
-                       if chi.sort_key() in residual_keys
-                       and chi.sort_key() not in covered_keys),
-                      key=Character.sort_key)
-    members = sorted(result.hits, key=lambda pair: pair[0].sort_key())
-    return JumpLocusReport(degree, mult, max_order, members,
+    residual = [member[e][0] for e in result.points
+                if e in residual_keys and e not in covered_keys]
+    return JumpLocusReport(degree, mult, max_order, result.hits,
                            components, residual, result.scanned)
 
 

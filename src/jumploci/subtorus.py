@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .characters import Character
+from .characters import Character, torsion_modulus
 from .cyclotomic import is_root_of_unity
 from .intlinalg import (hnf_rows, kernel_columns, kernel_rational_rows,
                         row_lattice_subset, solve_integer, transpose)
@@ -82,45 +83,53 @@ class TranslatedSubtorus:
 
     def torsion_points(self, max_order):
         """All points of the coset whose character order divides some
-        k <= max_order, canonically ordered.
+        k <= max_order, as characters in canonical order."""
+        n = torsion_modulus(max_order, self.torsion)
+        return [Character.from_exponents(self.free_rank, self.torsion, e, n)
+                for e in sorted(set(self._points(max_order)))]
+
+    def iter_torsion_points(self, max_order):
+        """Lazily yield the exponent vectors of the coset's torsion points
+        of order <= max_order (see _points), so subset checks can fail on
+        the first point outside a set.  Only such checks draw points
+        here, which is what bench/tracer.py counts; listings and the
+        canonical translate use _points."""
+        return self._points(max_order)
+
+    def _points(self, max_order):
+        """Exponent vectors modulo n = torsion_modulus(max_order, torsion)
+        of the coset's points, grouped by killing order k (duplicates
+        across orders possible).
 
         For each k the points killed by k form either the empty set or a
         coset theta_0 + B (Z/k)^d / k; theta_0 is found by solving the
         angle congruences B z = -k tau (mod 1), which matters whenever the
-        translate's order does not divide k.
-        """
-        seen = {}
-        for chi in self.iter_torsion_points(max_order):
-            seen[chi.sort_key()] = chi
-        return [seen[key] for key in sorted(seen)]
-
-    def iter_torsion_points(self, max_order):
-        """Yield the coset's torsion points of order <= max_order, grouped
-        by killing order (duplicates across orders possible); lazy so
-        subset checks can fail fast."""
-        if not self.translate.is_unitary:
+        translate's order does not divide k.  As vectors that coset is
+        n theta_0 + (n/k) B (Z/k)^d, taken mod n."""
+        tau = self.translate
+        if not tau.is_unitary:
             return
+        n = torsion_modulus(max_order, self.torsion)
         cols = self.lattice_columns()
         d = len(cols[0]) if cols and cols[0] else 0
-        b = self.free_rank
-        rows = [[cols[j][t] for t in range(d)] for j in range(b)]
+        rows = [[cols[j][t] for t in range(d)] for j in range(self.free_rank)]
+        tail = tuple(a.numerator * (n // a.denominator) for a in tau.tors_angles)
         for k in range(1, max_order + 1):
-            rhs = [frac_mod1(-k * a) for a in self.translate.angles]
-            # Torsion-dual part must also be killed by k.
-            if any((k * a).denominator != 1 for a in self.translate.tors_angles):
+            # The torsion-dual part must also be killed by k.
+            if any((k * a).denominator != 1 for a in tau.tors_angles):
                 continue
-            z0 = _solve_angle_congruences(rows, rhs, d)
+            z0 = _solve_angle_congruences(
+                rows, [frac_mod1(-k * a) for a in tau.angles], d)
             if z0 is None:
                 continue
-            base = [self.translate.angles[j]
-                    + Fraction(sum(Fraction(rows[j][t]) * z0[t] for t in range(d)), k)
-                    for j in range(b)]
-            for w in _tuples(d, k):
-                angles = tuple(
-                    base[j] + Fraction(sum(rows[j][t] * w[t] for t in range(d)), k)
-                    for j in range(b))
-                yield Character.unitary(b, self.torsion, angles,
-                                        self.translate.tors_angles)
+            # k theta_0 is integral and k | n, so n theta_0 is an integer.
+            base = [(a + Fraction(sum(x * z for x, z in zip(row, z0)), k)) * n
+                    for a, row in zip(tau.angles, rows)]
+            base = [x.numerator % n for x in base]
+            step = n // k
+            for w in product(range(k), repeat=d):
+                yield tuple((x + step * sum(c * y for c, y in zip(row, w))) % n
+                            for x, row in zip(base, rows)) + tail
 
     def contains_subtorus(self, other):
         """Whether other (a translated subtorus) is contained in self."""
@@ -153,10 +162,11 @@ class TranslatedSubtorus:
         if not self.translate.is_unitary:
             return self
         k = max_order or self.translate.order()
-        pts = [p for p in self.torsion_points(k) ]
-        if not pts:
+        least = min(self._points(k), default=None)
+        if least is None:
             return self
-        best = min(pts, key=Character.sort_key)
+        best = Character.from_exponents(self.free_rank, self.torsion, least,
+                                        torsion_modulus(k, self.torsion))
         return TranslatedSubtorus(self.free_rank, self.torsion, self.annihilator, best)
 
     def sort_key(self):
@@ -168,15 +178,6 @@ class TranslatedSubtorus:
             "tau": self.translate.serialize(),
             "dim": self.dim,
         }
-
-
-def _tuples(d, k):
-    if d == 0:
-        yield ()
-        return
-    for head in range(k):
-        for rest in _tuples(d - 1, k):
-            yield (head,) + rest
 
 
 def _solve_common_translate(s1, s2, combined_ann):

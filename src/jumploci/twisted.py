@@ -38,6 +38,10 @@ lie past numutil.IS_PRIME_LIMIT, candidates are confirmed by exact
 cyclotomic elimination (twisted_cohomology_dims) instead.  The Fox
 identity behind d1 d0 = 0 is checked once per presentation, in the
 group ring, by presentation_data.
+
+A scan walks the exponent vectors of the characters module, whose
+modulus is the evaluator's n: the value zeta_n^(e . h) of the character
+e at h in H1 maps to w^(e . h).
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .characters import Character, enumerate_torsion_characters
+from .characters import (Character, enumerate_torsion_characters,
+                         torsion_modulus)
 from .cyclotomic import Cyc
 from .errors import InvariantError
 from .linalg import rank_exact
-from .numutil import euler_phi, factorint, first_prime_congruent_one, lcm_all
+from .numutil import euler_phi, factorint, first_prime_congruent_one
 from .presentation import (FinitePresentation, abelianize, fox_matrix,
                            fox_row_identity_holds)
 
@@ -98,12 +103,11 @@ def twisted_cohomology_dims(p: FinitePresentation, chi: Character,
         if sum((a * b for a, b in zip(row, d0)), Cyc.zero()):
             raise InvariantError("d1 after d0 does not vanish")
     rank_d1 = rank_exact(d1) if p.relator_count else 0
-    return _dims_from_rank(p, chi, rank_d1, include_h2)
+    return _dims_from_rank(p, chi.is_trivial, rank_d1, include_h2)
 
 
-def _dims_from_rank(p: FinitePresentation, chi: Character, rank_d1,
-                    include_h2):
-    h0 = 1 if chi.is_trivial else 0
+def _dims_from_rank(p: FinitePresentation, trivial, rank_d1, include_h2):
+    h0 = 1 if trivial else 0
     h1 = (p.generator_count - rank_d1) - (1 - h0)
     if h1 < 0:
         raise InvariantError(f"negative h1 = {h1}")
@@ -141,6 +145,7 @@ class ScanResult:
     to exact elimination."""
 
     hits: list          # (Character, dims tuple) pairs, canonical order
+    points: list        # the hits' exponent vectors, in the same order
     scanned: int
     max_order: int
     filter_prime: int | None = None
@@ -168,8 +173,7 @@ class _ModularEvaluator:
     """
 
     def __init__(self, fox, free_rank, torsion, max_order):
-        self.n = lcm_all(list(range(1, max_order + 1)) + list(torsion),
-                         start=1)
+        self.n = torsion_modulus(max_order, torsion)
         # Per row: list of (col, [(coeff, sparse exps over combined coords)]).
         self.rows_struct = []
         norms_sq = []   # squared row 2-norms of the coefficient-L1 matrix
@@ -200,21 +204,21 @@ class _ModularEvaluator:
                             for q in {self.prime, self.certifying_prime}
                             if q is not None}
 
-    def matrix_rows(self, chi: Character, prime):
-        """Sparse rows {col: value mod prime} of d1 at chi."""
+    def matrix_rows(self, e, prime):
+        """Sparse rows {col: value mod prime} of d1 at the character with
+        exponent vector e."""
         n = self.n
         powers = self.root_powers[prime]
-        na = [int(a * n) for a in chi.angles] + [int(a * n) for a in chi.tors_angles]
         rows = []
         for srow in self.rows_struct:
             row = {}
             for col, terms in srow:
                 val = 0
                 for coeff, sparse in terms:
-                    e = 0
+                    exp = 0
                     for j, x in sparse:
-                        e += x * na[j]
-                    val += coeff * powers[e % n]
+                        exp += x * e[j]
+                    val += coeff * powers[exp % n]
                 val %= prime
                 if val:
                     row[col] = val
@@ -295,80 +299,63 @@ def _rank_mod_p(rows, prime, stop_at=None):
     return rank
 
 
-def scan_sigma(p: FinitePresentation, degree, mult, max_order, workers=None):
+def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     """Exact hit list of the degree/mult jump locus over all torsion
     characters of order <= max_order.
 
-    With workers > 1 (default from JUMPLOCI_WORKERS) the character list
-    is split into contiguous chunks scanned by a process pool and merged
-    back in canonical order, so the result is independent of the worker
-    count."""
-    import os
-    ab, _ = presentation_data(p)
-    chars = enumerate_torsion_characters(ab.free_rank, ab.torsion, max_order)
-    if degree == 0:
-        hits = [(chi, twisted_cohomology_dims(p, chi, include_h2=False))
-                for chi in chars if chi.is_trivial and mult <= 1]
-        return ScanResult(hits, len(chars), max_order)
+    The scan walks exponent vectors; a Character is built only for a
+    hit."""
+    if degree not in (0, 1, 2):
+        raise DegreeError(f"degree {degree} out of range for presentations")
     if degree == 2 and not p.aspherical:
         raise DegreeError("H^2 undefined for this input")
-    primes = ()
-    if p.relator_count:
-        evaluator = _modular_evaluator_cached(p, max_order)
-        primes = (evaluator.prime, evaluator.certifying_prime)
-    if workers is None:
-        workers = int(os.environ.get("JUMPLOCI_WORKERS", "1"))
-    if workers > 1 and len(chars) >= 4 * workers and p.relator_count:
-        import multiprocessing as mp
-        size = (len(chars) + workers - 1) // workers
-        chunks = [chars[i:i + size] for i in range(0, len(chars), size)]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_scan_chunk,
-                             [(p, degree, mult, max_order, chunk)
-                              for chunk in chunks])
-        hits = [pair for part in parts for pair in part]
-    else:
-        hits = _scan_chunk((p, degree, mult, max_order, chars))
-    return ScanResult(hits, len(chars), max_order, *primes)
-
-
-def _scan_chunk(args):
-    p, degree, mult, max_order, chars = args
+    ab, _ = presentation_data(p)
+    b, torsion = ab.free_rank, ab.torsion
+    points = enumerate_torsion_characters(b, torsion, max_order)
+    n = torsion_modulus(max_order, torsion)
     g, r = p.generator_count, p.relator_count
-    hits = []
-    if r == 0:
-        # Free groups: d1 is empty, h1 = g - (1 - h0).
-        for chi in chars:
-            h0 = 1 if chi.is_trivial else 0
-            h1 = g - (1 - h0)
-            if degree == 1 and h1 >= mult:
-                hits.append((chi, (h0, h1)))
-        return hits
-    evaluator = _modular_evaluator_cached(p, max_order)
-    prime, cert = evaluator.prime, evaluator.certifying_prime
-    for chi in chars:
-        if degree == 1:
-            h0 = 1 if chi.is_trivial else 0
-            threshold = g - mult - (1 - h0)   # member iff rank d1 <= threshold
-        else:
-            threshold = r - mult
-        if threshold < 0:
-            continue
-        rank = _rank_mod_p(evaluator.matrix_rows(chi, prime), prime,
-                           stop_at=threshold + 1)
-        if rank > threshold:
-            continue  # exact non-membership certificate
-        if cert is None:
-            dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
-        else:
-            if cert != prime:
-                rank = _rank_mod_p(evaluator.matrix_rows(chi, cert), cert)
-            dims = _dims_from_rank(p, chi, rank, p.aspherical)
-        value = dims[degree] if degree < len(dims) else 0
-        if value >= mult:
-            hits.append((chi, dims))
-    return hits
+    found = []          # (exponent vector, dims)
+    primes = ()
+    if degree == 0:
+        if mult <= 1:
+            trivial = Character.trivial(b, torsion)
+            found.append((points[0], twisted_cohomology_dims(
+                p, trivial, include_h2=False)))
+    elif r == 0:
+        # Free groups: d1 is empty, so every dim follows from rank 0.
+        for e in points:
+            dims = _dims_from_rank(p, not any(e), 0, p.aspherical)
+            if dims[degree] >= mult:
+                found.append((e, dims))
+    else:
+        evaluator = _modular_evaluator_cached(p, max_order)
+        prime, cert = primes = (evaluator.prime, evaluator.certifying_prime)
+        for e in points:
+            trivial = not any(e)
+            # member iff rank d1 <= threshold
+            if degree == 1:
+                threshold = g - mult - (0 if trivial else 1)
+            else:
+                threshold = r - mult
+            if threshold < 0:
+                continue
+            rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
+                               stop_at=threshold + 1)
+            if rank > threshold:
+                continue  # exact non-membership certificate
+            if cert is None:
+                chi = Character.from_exponents(b, torsion, e, n)
+                dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+            else:
+                if cert != prime:
+                    rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
+                dims = _dims_from_rank(p, trivial, rank, p.aspherical)
+            if dims[degree] >= mult:
+                found.append((e, dims))
+    hits = [(Character.from_exponents(b, torsion, e, n), dims)
+            for e, dims in found]
+    return ScanResult(hits, [e for e, _ in found], len(points), max_order,
+                      *primes)
 
 
 @lru_cache(maxsize=8)

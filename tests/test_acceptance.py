@@ -20,7 +20,7 @@ from jumploci.alexander import (ModuleAction, _mat_mul,
                                 finite_locus_cover_check, is_weight,
                                 vanishing_check, weights_and_inverses)
 from jumploci.characters import (Character, enumerate_torsion_characters,
-                                 rplus_act)
+                                 rplus_act, torsion_modulus)
 from jumploci.cyclotomic import Cyc, is_root_of_unity, rank_exact
 from jumploci.discovery import (count_genus_components, discover_components,
                                 reports_agree_after_transport, tietze_transport)
@@ -37,11 +37,17 @@ def _report(criterion, text):
     print(f"PASS criterion {criterion}: {text}")
 
 
+def _characters(b, K):
+    """The torsion characters of order <= K on (C*)^b, in canonical order."""
+    n = torsion_modulus(K, ())
+    return [Character.from_exponents(b, (), e, n)
+            for e in enumerate_torsion_characters(b, (), K)]
+
+
 def test_criterion_1_surface_suite():
     s2 = corpus.get("surface2")
     assert twisted_cohomology_dims(s2, Character.trivial(4)) == (1, 4, 1)
-    chars = [c for c in enumerate_torsion_characters(4, (), 6)
-             if not c.is_trivial]
+    chars = [c for c in _characters(4, 6) if not c.is_trivial]
     rng = random.Random(1001)
     sample = rng.sample(chars, 25)
     for chi in sample:
@@ -71,7 +77,7 @@ def test_criterion_2_product_suite():
     # Kunneth brute-force oracle over every scanned character: a point
     # hits exactly when one factor's character is trivial.
     hit_keys = {chi.sort_key() for chi, _ in rep.members}
-    for chi in enumerate_torsion_characters(10, (), 3):
+    for chi in _characters(10, 3):
         first_trivial = all(a == 0 for a in chi.angles[:4])
         second_trivial = all(a == 0 for a in chi.angles[4:])
         assert (chi.sort_key() in hit_keys) == (first_trivial or second_trivial)

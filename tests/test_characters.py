@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from jumploci.characters import (Character, CharacterError, NumericCharacter,
                                  count_killed_by, enumerate_torsion_characters,
-                                 rplus_act)
+                                 rplus_act, torsion_modulus)
 from jumploci.cyclotomic import Cyc
+
+
+def _characters(b, torsion, K):
+    n = torsion_modulus(K, torsion)
+    return [Character.from_exponents(b, torsion, e, n)
+            for e in enumerate_torsion_characters(b, torsion, K)]
 
 
 def test_enumeration_examples():
@@ -20,7 +27,7 @@ def test_enumeration_counting_formula_brute_force():
     for b in (1, 2):
         for torsion in ((), (2,), (3,)):
             for K in range(1, 7):
-                chars = enumerate_torsion_characters(b, torsion, K)
+                chars = _characters(b, torsion, K)
                 assert len(chars) == len({c.sort_key() for c in chars})
                 for k in range(1, K + 1):
                     killed = [c for c in chars
@@ -30,10 +37,48 @@ def test_enumeration_counting_formula_brute_force():
 
 
 def test_enumeration_is_sorted_and_streams_once():
-    chars = enumerate_torsion_characters(2, (2,), 4)
+    chars = _characters(2, (2,), 4)
     keys = [c.sort_key() for c in chars]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+
+
+def _reference_points(b, torsion, K):
+    """(angles, torsion angles) of every unitary character of order <= K,
+    from Fraction angle tuples alone, in Character.sort_key order."""
+    points = set()
+    for k in range(1, K + 1):
+        free = [Fraction(c, k) for c in range(k)]
+        tors = [[Fraction(c, d) for c in range(d) if (c * k) % d == 0]
+                for d in torsion]
+        for angles in product(free, repeat=b):
+            for tors_angles in product(*tors):
+                points.add((angles, tors_angles))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("torsion", [(), (2,), (3,), (2, 4)])
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_enumeration_equals_fraction_reference(b, torsion):
+    # The vectors, read as characters, are exactly the reference points,
+    # and sorted vectors come out in sort_key order.
+    for K in range(1, 7):
+        chars = _characters(b, torsion, K)
+        assert [(c.angles, c.tors_angles) for c in chars] \
+            == _reference_points(b, torsion, K), (b, torsion, K)
+        assert [c.sort_key() for c in chars] \
+            == sorted(c.sort_key() for c in chars)
+
+
+def test_from_exponents_equals_normalising_constructor():
+    n = torsion_modulus(4, (2, 4))
+    for e in enumerate_torsion_characters(1, (2, 4), 4):
+        chi = Character.from_exponents(1, (2, 4), e, n)
+        assert chi == Character.unitary(
+            1, (2, 4), (Fraction(e[0], n),),
+            (Fraction(e[1], n), Fraction(e[2], n)))
+        assert hash(chi) == hash(Character.unitary(
+            1, (2, 4), chi.angles, chi.tors_angles))
 
 
 def test_homomorphism_property_random_pairs():

@@ -72,6 +72,25 @@ def test_refusal_exit_code():
     assert "above the limit" in res3.stderr
 
 
+def test_degree_above_two_is_refused():
+    res = run_cli("analyze", "z2", "--i", "3", "--K", "3")
+    assert res.returncode == 2
+    assert "refused" in res.stderr
+
+
+def test_report_ignores_environment():
+    # A report is a function of argv and the input alone: the former
+    # scan-pool setting JUMPLOCI_WORKERS changes no byte of it.
+    env = cli_env()
+    env["JUMPLOCI_WORKERS"] = "2"
+    res = subprocess.run(RUN + ["analyze", "z2", "--K", "4", "--out", "-"],
+                         capture_output=True, text=True, cwd=REPO_ROOT,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    expected = REPO_ROOT / "corpus" / "expected" / "analyze_z2_K4.json"
+    assert res.stdout == expected.read_text()
+
+
 def test_weights_thm4_cover_commands(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli("weights", "trefoil", "--K", "6", "--out", str(out)).returncode == 0

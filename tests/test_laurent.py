@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from jumploci import corpus
-from jumploci.characters import enumerate_torsion_characters
+from jumploci.characters import (Character, enumerate_torsion_characters,
+                                 torsion_modulus)
 from jumploci.cyclotomic import Cyc, rank_exact
 from jumploci.laurent import (LaurentPoly, det_bareiss, rank_generic,
                               resultant, univariate_view)
@@ -69,7 +70,9 @@ def test_rank_generic_dominates_specializations():
             [Cyc.from_angle(Fraction(0))] * len(ab.torsion)) for e in row]
             for row in fox])
         best = -1
-        for chi in enumerate_torsion_characters(ab.free_rank, ab.torsion, 4):
+        n = torsion_modulus(4, ab.torsion)
+        for e in enumerate_torsion_characters(ab.free_rank, ab.torsion, 4):
+            chi = Character.from_exponents(ab.free_rank, ab.torsion, e, n)
             free_vals = [Cyc.from_angle(a) for a in chi.angles]
             tors_vals = chi.torsion_values()
             mat = [[e.evaluate(free_vals, tors_vals) for e in row] for row in fox]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import jumploci.twisted as tw
 from jumploci import corpus
-from jumploci.characters import Character, enumerate_torsion_characters
+from jumploci.characters import (Character, enumerate_torsion_characters,
+                                 torsion_modulus)
 from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import rank_exact
@@ -20,20 +21,27 @@ from jumploci.presentation import FinitePresentation
 from jumploci.twisted import (_ModularEvaluator, _rank_mod_p, scan_sigma,
                               twisted_cohomology_dims)
 
-# (group, K) for the corpus differential; groups without relators have no
-# Fox matrix to rank and are left out.
+# (group, K) for the corpus differential.
 CORPUS_SCANS = ([(name, 4) for name in ("z2", "z3", "z4", "c3xz", "s2xz2",
                                         "square_comm", "trefoil",
                                         "swap_torus", "torus_bundle3", "bs12",
-                                        "surface2")]
+                                        "surface2", "free2", "free3")]
                 + [("surface3", 3), ("product23", 2), ("z4", 8)])
+
+
+def _exponents(chi, n):
+    """Exponent vector modulo n of a torsion character."""
+    return tuple(a.numerator * (n // a.denominator)
+                 for a in chi.angles + chi.tors_angles)
 
 
 def _exact_hits(p, degree, mult, max_order):
     ab, _ = tw.presentation_data(p)
+    n = torsion_modulus(max_order, ab.torsion)
     out = []
-    for chi in enumerate_torsion_characters(ab.free_rank, ab.torsion,
-                                            max_order):
+    for e in enumerate_torsion_characters(ab.free_rank, ab.torsion,
+                                          max_order):
+        chi = Character.from_exponents(ab.free_rank, ab.torsion, e, n)
         dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
         if degree < len(dims) and dims[degree] >= mult:
             out.append((chi, dims))
@@ -45,8 +53,13 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
     p = corpus.get(name)
     for degree in ((1, 2) if p.aspherical else (1,)):
         res = scan_sigma(p, degree, 1, K)
-        assert res.certificate == "bounded-prime"
-        assert res.filter_prime is not None
+        if not p.relator_count:
+            # No Fox matrix: every dim follows from rank 0, no prime.
+            assert res.certificate == "exact-elimination"
+            assert res.filter_prime is None
+        else:
+            assert res.certificate == "bounded-prime"
+            assert res.filter_prime is not None
         for chi, dims in res.hits:
             assert dims == twisted_cohomology_dims(
                 p, chi, include_h2=p.aspherical), (name, chi)
@@ -56,7 +69,7 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
     # is certified by the filter prime itself.
     if (name, K) == ("z4", 8):
         assert res.certifying_prime.bit_length() == 37
-    else:
+    elif p.relator_count:
         assert res.certifying_prime == res.filter_prime
 
 
@@ -94,6 +107,8 @@ def test_degree_zero_and_free_groups_need_no_prime():
     assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
     res = scan_sigma(corpus.get("free2"), 1, 1, 3)
     assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
+    # free2 is aspherical, so its hits carry h2 like twisted_cohomology_dims.
+    assert res.hits[0] == (Character.trivial(2), (1, 2, 0))
 
 
 @st.composite
@@ -136,22 +151,23 @@ def test_certified_prime_rank_equals_exact_rank(case):
     ev = _ModularEvaluator(fox, chi.free_rank, (), k)
     exact = _exact_rank(fox, chi)
     # The filter rank is a lower bound at any prime = 1 (mod n).
-    assert _rank_mod_p(ev.matrix_rows(chi, ev.prime), ev.prime) <= exact
+    e = _exponents(chi, ev.n)
+    assert _rank_mod_p(ev.matrix_rows(e, ev.prime), ev.prime) <= exact
     if ev.certifying_prime is not None:
         cert = ev.certifying_prime
-        assert _rank_mod_p(ev.matrix_rows(chi, cert), cert) == exact
+        assert _rank_mod_p(ev.matrix_rows(e, cert), cert) == exact
 
 
 def test_filter_false_positive_is_corrected():
     # The entry 1000003 is zero modulo the filter prime of n = 2.
     fox = [[LaurentPoly.constant(1000003, 1)]]
-    chi = Character.unitary(1, (), (Fraction(1, 2),))
+    e = (1,)       # the character of angle 1/2, with n = 2
     ev = _ModularEvaluator(fox, 1, (), 2)
     assert ev.prime == 1000003
-    assert _rank_mod_p(ev.matrix_rows(chi, ev.prime), ev.prime) == 0
+    assert _rank_mod_p(ev.matrix_rows(e, ev.prime), ev.prime) == 0
     assert ev.certifying_prime > 1000003
     cert = ev.certifying_prime
-    assert _rank_mod_p(ev.matrix_rows(chi, cert), cert) == 1
+    assert _rank_mod_p(ev.matrix_rows(e, cert), cert) == 1
 
 
 def test_presentation_data_checks_fox_identity(monkeypatch):
@@ -181,7 +197,7 @@ def test_modular_values_are_images_of_cyc_values():
     q = ev.prime
     w = ev.root_powers[q][1]
     assert [e for e in range(1, ev.n + 1) if pow(w, e, q) == 1] == [ev.n]
-    for row, mod_row in zip(d1, ev.matrix_rows(chi, q)):
+    for row, mod_row in zip(d1, ev.matrix_rows(_exponents(chi, ev.n), q)):
         for col, entry in enumerate(row):
             coeffs = entry.lift_coeffs(ev.n) if entry else ()
             image = sum(int(c) * pow(w, i, q) for i, c in enumerate(coeffs))

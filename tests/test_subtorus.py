@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jumploci.characters import Character, rplus_act
+from jumploci.characters import (Character, enumerate_torsion_characters,
+                                 rplus_act, torsion_modulus)
 from jumploci.cyclotomic import is_root_of_unity
 from jumploci.subtorus import (SubtorusError, TranslatedSubtorus, full_torus,
                                orbit_closure, point_subtorus,
@@ -121,3 +124,41 @@ def test_canonical_translate_is_lex_least():
     T = subtorus_from_directions([[Fraction(1), Fraction(0)]], tau)
     canon = T.canonical_translate(2)
     assert canon.translate.angles == (Fraction(0), Fraction(1, 2))
+
+
+@st.composite
+def torsion_cosets(draw):
+    """(b, torsion, coset, K): the annihilator is the saturated integer
+    kernel of random direction rows, and the translate has rational
+    angles whose denominators need not divide K."""
+    b = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    directions = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=b, max_size=b), max_size=b))
+    angles = tuple(Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12)))
+                   for _ in range(b))
+    tail = tuple(Fraction(draw(st.integers(0, d - 1)), d) for d in torsion)
+    tau = Character.unitary(b, torsion, angles, tail)
+    return b, torsion, subtorus_from_directions(directions, tau), \
+        draw(st.integers(1, 5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(torsion_cosets())
+def test_torsion_points_equal_filtered_enumeration(case):
+    # The integer coset walk lists exactly the enumerated characters the
+    # exact rational membership test accepts, and the canonical translate
+    # is the least of them.
+    b, torsion, sub, K = case
+    n = torsion_modulus(K, torsion)
+    expected = [chi for chi in (Character.from_exponents(b, torsion, e, n)
+                                for e in enumerate_torsion_characters(
+                                    b, torsion, K))
+                if sub.contains(chi)]
+    assert sub.torsion_points(K) == expected
+    canon = sub.canonical_translate(K)
+    if expected:
+        assert canon.translate == expected[0]
+        assert canon.annihilator == sub.annihilator
+    else:
+        assert canon is sub

@@ -3,10 +3,18 @@ from fractions import Fraction
 import pytest
 
 from jumploci import corpus
-from jumploci.characters import Character, enumerate_torsion_characters
+from jumploci.characters import (Character, enumerate_torsion_characters,
+                                 torsion_modulus)
+from jumploci.discovery import discover_components
 from jumploci.twisted import (DegreeError, InvariantError, coboundary_matrices,
                               numeric_unitary_scan, scan_sigma,
                               sigma_membership, twisted_cohomology_dims)
+
+
+def _characters(ab, K):
+    n = torsion_modulus(K, ab.torsion)
+    return [Character.from_exponents(ab.free_rank, ab.torsion, e, n)
+            for e in enumerate_torsion_characters(ab.free_rank, ab.torsion, K)]
 
 
 def test_surface_dims_at_trivial_and_torsion():
@@ -46,6 +54,16 @@ def test_degree_two_requires_asphericity():
         sigma_membership(tb, chi, 2, 1)
 
 
+def test_degree_above_two_is_refused():
+    z2 = corpus.get("z2")
+    with pytest.raises(DegreeError):
+        sigma_membership(z2, Character.trivial(2), 3, 1)
+    with pytest.raises(DegreeError):
+        scan_sigma(z2, 3, 1, 3)
+    with pytest.raises(DegreeError):
+        discover_components(z2, 3, 1, 3)
+
+
 def test_dims_check_fox_identity_on_corpus():
     # twisted_cohomology_dims raises unless d1 composed with d0 vanishes
     # (Fox fundamental identity) and h1 >= 0, at sampled characters.
@@ -53,8 +71,7 @@ def test_dims_check_fox_identity_on_corpus():
         p = corpus.get(name)
         from jumploci.twisted import presentation_data
         ab, _ = presentation_data(p)
-        chars = enumerate_torsion_characters(ab.free_rank, ab.torsion, 3)
-        for chi in chars[:10]:
+        for chi in _characters(ab, 3)[:10]:
             dims = twisted_cohomology_dims(p, chi)
             assert len(dims) == (3 if p.aspherical else 2)
             assert min(dims) >= 0
@@ -103,7 +120,7 @@ def test_scan_matches_pointwise_membership():
         ab, _ = presentation_data(p)
         res = scan_sigma(p, 1, 1, 3)
         keys = {chi.sort_key() for chi, _ in res.hits}
-        for chi in enumerate_torsion_characters(ab.free_rank, ab.torsion, 3):
+        for chi in _characters(ab, 3):
             assert (chi.sort_key() in keys) == sigma_membership(p, chi, 1, 1)
 
 
