@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .characters import Character
 from .cyclotomic import Cyc
 from .errors import InvariantError
+from .intlinalg import identity, mat_mul, transpose
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import inverse, koszul_dims, rank_exact
 from .numutil import frac_mod1
@@ -57,9 +58,12 @@ def fitting_generators(p: FinitePresentation, k):
                 minors.append(d.content_normalize())
     uniq = {}
     for m in minors:
-        key = tuple((kv, c.n, c.coeffs) for kv, c in m.sorted_terms())
-        uniq.setdefault(key, m)
+        uniq.setdefault(_poly_key(m), m)
     return [uniq[key] for key in sorted(uniq)]
+
+
+def _poly_key(poly):
+    return tuple((kv, c.n, c.coeffs) for kv, c in poly.sorted_terms())
 
 
 def _det_laplace(mat, nvars, torsion):
@@ -81,31 +85,27 @@ def _det_laplace(mat, nvars, torsion):
 
 
 def fitting_chain_holds(p: FinitePresentation, k):
-    """E_k lies in E_{k+1}: every (g-k)-minor expands by Laplace into a
-    group-ring combination of (g-k-1)-minors, so generator-list inclusion
-    holds structurally; verified here by re-expanding one row."""
+    """E_k lies in E_{k+1}: first-column Laplace expansion writes every
+    (g-k)-minor as a group-ring combination of its cofactors, so it
+    suffices that each nonzero cofactor, content-normalized, is one of
+    fitting_generators(p, k + 1)."""
     ab, fox = presentation_data(p)
     g, r = p.generator_count, p.relator_count
     size = g - k
     if size <= 1 or size > min(r, g):
         return True
-    smaller = fitting_generators(p, k + 1)
-    if not smaller:
-        return not fitting_generators(p, k)
+    smaller = {_poly_key(m) for m in fitting_generators(p, k + 1)}
     for rows in combinations(range(r), size):
         for cols in combinations(range(g), size):
-            sub = [[fox[i][j] for j in cols] for i in rows]
-            expanded = _det_laplace(sub, ab.free_rank, ab.torsion)
-            rebuilt = LaurentPoly.zero(ab.free_rank, ab.torsion)
-            for i in range(size):
-                if sub[i][0].is_zero():
+            for i in rows:
+                if fox[i][cols[0]].is_zero():
                     continue
-                minor = [[sub[rr][cc] for cc in range(1, size)]
-                         for rr in range(size) if rr != i]
-                term = sub[i][0] * _det_laplace(minor, ab.free_rank, ab.torsion)
-                rebuilt = rebuilt + term if i % 2 == 0 else rebuilt - term
-            if not (expanded - rebuilt).is_zero():
-                return False
+                minor = [[fox[rr][cc] for cc in cols[1:]]
+                         for rr in rows if rr != i]
+                d = _det_laplace(minor, ab.free_rank, ab.torsion)
+                if (not d.is_zero()
+                        and _poly_key(d.content_normalize()) not in smaller):
+                    return False
     return True
 
 
@@ -127,7 +127,7 @@ class ModuleAction:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("matrix dimensions disagree")
         for a, b in combinations(self.matrices, 2):
-            if not _mat_eq(_mat_mul(a, b), _mat_mul(b, a)):
+            if mat_mul(a, b) != mat_mul(b, a):
                 raise ValueError("matrices do not commute")
         for m in self.matrices:
             if rank_exact(m) != self.dim:
@@ -143,24 +143,7 @@ class ModuleAction:
     def dual(self):
         """Contragredient action (inverse transpose)."""
         return ModuleAction.from_lists(
-            [_mat_transpose(inverse(m)) for m in self.matrices])
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(tuple(
-        sum((a[i][t] * b[t][j] for t in range(k)), Cyc.zero())
-        for j in range(m)) for i in range(n))
-
-
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
+            [transpose(inverse(m)) for m in self.matrices])
 
 
 def is_weight(chi_values, action: ModuleAction):
@@ -240,9 +223,11 @@ class CoverModule:
 def _specialized_fox(p, omega_tors_angles):
     """Fox matrix rows specialized at a torsion-dual character: Laurent
     polynomials in the free variables."""
-    _, fox = presentation_data(p)
+    ab, fox = presentation_data(p)
+    b = ab.free_rank
     tors_vals = [Cyc.from_angle(a) for a in omega_tors_angles]
-    return [[e.specialize_torsion(tors_vals) for e in row] for row in fox]
+    return [[e.substitute_monomials(identity(b), (), b, tors_vals)
+             for e in row] for row in fox]
 
 
 def _laurent1_to_upoly(poly, shift=None):
@@ -342,15 +327,9 @@ def cover_module_action(p: FinitePresentation):
 
 
 def _all_torsion_duals(torsion):
-    out = []
-    def rec(i, acc):
-        if i == len(torsion):
-            out.append(tuple(acc))
-            return
-        for c in range(torsion[i]):
-            rec(i + 1, acc + [Fraction(c, torsion[i])])
-    rec(0, [])
-    return sorted(out)
+    """Angle tuples of every character of Z/d_1 + ... + Z/d_t, sorted."""
+    return [tuple(Fraction(c, d) for c, d in zip(cs, torsion))
+            for cs in product(*(range(d) for d in torsion))]
 
 
 def _candidate_points_rank_two(p: FinitePresentation, omega):
@@ -427,6 +406,8 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     if degree_bound > 2:
         raise WeightsRefused("degree bound above 2 is not supported for "
                              "presentation input")
+    if degree_bound < 1:
+        raise WeightsRefused("degree bound must be at least 1")
     ab, _ = presentation_data(p)
     b = ab.free_rank
     if b == 0:
@@ -464,8 +445,7 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
                     chi = Character.unitary(2, ab.torsion, (a0, a1), tuple(omega))
                     if chi.is_trivial:
                         continue
-                    dims = twisted_cohomology_dims(p, chi, include_h2=False)
-                    if dims[1] >= 1:
+                    if twisted_cohomology_dims(p, chi)[1] >= 1:
                         inv = chi.inverse()
                         weights[inv.sort_key()] = inv
             if not ok_all:
@@ -554,14 +534,9 @@ def finite_locus_cover_check(p: FinitePresentation, degree_bound=2,
         for o in orders:
             index *= o
         trivial_cover = False
-    surviving = []
-    for degree in range(min(degree_bound, 2)):
-        res = scan_sigma(cover, degree, 1, max_order)
-        for chi, _dims in res.hits:
-            if not chi.is_trivial:
-                surviving.append(chi)
-    surviving = sorted({c.sort_key(): c for c in surviving}.values(),
-                       key=Character.sort_key)
+    surviving = [chi for chi in _sigma_union_hits(cover, degree_bound,
+                                                  max_order)
+                 if not chi.is_trivial]
     return CoverCheckReport(trivial_cover, cover.generator_count, index,
                             surviving, passed=not surviving,
                             max_order=max_order)

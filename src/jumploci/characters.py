@@ -48,6 +48,11 @@ class Character:
     tors_angles: tuple
 
     def __post_init__(self):
+        if not len(self.moduli) == len(self.angles) == self.free_rank:
+            raise CharacterError("one modulus and one angle per free "
+                                 "generator required")
+        if len(self.tors_angles) != len(self.torsion):
+            raise CharacterError("one angle per torsion generator required")
         moduli = tuple(Fraction(m) for m in self.moduli)
         if any(m <= 0 for m in moduli):
             raise CharacterError("moduli must be positive")
@@ -126,6 +131,10 @@ class Character:
         if mod != 1:
             out = out * mod
         return out
+
+    def free_values(self):
+        """Cyc value per free coordinate: modulus times root of unity."""
+        return [Cyc.from_angle(a) * m for a, m in zip(self.angles, self.moduli)]
 
     def unitary_values(self):
         """Cyc root-of-unity value per free coordinate (ignores moduli)."""

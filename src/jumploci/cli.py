@@ -204,6 +204,8 @@ def _dispatch(args):
 
 
 def _thm3_sweep(model, samples, seed):
+    if samples < 0:
+        raise ValueError("--samples must be at least 0")
     import random as _random
     rng = _random.Random(seed)
     b = 2 * model.n

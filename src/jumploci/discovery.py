@@ -17,14 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import Character, torsion_modulus
-from .cyclotomic import Cyc
 from .laurent import rank_generic
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
-from .twisted import (DegreeError, presentation_data, scan_sigma,
-                      twisted_cohomology_dims)
+from .twisted import (check_query, dims_from_rank, presentation_data,
+                      scan_sigma, twisted_cohomology_dims)
 
 
 class CertificateError(ValueError):
@@ -90,39 +89,25 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     Positive-dimensional cosets are certified by substituting the monomial
     parametrization z_j = tau_j * prod_k s_k^(B_jk) into the Fox matrix
     and computing generic rank; at a generic point of a positive
-    dimensional coset the character is nontrivial, so h0 = 0 there.
+    dimensional coset the character is nontrivial.
     """
     ab, fox = presentation_data(p)
     if sub.free_rank != ab.free_rank or sub.torsion != ab.torsion:
         raise CertificateError("subtorus lives on a different character torus")
-    if degree == 2 and not p.aspherical:
-        raise DegreeError("H^2 undefined for this input")
-    if degree not in (0, 1, 2):
-        raise DegreeError(f"degree {degree} out of range")
-    g, r = p.generator_count, p.relator_count
-    if sub.dim == 0:
-        chi = sub.translate
-        dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
-        val = dims[degree] if degree < len(dims) else 0
-        return ("certified" if val >= mult else "refuted"), val
-    if degree == 0:
-        return "refuted", 0   # h0 vanishes at nontrivial generic points
-    cols = sub.lattice_columns()         # b x d
-    d = sub.dim
+    check_query(p, degree, mult)
     tau = sub.translate
-    translate_vals = [Cyc.from_angle(a) * m
-                      for a, m in zip(tau.angles, tau.moduli)]
-    tors_vals = tau.torsion_values()
-    param_rows = [
-        [e.substitute_monomials(cols, translate_vals, d, tors_vals)
-         for e in row]
-        for row in fox
-    ]
-    rank = rank_generic(param_rows) if r else 0
-    if degree == 1:
-        generic_h = (g - rank) - 1
+    if sub.dim == 0:
+        generic_h = twisted_cohomology_dims(p, tau)[degree]
     else:
-        generic_h = r - rank
+        cols = sub.lattice_columns()         # b x d
+        free_vals, tors_vals = tau.free_values(), tau.torsion_values()
+        param_rows = [
+            [e.substitute_monomials(cols, free_vals, sub.dim, tors_vals)
+             for e in row]
+            for row in fox
+        ]
+        rank = rank_generic(param_rows) if p.relator_count else 0
+        generic_h = dims_from_rank(p, False, rank)[degree]
     return ("certified" if generic_h >= mult else "refuted"), generic_h
 
 

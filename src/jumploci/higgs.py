@@ -36,6 +36,8 @@ class ComplexTorusModel:
     periods: tuple     # 2n entries, each an n-tuple of (Fraction, Fraction)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise TorusModelError("the torus needs dimension n >= 1")
         if len(self.periods) != 2 * self.n:
             raise TorusModelError("need 2n lattice generators")
         periods = tuple(

@@ -148,47 +148,22 @@ class LaurentPoly:
         return key, self.terms[key]
 
     def evaluate(self, free_values, torsion_values=()):
-        """Plug Cyc values into the variables; negative exponents invert."""
-        total = Cyc.zero()
-        for (v, w), c in self.terms.items():
-            val = c
-            for x, e in zip(free_values, v):
-                if e:
-                    val = val * (x ** e)
-            for x, e in zip(torsion_values, w):
-                if e:
-                    val = val * (x ** e)
-            total = total + val
-        return total
+        """Plug Cyc values into the variables; negative exponents invert.
+        The new_nvars = 0 case of substitute_monomials."""
+        out = self.substitute_monomials((), free_values, 0, torsion_values)
+        return out.terms.get(((), ()), Cyc.zero())
 
-    def specialize_torsion(self, torsion_values):
-        """Evaluate the torsion twist at roots of unity, leaving a plain
-        Laurent polynomial in the free variables."""
-        out = LaurentPoly(self.nvars, ())
-        for (v, w), c in self.terms.items():
-            val = c
-            for x, e in zip(torsion_values, w):
-                if e:
-                    val = val * (x ** e)
-            if val.is_zero():
-                continue
-            key = (v, ())
-            cur = out.terms.get(key, Cyc.zero()) + val
-            if cur.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = cur
-        return out
-
-    def substitute_monomials(self, lattice_cols, translate_values, new_nvars,
+    def substitute_monomials(self, lattice_cols, values, new_nvars,
                              torsion_values=()):
-        """z_j -> translate_values[j] * prod_k s_k^B[j][k] with B given by
-        columns; torsion generators evaluate at torsion_values.  Returns a
-        torsion-free Laurent polynomial in new_nvars variables."""
+        """z_j -> values[j] * prod_k s_k^B[j][k] with B given by columns,
+        and the torsion twist evaluated at torsion_values (roots of unity);
+        a missing value counts as 1.  Returns a torsion-free Laurent
+        polynomial in new_nvars variables.  Identity columns and no values
+        only fix the torsion twist."""
         out = LaurentPoly(new_nvars, ())
         for (v, w), c in self.terms.items():
             val = c
-            for x, e in zip(translate_values, v):
+            for x, e in zip(values, v):
                 if e:
                     val = val * (x ** e)
             for x, e in zip(torsion_values, w):

@@ -15,8 +15,9 @@ from itertools import product
 
 from .characters import Character, torsion_modulus
 from .cyclotomic import is_root_of_unity
-from .intlinalg import (hnf_rows, kernel_columns, kernel_rational_rows,
-                        row_lattice_subset, solve_integer, transpose)
+from .intlinalg import (hnf_rows, identity, kernel_columns,
+                        kernel_rational_rows, row_lattice_subset,
+                        solve_integer, transpose)
 from .numutil import factorint, frac_mod1, lcm_all
 
 
@@ -34,6 +35,9 @@ class TranslatedSubtorus:
     translate: Character
 
     def __post_init__(self):
+        if any(len(r) != self.free_rank for r in self.annihilator):
+            raise SubtorusError("annihilator rows need one entry per free "
+                                "generator")
         ann = hnf_rows([list(r) for r in self.annihilator])
         object.__setattr__(self, "annihilator", tuple(tuple(r) for r in ann))
         if self.translate.free_rank != self.free_rank:
@@ -283,9 +287,8 @@ def full_torus(free_rank, torsion=()):
 
 
 def point_subtorus(chi: Character):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(chi.free_rank))
-                  for i in range(chi.free_rank))
-    return TranslatedSubtorus(chi.free_rank, chi.torsion, ident, chi)
+    return TranslatedSubtorus(chi.free_rank, chi.torsion,
+                              identity(chi.free_rank), chi)
 
 
 def subtorus_from_directions(direction_rows, translate: Character):
@@ -326,7 +329,7 @@ def orbit_closure(chi, variant="B"):
             relations = transpose(kernel_columns(exp_rows, ncols=b))
         else:
             # All moduli are 1: the orbit is the single unitary point.
-            relations = [[1 if i == j else 0 for j in range(b)] for i in range(b)]
+            relations = identity(b)
         ann_rows = hnf_rows(relations)
         return TranslatedSubtorus(b, chi.torsion,
                                   tuple(tuple(r) for r in ann_rows),

@@ -4,7 +4,10 @@ exhaustive membership scans over torsion characters.
 The cochain complex of the presentation 2-complex at a character chi is
 C^0 -> C^1 -> C^2 with d0 = (chi(x_j) - 1) and d1 the Fox matrix
 evaluated at chi.  Degree-2 answers are only defined when the input is
-flagged aspherical.
+flagged aspherical (check_query).  Every dimension comes from rank d1
+by one rule, dims_from_rank: h0 = [chi = 1], as d0 = 0 exactly there;
+h1 = g - rank - (1 - h0), as rank d0 = 1 - h0; and, on aspherical input,
+h2 = r - rank.  So h1 and h2 fall by one per unit of rank.
 
 Scans rank d1 over F_p, p = 1 (mod n) for n the lcm of the character
 orders in play, through the ring map Z[zeta_n] -> F_p sending zeta_n to
@@ -65,6 +68,17 @@ class DegreeError(ValueError):
     """Raised for degree-2 requests on inputs not flagged aspherical."""
 
 
+def check_query(p: FinitePresentation, degree, mult):
+    """Refuse a degree outside 0..2, H^2 on input not flagged aspherical,
+    and a multiplicity below 1, which every character would meet."""
+    if degree not in (0, 1, 2):
+        raise DegreeError(f"degree {degree} out of range for presentations")
+    if degree == 2 and not p.aspherical:
+        raise DegreeError("H^2 undefined for this input")
+    if mult < 1:
+        raise ValueError("multiplicity must be at least 1")
+
+
 @lru_cache(maxsize=None)
 def presentation_data(p: FinitePresentation):
     """(abelianization, Fox matrix) of p, built once per presentation.
@@ -85,50 +99,38 @@ def coboundary_matrices(p: FinitePresentation, chi: Character):
     ab, fox = presentation_data(p)
     gen_vals = [chi.value(f, t) for f, t in ab.gen_images]
     d0 = [v - Cyc.one() for v in gen_vals]
-    free_vals = [Cyc.from_angle(a) * m for a, m in zip(chi.angles, chi.moduli)]
+    free_vals = chi.free_values()
     tors_vals = chi.torsion_values()
     d1 = [[e.evaluate(free_vals, tors_vals) for e in row] for row in fox]
     return d0, d1
 
 
-def twisted_cohomology_dims(p: FinitePresentation, chi: Character,
-                            include_h2=None):
+def twisted_cohomology_dims(p: FinitePresentation, chi: Character):
     """(h0, h1) and, for aspherical inputs, (h0, h1, h2) at chi."""
-    if include_h2 is None:
-        include_h2 = p.aspherical
-    if include_h2 and not p.aspherical:
-        raise DegreeError("H^2 undefined for this input")
     d0, d1 = coboundary_matrices(p, chi)
     for row in d1:
         if sum((a * b for a, b in zip(row, d0)), Cyc.zero()):
             raise InvariantError("d1 after d0 does not vanish")
     rank_d1 = rank_exact(d1) if p.relator_count else 0
-    return _dims_from_rank(p, chi.is_trivial, rank_d1, include_h2)
+    return dims_from_rank(p, chi.is_trivial, rank_d1)
 
 
-def _dims_from_rank(p: FinitePresentation, trivial, rank_d1, include_h2):
+def dims_from_rank(p: FinitePresentation, trivial, rank_d1):
+    """twisted_cohomology_dims at a character where d1 has rank rank_d1,
+    by the rule in the module docstring."""
     h0 = 1 if trivial else 0
     h1 = (p.generator_count - rank_d1) - (1 - h0)
     if h1 < 0:
         raise InvariantError(f"negative h1 = {h1}")
-    if include_h2:
+    if p.aspherical:
         return (h0, h1, p.relator_count - rank_d1)
     return (h0, h1)
 
 
 def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
     """Whether dim H^degree(chi) >= mult."""
-    if mult < 1:
-        raise ValueError("multiplicity must be at least 1")
-    if degree == 0:
-        return chi.is_trivial and mult <= 1
-    if degree == 1:
-        return twisted_cohomology_dims(p, chi, include_h2=False)[1] >= mult
-    if degree == 2:
-        if not p.aspherical:
-            raise DegreeError("H^2 undefined for this input")
-        return twisted_cohomology_dims(p, chi)[2] >= mult
-    raise DegreeError(f"degree {degree} out of range for presentations")
+    check_query(p, degree, mult)
+    return twisted_cohomology_dims(p, chi)[degree] >= mult
 
 
 # ---------------------------------------------------------------------------
@@ -305,38 +307,35 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
 
     The scan walks exponent vectors; a Character is built only for a
     hit."""
-    if degree not in (0, 1, 2):
-        raise DegreeError(f"degree {degree} out of range for presentations")
-    if degree == 2 and not p.aspherical:
-        raise DegreeError("H^2 undefined for this input")
+    check_query(p, degree, mult)
     ab, _ = presentation_data(p)
     b, torsion = ab.free_rank, ab.torsion
     points = enumerate_torsion_characters(b, torsion, max_order)
     n = torsion_modulus(max_order, torsion)
-    g, r = p.generator_count, p.relator_count
     found = []          # (exponent vector, dims)
     primes = ()
     if degree == 0:
-        if mult <= 1:
+        # h0 = [chi = 1] whatever the rank, and mult >= 1.
+        if mult == 1:
             trivial = Character.trivial(b, torsion)
-            found.append((points[0], twisted_cohomology_dims(
-                p, trivial, include_h2=False)))
-    elif r == 0:
+            found.append((points[0], twisted_cohomology_dims(p, trivial)))
+    elif not p.relator_count:
         # Free groups: d1 is empty, so every dim follows from rank 0.
         for e in points:
-            dims = _dims_from_rank(p, not any(e), 0, p.aspherical)
+            dims = dims_from_rank(p, not any(e), 0)
             if dims[degree] >= mult:
                 found.append((e, dims))
     else:
         evaluator = _modular_evaluator_cached(p, max_order)
         prime, cert = primes = (evaluator.prime, evaluator.certifying_prime)
+        # h^degree falls by one per unit of rank d1: a point is a member
+        # iff its rank is at most its h^degree at rank 0, minus mult.
+        # points[0] is the trivial character and no later point is.
+        thresholds = {trivial: dims_from_rank(p, trivial, 0)[degree] - mult
+                      for trivial in {not any(e) for e in points[:2]}}
         for e in points:
             trivial = not any(e)
-            # member iff rank d1 <= threshold
-            if degree == 1:
-                threshold = g - mult - (0 if trivial else 1)
-            else:
-                threshold = r - mult
+            threshold = thresholds[trivial]
             if threshold < 0:
                 continue
             rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
@@ -345,11 +344,11 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
                 continue  # exact non-membership certificate
             if cert is None:
                 chi = Character.from_exponents(b, torsion, e, n)
-                dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+                dims = twisted_cohomology_dims(p, chi)
             else:
                 if cert != prime:
                     rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
-                dims = _dims_from_rank(p, trivial, rank, p.aspherical)
+                dims = dims_from_rank(p, trivial, rank)
             if dims[degree] >= mult:
                 found.append((e, dims))
     hits = [(Character.from_exponents(b, torsion, e, n), dims)

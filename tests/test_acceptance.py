@@ -16,9 +16,9 @@ from math import comb, gcd
 from conftest import REPO_ROOT, cli_env
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction, _mat_mul,
-                                finite_locus_cover_check, is_weight,
-                                vanishing_check, weights_and_inverses)
+from jumploci.alexander import (ModuleAction, finite_locus_cover_check,
+                                is_weight, vanishing_check,
+                                weights_and_inverses)
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  rplus_act, torsion_modulus)
 from jumploci.cyclotomic import Cyc, is_root_of_unity, rank_exact
@@ -27,6 +27,7 @@ from jumploci.discovery import (count_genus_components, discover_components,
 from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
                             lattice_cohomology_dims, partition_check,
                             splitting_check)
+from jumploci.intlinalg import mat_mul
 from jumploci.linalg import inverse as _mat_inverse
 from jumploci.presentation import FinitePresentation
 from jumploci.subtorus import orbit_closure
@@ -187,9 +188,9 @@ def test_criterion_6_weights_suite():
             if rank_exact(cand) == dim:
                 s = cand
         sinv = _mat_inverse(s)
-        mats = [_mat_mul(_mat_mul(s, [[dcol[i] if i == j else Cyc.zero()
-                                       for j in range(dim)]
-                                      for i in range(dim)]), sinv)
+        mats = [mat_mul(mat_mul(s, [[dcol[i] if i == j else Cyc.zero()
+                                     for j in range(dim)]
+                                    for i in range(dim)]), sinv)
                 for dcol in diags]
         act = ModuleAction.from_lists(mats)
 

@@ -39,6 +39,17 @@ def test_fitting_chain():
             assert fitting_chain_holds(p, k)
 
 
+def test_fitting_chain_fails_on_tampered_generators(monkeypatch):
+    # The check compares cofactors with the listed E_{k+1} generators, so
+    # a list missing one of them must fail it.
+    import jumploci.alexander as alexander
+    p = corpus.get("swap_torus")
+    real = alexander.fitting_generators
+    monkeypatch.setattr(alexander, "fitting_generators",
+                        lambda q, k: real(q, k)[1:])
+    assert not fitting_chain_holds(p, 1)
+
+
 def test_module_action_validation():
     with pytest.raises(ValueError):
         ModuleAction.from_lists([[[1, 0], [0, 1]], [[0, 1], [1, 1]],
@@ -123,14 +134,14 @@ def test_vanishing_against_brute_force_search():
             from jumploci.cyclotomic import rank_exact
             if rank_exact(cand) == dim:
                 s = cand
-        from jumploci.alexander import _mat_mul
+        from jumploci.intlinalg import mat_mul
         from jumploci.linalg import inverse as _mat_inverse
         sinv = _mat_inverse(s)
         mats = []
         for dcol in diags:
             d = [[dcol[i] if i == j else Cyc.zero() for j in range(dim)]
                  for i in range(dim)]
-            mats.append(_mat_mul(_mat_mul(s, d), sinv))
+            mats.append(mat_mul(mat_mul(s, d), sinv))
         act = ModuleAction.from_lists(mats)
 
         def key_of(v):
@@ -187,9 +198,9 @@ def test_weight_convention_pinned_by_asymmetric_fixture():
     # W must be {1, 1/2}: cohomology weights invert homology eigenvalues.
     bs = corpus.get("bs12")
     chi2 = Character(1, (), (Fraction(2),), (Fraction(0),), ())
-    assert twisted_cohomology_dims(bs, chi2, include_h2=False)[1] == 1
+    assert twisted_cohomology_dims(bs, chi2)[1] == 1
     chi_half = Character(1, (), (Fraction(1, 2),), (Fraction(0),), ())
-    assert twisted_cohomology_dims(bs, chi_half, include_h2=False)[1] == 0
+    assert twisted_cohomology_dims(bs, chi_half)[1] == 0
 
 
 def test_weights_and_identity_corpus():
@@ -228,7 +239,7 @@ def test_five_term_inequality_rank_one():
         dual = action.dual()
         for denom, num in ((6, 1), (6, 5), (1, 0), (4, 1), (3, 1)):
             chi = Character.unitary(1, (), (Fraction(num, denom),))
-            lhs = twisted_cohomology_dims(p, chi, include_h2=False)[1]
+            lhs = twisted_cohomology_dims(p, chi)[1]
             val = Cyc.from_angle(Fraction(num, denom))
             koszul_line = koszul_cohomology(
                 ModuleAction.from_lists([[[1]]]), [val])[1]

@@ -1,0 +1,32 @@
+"""The names the benchmark binds by, checked from the tier-1 suite.
+
+bench/tracer.py wraps program functions by name and bench/cold_pass.py
+probes result caches by name, so renaming one of them breaks the
+benchmark.  This test imports both the way a benchmark pass does, in a
+fresh interpreter, so such a rename fails here first.
+"""
+
+import os
+import subprocess
+import sys
+
+from conftest import REPO_ROOT, cli_env
+
+PROBE = """
+import jumploci.cli
+from jumploci import discovery, twisted
+for fn in (discovery._discovery_cached, twisted.presentation_data,
+           twisted._modular_evaluator_cached):
+    fn.cache_info()
+from tracer import Tracer
+Tracer().install_jumploci()
+"""
+
+
+def test_tracer_and_cache_probes_bind():
+    env = cli_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "bench"),
+                                         env["PYTHONPATH"]])
+    res = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
+                         text=True, cwd=REPO_ROOT, env=env)
+    assert res.returncode == 0, res.stderr

@@ -78,6 +78,35 @@ def test_degree_above_two_is_refused():
     assert "refused" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("analyze", "z2", "--m", "0", "--K", "2"),
+    ("analyze", "z2", "--m", "-1", "--K", "2"),
+    ("thm4", "trefoil", "--N", "0", "--K", "3"),
+    ("weights", "trefoil", "--N", "-1", "--K", "3"),
+    ("higgs", "verify-thm3", "--n", "0"),
+    ("higgs", "verify-thm3", "--samples", "-3"),
+    ("orbit", "--moduli", "4,2", "--angles", "0"),
+])
+def test_out_of_range_arguments_are_refused(args):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert "refused" in res.stderr
+
+
+@pytest.mark.parametrize("group,component", [
+    ("z2", {"H": [[1]], "tau": {"angles": ["0", "0"]}}),
+    ("z2", {"H": [], "tau": {"angles": ["0"]}}),
+    ("c3xz", {"H": [], "tau": {"angles": ["0", "0"]}}),
+    ("c3xz", {"H": [], "tau": {"angles": ["0"]}}),
+])
+def test_malformed_certify_component_is_refused(tmp_path, group, component):
+    comp = tmp_path / "comp.json"
+    comp.write_text(json.dumps(component))
+    res = run_cli("certify", group, "--component", str(comp))
+    assert res.returncode == 2, res.stderr
+    assert "refused" in res.stderr
+
+
 def test_report_ignores_environment():
     # A report is a function of argv and the input alone: the former
     # scan-pool setting JUMPLOCI_WORKERS changes no byte of it.

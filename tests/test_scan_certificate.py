@@ -42,7 +42,7 @@ def _exact_hits(p, degree, mult, max_order):
     for e in enumerate_torsion_characters(ab.free_rank, ab.torsion,
                                           max_order):
         chi = Character.from_exponents(ab.free_rank, ab.torsion, e, n)
-        dims = twisted_cohomology_dims(p, chi, include_h2=p.aspherical)
+        dims = twisted_cohomology_dims(p, chi)
         if degree < len(dims) and dims[degree] >= mult:
             out.append((chi, dims))
     return out
@@ -61,8 +61,7 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
             assert res.certificate == "bounded-prime"
             assert res.filter_prime is not None
         for chi, dims in res.hits:
-            assert dims == twisted_cohomology_dims(
-                p, chi, include_h2=p.aspherical), (name, chi)
+            assert dims == twisted_cohomology_dims(p, chi), (name, chi)
         if res.scanned <= 400:     # small enough to rank every character
             assert res.hits == _exact_hits(p, degree, 1, K)
     # z4 at K = 8 needs a 37-bit certifying prime; every other scan here

@@ -49,8 +49,6 @@ def test_degree_two_requires_asphericity():
     tb = corpus.get("torus_bundle3")   # not flagged aspherical
     chi = Character.trivial(1, (3,))
     with pytest.raises(DegreeError):
-        twisted_cohomology_dims(tb, chi, include_h2=True)
-    with pytest.raises(DegreeError):
         sigma_membership(tb, chi, 2, 1)
 
 
