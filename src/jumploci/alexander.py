@@ -515,7 +515,10 @@ def finite_locus_cover_check(p: FinitePresentation, degree_bound=2,
                              max_order=6):
     """Build the finite abelian cover killing every nontrivial character
     in the low-degree jump loci and verify that only the trivial
-    character survives in the cover's loci (over the same scan order)."""
+    character survives in the cover's loci (over the same scan order).
+    The rescan is refused (twisted.ScanBudgetError) before it enumerates
+    when the cover's torus has more than MAX_SCAN_CHARACTERS characters
+    of order at most max_order."""
     from .discovery import finite_quotient_from_characters
 
     report = weights_and_inverses(p, degree_bound, max_order)

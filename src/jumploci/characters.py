@@ -18,6 +18,14 @@ of vectors is already in the canonical report order.  Scans and coset
 growth work on vectors alone; Character.from_exponents turns the points
 that reach a report into characters.
 
+The units (Z/n)^x act on vectors by e -> u.e mod n.  Read on characters,
+u raises chi to the u-th power, which is the Galois automorphism
+zeta_n -> zeta_n^u applied to chi's values.  A point of order k is
+(n/k).f with f in (Z/k)^(b+t) and gcd(f, k) = 1, and u.e = e only for
+u = 1 (mod k), so its orbit has exactly phi(k) members, all of order k.
+An orbit is represented by its least vector (is_orbit_representative);
+orbit_members lists all of it.
+
 Numeric characters (complex values per generator) exist only for the
 flagged fallback paths.
 """
@@ -30,7 +38,7 @@ from itertools import product
 from math import gcd
 
 from .cyclotomic import Cyc
-from .numutil import frac_mod1, lcm_all, rational_power
+from .numutil import divisors, frac_mod1, lcm_all, mobius, rational_power
 
 
 class CharacterError(ValueError):
@@ -231,6 +239,54 @@ def count_killed_by(free_rank, torsion, k):
     for d in torsion:
         n *= gcd(d, k)
     return n
+
+
+def count_torsion_characters(free_rank, torsion, max_order):
+    """len(enumerate_torsion_characters(free_rank, torsion, max_order)),
+    without enumerating.
+
+    count_killed_by(d) counts the points of every order dividing d, so by
+    Moebius inversion sum_{e | d} mu(d/e) count_killed_by(e) counts those
+    of order exactly d; the enumeration holds the orders 1..max_order."""
+    if max_order < 1:
+        raise CharacterError("max order must be at least 1")
+    return sum(mobius(d // e) * count_killed_by(free_rank, torsion, e)
+               for d in range(1, max_order + 1) for e in divisors(d))
+
+
+def is_orbit_representative(e, n):
+    """Whether the vector e is the least of its orbit under (Z/n)^x.
+
+    Zero coordinates stay zero under a unit, so every member of the orbit
+    has its first nonzero coordinate where e has it, and the least member
+    has the least value there.  Let k be the order of e and c that
+    coordinate times k/n.  Over the units u, u.c mod k runs through the
+    residues whose gcd with k is gcd(c, k), the least of which is gcd(c, k)
+    itself: e can be least only if c divides k.  Then u.c = c (mod k)
+    exactly for u = 1 (mod k/c), and only those units can give a smaller
+    vector; every other unit gives a larger first nonzero coordinate."""
+    k = n // gcd(n, *e)
+    for x in e:
+        if x:
+            break
+    else:
+        return True         # the trivial point is its own orbit
+    c = x * k // n
+    if c == 1:
+        return True         # only u = 1 keeps the first coordinate at 1
+    if k % c:
+        return False
+    step = k // c
+    return not any(gcd(u, k) == 1 and tuple(u * x % n for x in e) < e
+                   for u in range(1 + step, k, step))
+
+
+def orbit_members(e, n):
+    """The orbit of e under (Z/n)^x: u.e mod n for the units u of Z/k,
+    k the order of e, each member once (the action on it is free)."""
+    k = n // gcd(n, *e)
+    return [tuple(u * x % n for x in e)
+            for u in range(1, k + 1) if gcd(u, k) == 1]
 
 
 def rplus_act(t: Fraction, chi, variant="B"):

@@ -124,6 +124,7 @@ def main(argv=None):
 def _dispatch(args):
     cmd = args.command
     if cmd == "analyze":
+        _check_samples(args.samples)
         p = _load_input(args.input)
         rep = discover_components(p, args.degree, args.mult, args.K)
         results = rep.serialize()
@@ -203,9 +204,13 @@ def _dispatch(args):
     raise AssertionError(f"unhandled command {cmd}")
 
 
-def _thm3_sweep(model, samples, seed):
+def _check_samples(samples):
     if samples < 0:
         raise ValueError("--samples must be at least 0")
+
+
+def _thm3_sweep(model, samples, seed):
+    _check_samples(samples)
     import random as _random
     rng = _random.Random(seed)
     b = 2 * model.n

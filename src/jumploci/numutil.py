@@ -29,6 +29,15 @@ def euler_phi(n):
     return phi
 
 
+def mobius(n):
+    """The Moebius function: 0 unless n is squarefree, else (-1)^(number
+    of prime factors)."""
+    exps = factorint(n).values()
+    if any(e > 1 for e in exps):
+        return 0
+    return -1 if len(exps) % 2 else 1
+
+
 def divisors(n):
     out = [1]
     for p, e in factorint(n).items():

@@ -45,6 +45,23 @@ group ring, by presentation_data.
 A scan walks the exponent vectors of the characters module, whose
 modulus is the evaluator's n: the value zeta_n^(e . h) of the character
 e at h in H1 maps to w^(e . h).
+
+The mod-p scan ranks one point per orbit of (Z/n)^x on those vectors,
+the orbit's least vector, and gives its dims to the whole orbit.  One
+representative is enough.  The Fox entries have integer coefficients,
+so d1 at u.e is sigma_u(d1 at e) for the automorphism sigma_u: zeta_n ->
+zeta_n^u of Q(zeta_n); sigma_u preserves rank, and u.e is trivial iff e
+is, so the exact dims are constant on the orbit.  The filter is one
+sided: its rejection of the representative proves the representative's
+exact rank, hence every member's, above the threshold.  The Hadamard
+bound above depends on the character only through its order k, which
+every member shares, so the certifying-prime rank of the representative
+is its exact rank and the orbit's.  The fallback through
+twisted_cohomology_dims is exact at the representative anyway.
+
+Before enumerating, a scan counts its characters exactly
+(characters.count_torsion_characters) and refuses (ScanBudgetError)
+above MAX_SCAN_CHARACTERS.
 """
 
 from __future__ import annotations
@@ -54,8 +71,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .characters import (Character, enumerate_torsion_characters,
-                         torsion_modulus)
+from .characters import (Character, count_torsion_characters,
+                         enumerate_torsion_characters, is_orbit_representative,
+                         orbit_members, torsion_modulus)
 from .cyclotomic import Cyc
 from .errors import InvariantError
 from .linalg import rank_exact
@@ -66,6 +84,22 @@ from .presentation import (FinitePresentation, abelianize, fox_matrix,
 
 class DegreeError(ValueError):
     """Raised for degree-2 requests on inputs not flagged aspherical."""
+
+
+class ScanBudgetError(ValueError):
+    """Raised before a scan of more than MAX_SCAN_CHARACTERS characters."""
+
+
+# Largest torsion scan scan_sigma runs, in characters.  A scan holds one
+# exponent vector per character, and every member of a dense locus adds a
+# Character, coset-growth state and a report entry, so peak memory grows
+# with the count.  analyze surface3 --K 6 (66,312 characters, all members,
+# a 24 MB report) peaks at 309 MB RSS in 8 s (Python 3.11, one core of a
+# 2-core x86-64 host); at this limit, linearly, a dense scan peaks near
+# 470 MB.  Above it: thm4 square_comm --K 4 rescans 281,826 characters of
+# a Z^9 cover, which peaked at 823 MB writing a 74 MB report, and analyze
+# product23 --K 4 asks for 1,107,624.
+MAX_SCAN_CHARACTERS = 100_000
 
 
 def check_query(p: FinitePresentation, degree, mult):
@@ -152,6 +186,7 @@ class ScanResult:
     max_order: int
     filter_prime: int | None = None
     certifying_prime: int | None = None
+    ranked: int = 0     # orbit representatives ranked mod p
 
     @property
     def certificate(self):
@@ -166,17 +201,19 @@ class ScanResult:
 class _ModularEvaluator:
     """Evaluates Fox matrix entries at torsion characters over F_p.
 
-    Exponent vectors are pre-flattened to sparse (index, exponent) pairs;
-    only structurally nonzero entries are visited per character.  The
-    evaluator carries the filter prime and the certifying prime of the
-    module docstring (None when that prime would be past the
-    deterministic primality range), with the powers of an order-n root
-    of unity mod each.
+    Each distinct monomial of the Fox matrix is pre-flattened to sparse
+    (index, exponent) pairs and evaluated once per character; an entry is
+    then an integer combination of those values, and only structurally
+    nonzero entries are visited.  The evaluator carries the filter prime
+    and the certifying prime of the module docstring (None when that
+    prime would be past the deterministic primality range), with the
+    powers of an order-n root of unity mod each.
     """
 
     def __init__(self, fox, free_rank, torsion, max_order):
         self.n = torsion_modulus(max_order, torsion)
-        # Per row: list of (col, [(coeff, sparse exps over combined coords)]).
+        monomials = {}  # sparse exps over combined coords -> index
+        # Per row: list of (col, [(coeff, monomial index)]).
         self.rows_struct = []
         norms_sq = []   # squared row 2-norms of the coefficient-L1 matrix
         for row in fox:
@@ -190,14 +227,16 @@ class _ModularEvaluator:
                     q = c.rational_value() if c.is_rational() else None
                     if q is None or q.denominator != 1:
                         raise InvariantError("Fox coefficient is not an integer")
-                    sparse = ([(j, x) for j, x in enumerate(v) if x]
-                              + [(free_rank + j, x)
-                                 for j, x in enumerate(t) if x])
-                    terms.append((int(q), sparse))
+                    sparse = (tuple((j, x) for j, x in enumerate(v) if x)
+                              + tuple((free_rank + j, x)
+                                      for j, x in enumerate(t) if x))
+                    terms.append((int(q), monomials.setdefault(
+                        sparse, len(monomials))))
                 srow.append((col, terms))
                 norm_sq += sum(abs(c) for c, _ in terms) ** 2
             self.rows_struct.append(srow)
             norms_sq.append(norm_sq)
+        self.monomials = list(monomials)
         self.prime = first_prime_congruent_one(self.n)
         size = min(len(fox), len(fox[0])) if fox else 0
         self.certifying_prime = _certifying_prime(
@@ -211,16 +250,19 @@ class _ModularEvaluator:
         exponent vector e."""
         n = self.n
         powers = self.root_powers[prime]
+        values = []
+        for sparse in self.monomials:
+            exp = 0
+            for j, x in sparse:
+                exp += x * e[j]
+            values.append(powers[exp % n])
         rows = []
         for srow in self.rows_struct:
             row = {}
             for col, terms in srow:
                 val = 0
-                for coeff, sparse in terms:
-                    exp = 0
-                    for j, x in sparse:
-                        exp += x * e[j]
-                    val += coeff * powers[exp % n]
+                for coeff, m in terms:
+                    val += coeff * values[m]
                 val %= prime
                 if val:
                     row[col] = val
@@ -291,7 +333,7 @@ def _rank_mod_p(rows, prime, stop_at=None):
                     else:
                         row[c] = (-factor * v) % prime
             else:
-                inv = pow(row[col], prime - 2, prime)
+                inv = pow(row[col], -1, prime)
                 del row[col]
                 pivots[col] = {c: v * inv % prime for c, v in row.items()}
                 rank += 1
@@ -305,15 +347,20 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     """Exact hit list of the degree/mult jump locus over all torsion
     characters of order <= max_order.
 
-    The scan walks exponent vectors; a Character is built only for a
-    hit."""
+    The scan walks exponent vectors, ranking one per Galois orbit (module
+    docstring); a Character is built only for a hit."""
     check_query(p, degree, mult)
     ab, _ = presentation_data(p)
     b, torsion = ab.free_rank, ab.torsion
+    count = count_torsion_characters(b, torsion, max_order)
+    if count > MAX_SCAN_CHARACTERS:
+        raise ScanBudgetError(f"scan of {count} characters is above the "
+                              f"limit {MAX_SCAN_CHARACTERS}")
     points = enumerate_torsion_characters(b, torsion, max_order)
     n = torsion_modulus(max_order, torsion)
     found = []          # (exponent vector, dims)
     primes = ()
+    ranked = 0
     if degree == 0:
         # h0 = [chi = 1] whatever the rank, and mult >= 1.
         if mult == 1:
@@ -336,8 +383,9 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
         for e in points:
             trivial = not any(e)
             threshold = thresholds[trivial]
-            if threshold < 0:
+            if threshold < 0 or not is_orbit_representative(e, n):
                 continue
+            ranked += 1
             rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
                                stop_at=threshold + 1)
             if rank > threshold:
@@ -350,11 +398,12 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
                     rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
                 dims = dims_from_rank(p, trivial, rank)
             if dims[degree] >= mult:
-                found.append((e, dims))
+                found.extend((member, dims) for member in orbit_members(e, n))
+        found.sort()
     hits = [(Character.from_exponents(b, torsion, e, n), dims)
             for e, dims in found]
     return ScanResult(hits, [e for e, _ in found], len(points), max_order,
-                      *primes)
+                      *primes, ranked=ranked)
 
 
 @lru_cache(maxsize=8)

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumploci.characters import (Character, CharacterError, NumericCharacter,
-                                 count_killed_by, enumerate_torsion_characters,
+                                 count_killed_by, count_torsion_characters,
+                                 enumerate_torsion_characters,
+                                 is_orbit_representative, orbit_members,
                                  rplus_act, torsion_modulus)
 from jumploci.cyclotomic import Cyc
 
@@ -68,6 +73,40 @@ def test_enumeration_equals_fraction_reference(b, torsion):
             == _reference_points(b, torsion, K), (b, torsion, K)
         assert [c.sort_key() for c in chars] \
             == sorted(c.sort_key() for c in chars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(2, 6), max_size=2),
+       st.integers(1, 6))
+def test_galois_orbits_partition_the_enumeration(b, torsion, K):
+    torsion = tuple(torsion)
+    n = torsion_modulus(K, torsion)
+    points = enumerate_torsion_characters(b, torsion, K)
+    assert count_torsion_characters(b, torsion, K) == len(points)
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    covered = []
+    for e in points:
+        orbit = orbit_members(e, n)
+        # The orbit under every unit of Z/n, from the definition.
+        assert sorted(orbit) == sorted({tuple(u * x % n for x in e)
+                                        for u in units})
+        if is_orbit_representative(e, n):
+            assert e == min(orbit)
+            covered.extend(orbit)
+        else:
+            assert e != min(orbit)
+    # Each orbit has one representative, and the orbits cover the points.
+    assert sorted(covered) == points
+
+
+@pytest.mark.parametrize("b,K,count", [
+    (4, 8, 8400),          # z4, the scan-sparse workload
+    (6, 6, 66312),         # surface3
+    (10, 4, 1107624),      # product23
+    (9, 4, 281826),        # the Z^9 cover of thm4 square_comm
+])
+def test_count_torsion_characters_examples(b, K, count):
+    assert count_torsion_characters(b, (), K) == count
 
 
 def test_from_exponents_equals_normalising_constructor():

@@ -72,6 +72,16 @@ def test_refusal_exit_code():
     assert "above the limit" in res3.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("analyze", "product23", "--K", "4"),       # 1,107,624 characters
+    ("thm4", "square_comm", "--K", "4"),        # its Z^9 cover: 281,826
+])
+def test_scan_past_budget_is_refused(args):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert "above the limit 100000" in res.stderr
+
+
 def test_degree_above_two_is_refused():
     res = run_cli("analyze", "z2", "--i", "3", "--K", "3")
     assert res.returncode == 2
@@ -85,6 +95,7 @@ def test_degree_above_two_is_refused():
     ("weights", "trefoil", "--N", "-1", "--K", "3"),
     ("higgs", "verify-thm3", "--n", "0"),
     ("higgs", "verify-thm3", "--samples", "-3"),
+    ("analyze", "z2", "--K", "3", "--numeric-fallback", "--samples", "-3"),
     ("orbit", "--moduli", "4,2", "--angles", "0"),
 ])
 def test_out_of_range_arguments_are_refused(args):

@@ -1,6 +1,7 @@
 """Differential tests of the bounded-prime scan against exact cyclotomic
 elimination: corpus scans, random Fox-like matrices, the large-exponent
-fallback, and the once-per-presentation Fox identity check."""
+fallback, and the once-per-presentation Fox identity check; and of the
+Galois-orbit scan against a scan that ranks every character."""
 
 from fractions import Fraction
 
@@ -48,6 +49,64 @@ def _exact_hits(p, degree, mult, max_order):
     return out
 
 
+def _per_character_hits(p, degree, mult, max_order):
+    """The scan without orbits: every character ranked at the certifying
+    prime, or by exact elimination when the scan has none."""
+    ab, _ = tw.presentation_data(p)
+    ev = tw._modular_evaluator_cached(p, max_order)
+    cert = ev.certifying_prime
+    out = []
+    for e in enumerate_torsion_characters(ab.free_rank, ab.torsion,
+                                          max_order):
+        chi = Character.from_exponents(ab.free_rank, ab.torsion, e, ev.n)
+        if cert is None:
+            dims = twisted_cohomology_dims(p, chi)
+        else:
+            rank = _rank_mod_p(ev.matrix_rows(e, cert), cert)
+            dims = tw.dims_from_rank(p, not any(e), rank)
+        if dims[degree] >= mult:
+            out.append((chi, dims))
+    return out
+
+
+def _assert_orbit_scan_equals_per_character_scan(p, degree, mult, K):
+    res = scan_sigma(p, degree, mult, K)
+    assert res.hits == _per_character_hits(p, degree, mult, K)
+    assert res.points == [_exponents(chi, torsion_modulus(K, chi.torsion))
+                          for chi, _ in res.hits]
+    return res
+
+
+@pytest.mark.parametrize("name,K", [(name, K) for name, K in CORPUS_SCANS
+                                    if corpus.get(name).relator_count])
+def test_orbit_scan_equals_per_character_scan_on_corpus(name, K):
+    p = corpus.get(name)
+    for degree in ((1, 2) if p.aspherical else (1,)):
+        for mult in (1, 2):
+            res = _assert_orbit_scan_equals_per_character_scan(
+                p, degree, mult, K)
+    if (name, K) == ("z4", 8):
+        # 8,400 characters in 2,292 orbits, each ranked once.
+        assert (res.scanned, res.ranked) == (8400, 2292)
+
+
+@st.composite
+def presentations(draw):
+    """A presentation on 1 to 3 generators with 1 to 3 random relators."""
+    g = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((-1, 1)))
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8),
+                         min_size=1, max_size=3))
+    return FinitePresentation(g, tuple(tuple(r) for r in rels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(1, 6), st.integers(1, 2))
+def test_orbit_scan_equals_per_character_scan_on_random_input(p, K, mult):
+    if p.relator_count:
+        _assert_orbit_scan_equals_per_character_scan(p, 1, mult, K)
+
+
 @pytest.mark.parametrize("name,K", CORPUS_SCANS)
 def test_corpus_scan_dims_equal_exact_dims(name, K):
     p = corpus.get(name)
@@ -85,6 +144,7 @@ def test_large_exponents_rerank_at_certifying_prime():
     assert res.certifying_prime ** 2 > (8 * 10 ** 6) ** 2
     assert res.certifying_prime > res.filter_prime
     assert res.hits == _exact_hits(p, 1, 1, 4)
+    assert res.ranked < res.scanned     # through the orbit scan
 
 
 def test_large_exponents_fall_back_to_exact_elimination():
@@ -98,6 +158,7 @@ def test_large_exponents_fall_back_to_exact_elimination():
     assert res.filter_prime is not None
     hits = _exact_hits(p, 1, 1, 12)
     assert res.hits == hits
+    assert res.ranked < res.scanned     # through the orbit scan
     assert [chi.is_trivial for chi, _ in hits] == [True]
 
 

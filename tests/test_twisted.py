@@ -6,9 +6,11 @@ from jumploci import corpus
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  torsion_modulus)
 from jumploci.discovery import discover_components
-from jumploci.twisted import (DegreeError, InvariantError, coboundary_matrices,
-                              numeric_unitary_scan, scan_sigma,
-                              sigma_membership, twisted_cohomology_dims)
+import jumploci.twisted as tw
+from jumploci.twisted import (DegreeError, InvariantError, ScanBudgetError,
+                              coboundary_matrices, numeric_unitary_scan,
+                              scan_sigma, sigma_membership,
+                              twisted_cohomology_dims)
 
 
 def _characters(ab, K):
@@ -60,6 +62,16 @@ def test_degree_above_two_is_refused():
         scan_sigma(z2, 3, 1, 3)
     with pytest.raises(DegreeError):
         discover_components(z2, 3, 1, 3)
+
+
+def test_scan_budget_is_the_exact_count(monkeypatch):
+    # z4 at K = 8 has 8,400 characters: refused one below, run at it.
+    z4 = corpus.get("z4")
+    monkeypatch.setattr(tw, "MAX_SCAN_CHARACTERS", 8399)
+    with pytest.raises(ScanBudgetError):
+        scan_sigma(z4, 1, 1, 8)
+    monkeypatch.setattr(tw, "MAX_SCAN_CHARACTERS", 8400)
+    assert scan_sigma(z4, 1, 1, 8).scanned == 8400
 
 
 def test_dims_check_fox_identity_on_corpus():
