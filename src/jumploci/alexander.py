@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 from .characters import Character
 from .cyclotomic import Cyc
-from .errors import InvariantError
+from .errors import InvariantError, Refusal
 from .intlinalg import identity, mat_mul, transpose
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import inverse, koszul_dims, rank_exact
@@ -27,11 +27,6 @@ from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
 from .upoly import UPoly, cyclotomic_roots, numeric_roots, smith_invariants
-
-
-class WeightsRefused(ValueError):
-    """Raised when the finite-dimensionality hypotheses fail or cannot be
-    certified exactly."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +298,10 @@ def cover_module_action(p: FinitePresentation):
     invertible)."""
     ab, _ = presentation_data(p)
     if ab.free_rank != 1 or ab.torsion:
-        raise WeightsRefused("module action exposed for H1 = Z only")
+        raise ValueError("module action exposed for H1 = Z only")
     module = cover_homology_rank_one(p)
     if not module.finite_dimensional:
-        raise WeightsRefused("cover homology has positive rank")
+        raise ValueError("cover homology has positive rank")
     blocks = []
     for _omega, f in module.invariant_factors:
         d = f.degree
@@ -314,7 +309,7 @@ def cover_module_action(p: FinitePresentation):
                         else (Cyc.one() if i == j + 1 else Cyc.zero())
                        for j in range(d)] for i in range(d)])
     if not blocks:
-        raise WeightsRefused("cover homology is zero; no action to expose")
+        raise ValueError("cover homology is zero; no action to expose")
     dim = sum(len(b) for b in blocks)
     big = [[Cyc.zero()] * dim for _ in range(dim)]
     offset = 0
@@ -404,14 +399,14 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     (resultant finiteness certificate); otherwise scan-bounded.
     """
     if degree_bound > 2:
-        raise WeightsRefused("degree bound above 2 is not supported for "
-                             "presentation input")
+        raise Refusal("degree bound above 2 is not supported for "
+                      "presentation input")
     if degree_bound < 1:
-        raise WeightsRefused("degree bound must be at least 1")
+        raise Refusal("degree bound must be at least 1")
     ab, _ = presentation_data(p)
     b = ab.free_rank
     if b == 0:
-        raise WeightsRefused("free rank zero input")
+        raise Refusal("free rank zero input")
     trivial = Character.trivial(b, ab.torsion)
     weights = {trivial.sort_key(): trivial}   # H^0 contributes the trivial weight
     numeric = []
@@ -419,13 +414,13 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     detail = ""
     if degree_bound >= 2:
         if not _cover_module_is_torsion(p, ab):
-            raise WeightsRefused(
+            raise Refusal(
                 "cover homology is infinite-dimensional "
                 "(positive-dimensional jump locus expected instead)")
         if b == 1:
             module = cover_homology_rank_one(p)
-            if not module.finite_dimensional:
-                raise WeightsRefused("cover homology has positive rank")
+            if not module.finite_dimensional:   # excluded by the test above
+                raise InvariantError("cover homology has positive rank")
             for omega, angle in module.eigen_angles:
                 # Homology eigenvalue angle -> cohomology weight = inverse.
                 chi = Character.unitary(1, ab.torsion, (frac_mod1(-angle),),
@@ -516,16 +511,16 @@ def finite_locus_cover_check(p: FinitePresentation, degree_bound=2,
     """Build the finite abelian cover killing every nontrivial character
     in the low-degree jump loci and verify that only the trivial
     character survives in the cover's loci (over the same scan order).
-    The rescan is refused (twisted.ScanBudgetError) before it enumerates
-    when the cover's torus has more than MAX_SCAN_CHARACTERS characters
-    of order at most max_order."""
+    The rescan is refused before it enumerates when the cover's torus has
+    more than twisted.MAX_SCAN_CHARACTERS characters of order at most
+    max_order."""
     from .discovery import finite_quotient_from_characters
 
     report = weights_and_inverses(p, degree_bound, max_order)
     kill = [c for c in report.inverse_weights if not c.is_trivial]
     if report.numeric_weights:
-        raise WeightsRefused("numeric weights present; exact cover kill "
-                             "set unavailable")
+        raise Refusal("numeric weights present; exact cover kill "
+                      "set unavailable")
     ab, _ = presentation_data(p)
     if not kill:
         cover, index = p, 1

@@ -38,11 +38,8 @@ from itertools import product
 from math import gcd
 
 from .cyclotomic import Cyc
+from .errors import Refusal
 from .numutil import divisors, frac_mod1, lcm_all, mobius, rational_power
-
-
-class CharacterError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,19 +54,19 @@ class Character:
 
     def __post_init__(self):
         if not len(self.moduli) == len(self.angles) == self.free_rank:
-            raise CharacterError("one modulus and one angle per free "
-                                 "generator required")
+            raise Refusal("one modulus and one angle per free generator "
+                          "required")
         if len(self.tors_angles) != len(self.torsion):
-            raise CharacterError("one angle per torsion generator required")
+            raise Refusal("one angle per torsion generator required")
         moduli = tuple(Fraction(m) for m in self.moduli)
         if any(m <= 0 for m in moduli):
-            raise CharacterError("moduli must be positive")
+            raise Refusal("moduli must be positive")
         angles = tuple(frac_mod1(Fraction(a)) for a in self.angles)
         tors = []
         for a, d in zip(self.tors_angles, self.torsion):
             a = frac_mod1(Fraction(a))
             if (a * d).denominator != 1:
-                raise CharacterError("torsion value is not a d-th root of unity")
+                raise Refusal("torsion value is not a d-th root of unity")
             tors.append(a)
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "angles", angles)
@@ -116,7 +113,7 @@ class Character:
     def order(self):
         """Multiplicative order; defined for unitary characters only."""
         if not self.is_unitary:
-            raise CharacterError("non-unitary characters have infinite order")
+            raise ValueError("non-unitary characters have infinite order")
         return lcm_all([a.denominator for a in self.angles]
                        + [a.denominator for a in self.tors_angles])
 
@@ -157,7 +154,7 @@ class Character:
 
     def __mul__(self, other):
         if self.free_rank != other.free_rank or self.torsion != other.torsion:
-            raise CharacterError("characters live on different tori")
+            raise ValueError("characters live on different tori")
         return Character(self.free_rank, self.torsion,
                          tuple(a * b for a, b in zip(self.moduli, other.moduli)),
                          tuple(a + b for a, b in zip(self.angles, other.angles)),
@@ -223,7 +220,7 @@ def enumerate_torsion_characters(free_rank, torsion, max_order):
     unitary characters whose order divides some k <= max_order, each
     exactly once, in canonical (Character.sort_key) order."""
     if max_order < 1:
-        raise CharacterError("max order must be at least 1")
+        raise Refusal("max order must be at least 1")
     n = torsion_modulus(max_order, torsion)
     points = set()
     for k in range(1, max_order + 1):
@@ -249,7 +246,7 @@ def count_torsion_characters(free_rank, torsion, max_order):
     Moebius inversion sum_{e | d} mu(d/e) count_killed_by(e) counts those
     of order exactly d; the enumeration holds the orders 1..max_order."""
     if max_order < 1:
-        raise CharacterError("max order must be at least 1")
+        raise Refusal("max order must be at least 1")
     return sum(mobius(d // e) * count_killed_by(free_rank, torsion, e)
                for d in range(1, max_order + 1) for e in divisors(d))
 
@@ -300,17 +297,17 @@ def rplus_act(t: Fraction, chi, variant="B"):
     """
     t = Fraction(t)
     if t <= 0:
-        raise CharacterError("the action is by positive rationals")
+        raise ValueError("the action is by positive rationals")
     if isinstance(chi, NumericCharacter):
         if variant == "A":
-            raise CharacterError("variant A on numeric characters is not supported")
+            raise ValueError("variant A on numeric characters is not supported")
         vals = tuple((abs(v) ** float(t)) * (v / abs(v)) for v in chi.values)
         return NumericCharacter(chi.free_rank, chi.torsion, vals, chi.tors_angles)
     if variant == "A":
         return Character(chi.free_rank, chi.torsion, chi.moduli,
                          tuple(t * a for a in chi.angles), chi.tors_angles)
     if variant != "B":
-        raise CharacterError(f"unknown action variant {variant!r}")
+        raise ValueError(f"unknown action variant {variant!r}")
     new_moduli = []
     for m in chi.moduli:
         p = rational_power(m, t)

@@ -5,7 +5,11 @@ higgs verify-thm3.  Reports are deterministic JSON (sorted keys,
 canonical array orders).  A report is a function of the arguments and
 the input alone: no environment variable changes its bytes, and its
 config records only options that change results.  Exit codes: 0
-success, 1 parse error, 2 refusal.
+success; 1 parse error, for input the CLI cannot read; 2 refusal
+(errors.Refusal, a limit in the README refusal table) or usage error;
+70 (EX_SOFTWARE) any other exception, with its traceback: a bug, such
+as a failed errors.InvariantError check, or an OS error such as an
+unwritable --out.
 """
 
 from __future__ import annotations
@@ -13,33 +17,88 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__, corpus
-from .alexander import WeightsRefused, finite_locus_cover_check, weights_and_inverses
+from .alexander import finite_locus_cover_check, weights_and_inverses
 from .characters import Character
-from .discovery import (CertificateError, abelian_cover_certificate,
-                        certify_component, count_genus_components,
-                        discover_components)
+from .discovery import (abelian_cover_certificate, certify_component,
+                        count_genus_components, discover_components)
+from .errors import Refusal
 from .higgs import (ComplexTorusModel, LatticeCharacter, partition_check,
                     splitting_check)
-from .presfile import ParseError, load_presentation
-from .report import build_report, check_schema, load_schema, write_report
-from .subtorus import SubtorusError, TranslatedSubtorus, orbit_closure
-from .twisted import DegreeError, numeric_unitary_scan, presentation_data
+from .presfile import ParseError, parse_presentation
+from .report import (REPORT_SCHEMA, SchemaError, build_report, check_schema,
+                     write_report)
+from .subtorus import TranslatedSubtorus, orbit_closure
+from .twisted import numeric_unitary_scan, presentation_data
+
+EX_SOFTWARE = 70
+
+# The text forms of a rational that Fraction reads, less digit-group
+# underscores and non-ASCII digits: p, p/q, decimals and exponents.
+_RATIONAL = re.compile(r"\s*[-+]?(\d+/\d+|(\d+(\.\d*)?|\.\d+)(e[-+]?\d+)?)\s*",
+                       re.ASCII | re.IGNORECASE)
+
+
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+
+
+# The shapes of the certify --component and higgs --model files.
+_COMPONENT = {"type": "object", "required": ["H", "tau"], "properties": {
+    "H": {"type": "array", "items": {"type": "array",
+                                     "items": {"type": "integer"}}},
+    "tau": {"type": "object", "required": ["angles"], "properties": {
+        key: {"type": "array"} for key in ("angles", "moduli", "torsion")}}}}
+_MODEL = {"type": "object", "required": ["n", "period"], "properties": {
+    "n": {"type": "integer"},
+    "period": {"type": "array", "items": {"type": "array",
+                                          "items": {"type": "array"}}}}}
+
+
+def _read_json(path, schema):
+    try:
+        data = json.loads(_read_text(path))
+        check_schema(data, schema, path)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", exc.lineno, exc.colno) from None
+    except SchemaError as exc:
+        raise ParseError(str(exc)) from None
+    return data
+
+
+def _rational(value, where):
+    """The rational that str(value) spells: option text, or a JSON string
+    or number (a number by its decimal text, so 0.1 is 1/10)."""
+    text = str(value)
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise ParseError(f"{where}: not a rational: {value!r}")
+
+
+def _rationals(values, where):
+    if isinstance(values, str):         # an option's comma-separated list
+        values = values.split(",") if values else ()
+    return tuple(_rational(x, where) for x in values)
 
 
 def _load_input(source):
     if os.path.exists(source):
-        return load_presentation(source)
+        return parse_presentation(_read_text(source))
     if source in corpus.CORPUS:
         return corpus.get(source)
     raise ParseError(f"no such file or corpus group: {source}")
-
-
-def _fractions(text):
-    return tuple(Fraction(x) for x in text.split(",")) if text else ()
 
 
 def main(argv=None):
@@ -109,15 +168,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = _dispatch(args)
+        check_schema(report, REPORT_SCHEMA)
+        write_report(report, args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (DegreeError, WeightsRefused, CertificateError, SubtorusError,
-            ValueError) as exc:
+    except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    check_schema(report, load_schema())
-    write_report(report, args.out)
+    except Exception:
+        import traceback            # here only: it adds to start-up time
+        traceback.print_exc()
+        return EX_SOFTWARE
     return 0
 
 
@@ -142,15 +204,14 @@ def _dispatch(args):
         return build_report("ng", config, {"N_g": value})
     if cmd == "certify":
         p = _load_input(args.input)
-        with open(args.component, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.component, _COMPONENT)
+        where, given = args.component, data["tau"]
         ab, _ = presentation_data(p)
         tau = Character(
             ab.free_rank, ab.torsion,
-            tuple(Fraction(x) for x in data["tau"].get(
-                "moduli", ["1"] * ab.free_rank)),
-            tuple(Fraction(x) for x in data["tau"]["angles"]),
-            tuple(Fraction(x) for x in data["tau"].get("torsion", [])))
+            _rationals(given.get("moduli", ["1"] * ab.free_rank), where),
+            _rationals(given["angles"], where),
+            _rationals(given.get("torsion", []), where))
         sub = TranslatedSubtorus(ab.free_rank, ab.torsion,
                                  tuple(tuple(r) for r in data["H"]), tau)
         status, generic_h = certify_component(p, sub, args.degree, args.mult)
@@ -161,8 +222,8 @@ def _dispatch(args):
             "generic_h1": generic_h, "K": None,
             "component": sub.serialize()})
     if cmd == "orbit":
-        moduli = _fractions(args.moduli)
-        angles = _fractions(args.angles)
+        moduli = _rationals(args.moduli, "--moduli")
+        angles = _rationals(args.angles, "--angles")
         chi = Character(len(moduli), (), moduli, angles, ())
         sub = orbit_closure(chi, args.variant)
         config = {"moduli": args.moduli, "angles": args.angles,
@@ -188,13 +249,13 @@ def _dispatch(args):
         return build_report("cover", config, results)
     if cmd == "higgs":
         if args.model:
-            with open(args.model, "r", encoding="utf-8") as fh:
-                model_data = json.load(fh)
-            n = model_data["n"]
-            periods = tuple(
-                tuple((Fraction(str(re)), Fraction(str(im))) for re, im in row)
-                for row in model_data["period"])
-            model = ComplexTorusModel(n, periods)
+            data = _read_json(args.model, _MODEL)
+            if any(len(z) != 2 for row in data["period"] for z in row):
+                raise ParseError(f"{args.model}: a period entry must be "
+                                 f"a pair [re, im]")
+            model = ComplexTorusModel(data["n"], tuple(
+                tuple(_rationals(z, args.model) for z in row)
+                for row in data["period"]))
         else:
             model = ComplexTorusModel.standard(args.n)
         results = _thm3_sweep(model, args.samples, args.seed)
@@ -206,7 +267,7 @@ def _dispatch(args):
 
 def _check_samples(samples):
     if samples < 0:
-        raise ValueError("--samples must be at least 0")
+        raise Refusal("--samples must be at least 0")
 
 
 def _thm3_sweep(model, samples, seed):
@@ -215,29 +276,22 @@ def _thm3_sweep(model, samples, seed):
     rng = _random.Random(seed)
     b = 2 * model.n
     failures = []
-    checked = 0
     for idx in range(samples):
+        # Strata by idx mod 3: trivial, general, unitary-free (angles 0).
         stratum = idx % 3
-        if stratum == 0:
-            rho = LatticeCharacter((Fraction(0),) * b, (Fraction(0),) * b)
-        elif stratum == 1:
-            rho = LatticeCharacter(
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(b)),
-                tuple(Fraction(rng.randint(0, 5), 6) for _ in range(b)))
-        else:
-            rho = LatticeCharacter(
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(b)),
-                (Fraction(0),) * b)
-        for degree in range(2 * model.n + 1):
+        logs = [rng.randint(-3, 3) for _ in range(b)] if stratum else [0] * b
+        angles = ([Fraction(rng.randint(0, 5), 6) for _ in range(b)]
+                  if stratum == 1 else [0] * b)
+        rho = LatticeCharacter(tuple(logs), tuple(angles))
+        for degree in range(b + 1):
             ok, lhs, rhs = splitting_check(model, rho, degree)
-            checked += 1
             if not ok:
                 failures.append({"rho": rho.serialize(), "degree": degree,
                                  "lhs": lhs, "rhs": rhs})
         ok, _, _ = partition_check(model, rho, 1, 1)
         if not ok:
             failures.append({"rho": rho.serialize(), "partition_check": False})
-    return {"samples": samples, "degree_checks": checked,
+    return {"samples": samples, "degree_checks": samples * (b + 1),
             "failures": failures, "passed": not failures}
 
 

@@ -325,16 +325,12 @@ def _upoly_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-class RootOfUnityError(ValueError):
-    pass
-
-
 def is_root_of_unity(x: Cyc):
     """(True, multiplicative order) when x is a root of unity, else
     (False, None).  The roots of unity in Q(zeta_n) are exactly the
     lcm(2, n)-th roots, so one power decides."""
     if x.is_zero():
-        raise RootOfUnityError("zero is not a candidate root of unity")
+        raise ValueError("zero is not a candidate root of unity")
     m = lcm(2, x.n)
     if not (x ** m).is_one():
         return False, None

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import Character, torsion_modulus
+from .errors import InvariantError, Refusal
 from .laurent import rank_generic
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
@@ -24,10 +25,6 @@ from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
 from .twisted import (check_query, dims_from_rank, presentation_data,
                       scan_sigma, twisted_cohomology_dims)
-
-
-class CertificateError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     """
     ab, fox = presentation_data(p)
     if sub.free_rank != ab.free_rank or sub.torsion != ab.torsion:
-        raise CertificateError("subtorus lives on a different character torus")
+        raise ValueError("subtorus lives on a different character torus")
     check_query(p, degree, mult)
     tau = sub.translate
     if sub.dim == 0:
@@ -158,7 +155,7 @@ def discover_components(p: FinitePresentation, degree=1, mult=1, max_order=6):
 
 def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
     if max_order < 2:
-        raise ValueError("scan order must be at least 2")
+        raise Refusal("scan order must be at least 2")
     result = scan_sigma(p, degree, mult, max_order)
     # Hits travel as exponent vectors; their characters come from the scan.
     member = dict(zip(result.points, result.hits))
@@ -238,7 +235,7 @@ def count_genus_components(p: FinitePresentation, genus, max_order=6):
     """Number of certified 2g-dimensional components of the first jump
     locus through the trivial character.  Refuses genus < 2."""
     if genus < 2:
-        raise ValueError("genus at least two required")
+        raise Refusal("genus at least two required")
     report = _discovery_cached(p, 1, 1, max_order)
     return sum(1 for c in report.certified_components()
                if c.dim == 2 * genus and c.contains_trivial)
@@ -282,7 +279,7 @@ def finite_quotient_from_characters(characters, ab):
     n = min(len(a), len(a[0]) if a else 0)
     diag = [dmat[i][i] for i in range(n)]
     if len(diag) < gens or any(dv == 0 for dv in diag):
-        raise CertificateError("quotient is not finite")
+        raise InvariantError("quotient is not finite")
     orders = []
     pos = []
     for i, dv in enumerate(diag):
@@ -422,8 +419,7 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
     base = positive[0]
     sub = base.subtorus
     if not sub.is_torsion_translate():
-        raise CertificateError(
-            "certificate requires a torsion translate")
+        raise InvariantError("certificate requires a torsion translate")
     ab, _ = presentation_data(p)
     tau = sub.translate
     if tau.is_trivial:
@@ -434,9 +430,9 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
     cover, schreier = reidemeister_schreier(p, targets, orders)
     pulled = restrict_subtorus_to_cover(sub, ab, cover, schreier)
     if not pulled.translate.is_trivial:
-        raise CertificateError("pulled-back translate is not trivial")
+        raise InvariantError("pulled-back translate is not trivial")
     status, gh = certify_component(cover, pulled, 1, 1)
     if status != "certified":
-        raise CertificateError("pulled-back component failed certification")
+        raise InvariantError("pulled-back component failed certification")
     comp = Component(pulled, status, gh, contains_trivial=True)
     return CoverCertificate(cover, schreier, comp, base, trivial_cover=False)

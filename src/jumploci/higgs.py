@@ -18,13 +18,10 @@ from functools import lru_cache
 from math import comb
 
 from .cyclotomic import Cyc
+from .errors import Refusal
 from .laurent import LaurentPoly, rank_generic
 from .linalg import koszul_differential, koszul_dims, rank_exact, solve
 from .numutil import frac_mod1, lcm_all
-
-
-class TorusModelError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -37,15 +34,17 @@ class ComplexTorusModel:
 
     def __post_init__(self):
         if self.n < 1:
-            raise TorusModelError("the torus needs dimension n >= 1")
+            raise Refusal("the torus needs dimension n >= 1")
         if len(self.periods) != 2 * self.n:
-            raise TorusModelError("need 2n lattice generators")
+            raise Refusal("need 2n lattice generators")
+        if any(len(row) != self.n for row in self.periods):
+            raise Refusal("each lattice generator needs n entries")
         periods = tuple(
             tuple((Fraction(re), Fraction(im)) for re, im in row)
             for row in self.periods)
         object.__setattr__(self, "periods", periods)
         if rank_exact(self.real_period_matrix()) < 2 * self.n:
-            raise TorusModelError("lattice does not span")
+            raise Refusal("lattice does not span")
 
     @staticmethod
     def standard(n):
@@ -125,7 +124,7 @@ class HiggsLineBundle:
         object.__setattr__(self, "theta",
                            tuple((Fraction(re), Fraction(im)) for re, im in self.theta))
         if self.torsion_class != 0:
-            raise TorusModelError("complex tori have no torsion classes")
+            raise ValueError("complex tori have no torsion classes")
 
     @property
     def flat_is_trivial(self):
@@ -156,7 +155,7 @@ def character_to_higgs(x: ComplexTorusModel, rho: LatticeCharacter):
     """The pair (flat part, 1-form) of a character: theta is the unique
     complex-linear functional with 2 Re theta(lambda_j) = log r_j."""
     if rho.rank != 2 * x.n:
-        raise TorusModelError("character rank does not match the lattice")
+        raise ValueError("character rank does not match the lattice")
     sol = solve(x.real_period_matrix(), list(rho.log_moduli))
     theta = tuple((sol[k], sol[x.n + k]) for k in range(x.n))
     return HiggsLineBundle(rho.angles, theta)
@@ -189,7 +188,7 @@ def higgs_cohomology_dim(x: ComplexTorusModel, h: HiggsLineBundle, p, q):
     vanishes, so a nontrivial flat part forces zero."""
     n = x.n
     if not (0 <= p <= n and 0 <= q <= n):
-        raise TorusModelError("(p, q) out of range")
+        raise ValueError("(p, q) out of range")
     if not h.flat_is_trivial:
         return 0
     # Wedging with theta is the Koszul differential of the scalars theta_j.
@@ -226,7 +225,7 @@ def lattice_cohomology_dims(x: ComplexTorusModel, rho: LatticeCharacter):
     per (model, character): splitting_check asks once per degree and
     partition_check once more, and every answer needs all the ranks."""
     if rho.rank != 2 * x.n:
-        raise TorusModelError("character rank does not match the lattice")
+        raise ValueError("character rank does not match the lattice")
     den = lcm_all([q.denominator for q in rho.log_moduli], start=1)
     values = []
     for q, a in zip(rho.log_moduli, rho.angles):

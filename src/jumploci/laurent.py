@@ -244,7 +244,7 @@ class LaurentPoly:
         while rem.terms:
             rk, rc = rem.leading()
             if any(a < b for a, b in zip(rk[0], lk[0])):
-                raise ValueError("inexact Laurent division")
+                raise InvariantError("inexact Laurent division")
             qkey = (tuple(a - b for a, b in zip(rk[0], lk[0])), ())
             q = LaurentPoly.monomial(qkey, self.nvars, coeff=rc * lc_inv)
             out = out + q

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import Refusal
+
 
 def factorint(n):
     """Prime factorization of a positive integer as {p: e}."""
@@ -101,8 +103,8 @@ def rational_power(r: Fraction, t: Fraction):
 def first_prime_congruent_one(n, lower=10 ** 6):
     """Smallest prime p > lower with p = 1 (mod n).
 
-    Raises ValueError when the search reaches IS_PRIME_LIMIT, past which
-    _is_prime gives no certain answer."""
+    Refuses when the search reaches IS_PRIME_LIMIT, past which _is_prime
+    gives no certain answer."""
     p = lower - (lower % n) + 1
     if p <= lower:
         p += n
@@ -121,10 +123,9 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(n):
     """Whether n is prime, deterministically for n < IS_PRIME_LIMIT.
 
-    Raises ValueError at or above the limit instead of answering
-    "probably"."""
+    Refuses at or above the limit instead of answering "probably"."""
     if n >= IS_PRIME_LIMIT:
-        raise ValueError(f"{n} is past the deterministic primality range")
+        raise Refusal(f"{n} is past the deterministic primality range")
     if n < 2:
         return False
     for q in _PRIME_BASES:

@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import words
-from .errors import InvariantError
+from .errors import InvariantError, Refusal
 from .intlinalg import smith_normal_form
 from .laurent import LaurentPoly
 from .linalg import inverse, rank_exact
-
-
-class PresentationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,12 +30,15 @@ class FinitePresentation:
 
     def __post_init__(self):
         if self.generator_count < 0:
-            raise PresentationError("generator count must be nonnegative")
+            raise ValueError("generator count must be nonnegative")
         reduced = []
         for rel in self.relators:
+            for idx, exp in rel:
+                if exp not in (1, -1):
+                    raise ValueError("a letter's exponent must be 1 or -1")
+                if not 0 <= idx < self.generator_count:
+                    raise ValueError("relator uses an unknown generator")
             rel = words.cyclic_reduce(words.free_reduce(rel))
-            if rel and words.max_index(rel) >= self.generator_count:
-                raise PresentationError("relator uses an unknown generator")
             if rel:
                 reduced.append(rel)
         object.__setattr__(self, "relators", tuple(reduced))
@@ -225,10 +224,6 @@ def permuted_inverted(p: FinitePresentation, perm, signs):
     return FinitePresentation(g, tuple(new_rels), p.aspherical, names)
 
 
-class CoverError(ValueError):
-    pass
-
-
 # Largest cover index reidemeister_schreier builds.  The cover of a
 # g-generator, r-relator presentation at index N has N(g - 1) + 1
 # generators and N r relators, and its abelianization ranks a dense
@@ -242,9 +237,9 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
     """Presentation of the kernel of pi1 -> Q, Q finite abelian.
 
     Q is given as Z/o_1 + ... + Z/o_k (group_orders, each >= 1) and
-    gen_targets[j] is the image tuple of generator j.  Raises CoverError
-    when |Q| exceeds MAX_COVER_INDEX, before any coset is built, and when
-    the images do not generate Q.  Schreier generators come from a
+    gen_targets[j] is the image tuple of generator j.  Refuses when |Q|
+    exceeds MAX_COVER_INDEX, before any coset is built; raises ValueError
+    when the images do not generate Q.  Schreier generators come from a
     BFS transversal; the output is simplified only by free reduction and
     dropping empty relators.
     """
@@ -254,8 +249,8 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
     for o in orders:
         size *= o
     if size > MAX_COVER_INDEX:
-        raise CoverError(f"cover of index {size} is above the limit "
-                         f"{MAX_COVER_INDEX}")
+        raise Refusal(f"cover of index {size} is above the limit "
+                      f"{MAX_COVER_INDEX}")
 
     def add(c, t):
         return tuple((a + b) % o for a, b, o in zip(c, t, orders))
@@ -277,7 +272,7 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
                     transversal[nc] = transversal[c] + ((j, exp),)
                     queue.append(nc)
     if len(transversal) != size:
-        raise CoverError("not a covering of the stated degree")
+        raise ValueError("not a covering of the stated degree")
 
     cosets = sorted(transversal)
     coset_index = {c: i for i, c in enumerate(cosets)}

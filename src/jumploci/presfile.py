@@ -120,10 +120,9 @@ def _tokenize(text, line=None):
             j = i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
-            try:
-                out.append(("int", int(text[i:j]), i))
-            except ValueError:
+            if not text[i:j].lstrip("-").isdecimal():
                 raise ParseError(f"bad integer near {text[i:j]!r}", line, i)
+            out.append(("int", int(text[i:j]), i))
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", line, i)

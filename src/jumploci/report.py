@@ -6,7 +6,9 @@ identical inputs and configuration produce byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
+from itertools import islice
 
 from . import __version__
 
@@ -22,7 +24,15 @@ def build_report(command, config, results):
 
 
 def dumps_canonical(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline.  The
+    encoder's chunks are joined 4,096 at a time, not all in one list,
+    which for a large report held as much memory again as its text."""
+    out = io.StringIO()
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    while batch := "".join(islice(chunks, 4096)):
+        out.write(batch)
+    out.write("\n")
+    return out.getvalue()
 
 
 def write_report(report, path):
@@ -62,41 +72,25 @@ def check_schema(instance, schema, path="$"):
     return True
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float), "null": type(None)}
+
+
 def _type_ok(value, stype):
+    # bool is an int subclass, but JSON true is no integer or number.
     types = stype if isinstance(stype, list) else [stype]
-    for t in types:
-        if t == "object" and isinstance(value, dict):
-            return True
-        if t == "array" and isinstance(value, list):
-            return True
-        if t == "string" and isinstance(value, str):
-            return True
-        if t == "boolean" and isinstance(value, bool):
-            return True
-        if t == "integer" and isinstance(value, int) and not isinstance(value, bool):
-            return True
-        if t == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return True
-        if t == "null" and value is None:
-            return True
-    return False
+    return any(isinstance(value, _JSON_TYPES.get(t, ()))
+               and (t == "boolean" or not isinstance(value, bool))
+               for t in types)
 
 
-def load_schema(path=None):
-    if path is None:
-        import os
-        here = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        path = os.path.join(here, "schema", "report.schema.json")
-        if not os.path.exists(path):
-            path = None
-    if path is None:
-        return DEFAULT_SCHEMA
+def load_schema(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-DEFAULT_SCHEMA = {
+# The report schema the CLI checks; schema/report.schema.json publishes it.
+REPORT_SCHEMA = {
     "type": "object",
     "required": ["tool", "version", "command", "config", "results"],
     "properties": {

@@ -12,17 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .characters import Character, torsion_modulus
 from .cyclotomic import is_root_of_unity
+from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_columns,
                         kernel_rational_rows, row_lattice_subset,
                         solve_integer, transpose)
 from .numutil import factorint, frac_mod1, lcm_all
-
-
-class SubtorusError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -36,12 +34,12 @@ class TranslatedSubtorus:
 
     def __post_init__(self):
         if any(len(r) != self.free_rank for r in self.annihilator):
-            raise SubtorusError("annihilator rows need one entry per free "
-                                "generator")
+            raise Refusal("annihilator rows need one entry per free "
+                          "generator")
         ann = hnf_rows([list(r) for r in self.annihilator])
         object.__setattr__(self, "annihilator", tuple(tuple(r) for r in ann))
         if self.translate.free_rank != self.free_rank:
-            raise SubtorusError("translate lives on a different torus")
+            raise Refusal("translate lives on a different torus")
 
     @property
     def dim(self):
@@ -70,7 +68,7 @@ class TranslatedSubtorus:
 
     def contains(self, chi: Character):
         if chi.free_rank != self.free_rank or chi.torsion != self.torsion:
-            raise SubtorusError("dimension mismatch")
+            raise ValueError("dimension mismatch")
         if chi.tors_angles != self.translate.tors_angles:
             return False
         for u in self.annihilator:
@@ -149,7 +147,7 @@ class TranslatedSubtorus:
         congruences, finite dual by direct equality.
         """
         if (self.free_rank != other.free_rank) or (self.torsion != other.torsion):
-            raise SubtorusError("incompatible tori")
+            raise ValueError("incompatible tori")
         if self.translate.tors_angles != other.translate.tors_angles:
             return None
         stacked = [list(r) for r in self.annihilator] + [list(r) for r in other.annihilator]
@@ -230,54 +228,35 @@ def _solve_angle_congruences(rows, rhs, b):
 
 
 def _solve_moduli_equations(rows, subtori, b):
-    """Positive rational moduli with prod m_j^{u_j} matching each coset."""
-    primes = set()
-    targets = []
-    for s in subtori:
-        for u in s.annihilator:
-            t = Fraction(1)
-            for m, e in zip(s.translate.moduli, u):
-                if e:
-                    t *= m ** e
-            targets.append(t)
-            primes.update(factorint(t.numerator))
-            primes.update(factorint(t.denominator))
-    primes = sorted(primes)
-    if not primes:
-        return [Fraction(1)] * b
-    rows_all = []
-    for s in subtori:
-        rows_all.extend([list(u) for u in s.annihilator])
+    """Positive rational moduli with prod m_j^{u_j} matching each coset;
+    rows are the subtori's annihilator rows, in order."""
+    targets = [prod((m ** e for m, e in zip(s.translate.moduli, u) if e),
+                    start=Fraction(1))
+               for s in subtori for u in s.annihilator]
+    primes = _primes(targets)
     # For each prime independently: rows . x = v_p(target) over Z.
-    exps = {p: [0] * b for p in primes}
+    exps = {}
     for p in primes:
-        c = []
-        for t in targets:
-            vp = _valuation(t, p)
-            c.append(vp)
-        sol = solve_integer(rows_all, c)
+        sol = solve_integer(rows, [_valuation(t, p) for t in targets])
         if sol is None:
             return None
         exps[p] = sol
-    moduli = []
-    for j in range(b):
-        m = Fraction(1)
-        for p in primes:
-            m *= Fraction(p) ** exps[p][j]
-        moduli.append(m)
-    return moduli
+    return [prod((Fraction(p) ** exps[p][j] for p in primes), start=Fraction(1))
+            for j in range(b)]
+
+
+def _primes(qs):
+    """Sorted primes of the numerators and denominators of qs."""
+    return sorted({p for q in qs
+                   for p in (*factorint(q.numerator), *factorint(q.denominator))})
 
 
 def _valuation(q: Fraction, p):
     v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
+    for x, sign in ((q.numerator, 1), (q.denominator, -1)):
+        while x % p == 0:
+            x //= p
+            v += sign
     return v
 
 
@@ -315,14 +294,10 @@ def orbit_closure(chi, variant="B"):
     """
     from .characters import NumericCharacter
     if isinstance(chi, NumericCharacter):
-        raise SubtorusError("orbit closure requires exact data")
+        raise ValueError("orbit closure requires exact data")
     b = chi.free_rank
     if variant == "B":
-        primes = set()
-        for m in chi.moduli:
-            primes.update(factorint(m.numerator))
-            primes.update(factorint(m.denominator))
-        primes = sorted(primes)
+        primes = _primes(chi.moduli)
         exp_rows = [[_valuation(m, p) for m in chi.moduli] for p in primes]
         if exp_rows:
             # relations = {u : prod m_j^{u_j} = 1}, saturated integer kernel.
@@ -342,4 +317,4 @@ def orbit_closure(chi, variant="B"):
         ann_rows = hnf_rows(relations)
         return TranslatedSubtorus(b, chi.torsion,
                                   tuple(tuple(r) for r in ann_rows), chi)
-    raise SubtorusError(f"unknown action variant {variant!r}")
+    raise ValueError(f"unknown action variant {variant!r}")

@@ -60,8 +60,8 @@ is its exact rank and the orbit's.  The fallback through
 twisted_cohomology_dims is exact at the representative anyway.
 
 Before enumerating, a scan counts its characters exactly
-(characters.count_torsion_characters) and refuses (ScanBudgetError)
-above MAX_SCAN_CHARACTERS.
+(characters.count_torsion_characters) and refuses above
+MAX_SCAN_CHARACTERS.
 """
 
 from __future__ import annotations
@@ -75,19 +75,11 @@ from .characters import (Character, count_torsion_characters,
                          enumerate_torsion_characters, is_orbit_representative,
                          orbit_members, torsion_modulus)
 from .cyclotomic import Cyc
-from .errors import InvariantError
+from .errors import InvariantError, Refusal
 from .linalg import rank_exact
 from .numutil import euler_phi, factorint, first_prime_congruent_one
 from .presentation import (FinitePresentation, abelianize, fox_matrix,
                            fox_row_identity_holds)
-
-
-class DegreeError(ValueError):
-    """Raised for degree-2 requests on inputs not flagged aspherical."""
-
-
-class ScanBudgetError(ValueError):
-    """Raised before a scan of more than MAX_SCAN_CHARACTERS characters."""
 
 
 # Largest torsion scan scan_sigma runs, in characters.  A scan holds one
@@ -106,11 +98,11 @@ def check_query(p: FinitePresentation, degree, mult):
     """Refuse a degree outside 0..2, H^2 on input not flagged aspherical,
     and a multiplicity below 1, which every character would meet."""
     if degree not in (0, 1, 2):
-        raise DegreeError(f"degree {degree} out of range for presentations")
+        raise Refusal(f"degree {degree} out of range for presentations")
     if degree == 2 and not p.aspherical:
-        raise DegreeError("H^2 undefined for this input")
+        raise Refusal("H^2 undefined for this input")
     if mult < 1:
-        raise ValueError("multiplicity must be at least 1")
+        raise Refusal("multiplicity must be at least 1")
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +277,7 @@ def _certifying_prime(n, norms_sq, size, max_order, filter_prime):
         return filter_prime
     try:
         return first_prime_congruent_one(n, floor)
-    except ValueError:
+    except Refusal:
         return None
 
 
@@ -354,8 +346,8 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     b, torsion = ab.free_rank, ab.torsion
     count = count_torsion_characters(b, torsion, max_order)
     if count > MAX_SCAN_CHARACTERS:
-        raise ScanBudgetError(f"scan of {count} characters is above the "
-                              f"limit {MAX_SCAN_CHARACTERS}")
+        raise Refusal(f"scan of {count} characters is above the "
+                      f"limit {MAX_SCAN_CHARACTERS}")
     points = enumerate_torsion_characters(b, torsion, max_order)
     n = torsion_modulus(max_order, torsion)
     found = []          # (exponent vector, dims)
@@ -424,9 +416,9 @@ def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed,
 
     import numpy as np
 
+    check_query(p, degree, mult)
     ab, fox = presentation_data(p)
     rng = _random.Random(seed)
-    g = p.generator_count
     found = []
     for _ in range(samples):
         angles = tuple(Fraction(rng.randint(0, 10 ** 6), 10 ** 6)
@@ -441,10 +433,8 @@ def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed,
         else:
             sv = np.linalg.svd(mat, compute_uv=False)
             rank = int((sv > tol * max(1.0, sv[0])).sum())
-        h0 = 0
-        h1 = (g - rank) - 1
-        value = {0: h0, 1: h1, 2: p.relator_count - rank}.get(degree, 0)
-        if value >= mult:
+        trivial = not any(angles) and not any(tors)
+        if dims_from_rank(p, trivial, rank)[degree] >= mult:
             found.append({"angles": [str(a) for a in angles],
                           "torsion": [str(a) for a in tors],
                           "flag": "numeric"})
@@ -455,10 +445,7 @@ def _numeric_eval(poly, free_vals, tors_vals):
     total = 0j
     for (v, t), c in poly.terms.items():
         val = complex(c.value())
-        for x, e in zip(free_vals, v):
-            if e:
-                val *= x ** e
-        for x, e in zip(tors_vals, t):
+        for x, e in zip(free_vals + tors_vals, v + t):
             if e:
                 val *= x ** e
         total += val

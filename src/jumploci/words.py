@@ -57,10 +57,6 @@ def exponent_sums(letters, ngens):
     return v
 
 
-def max_index(letters):
-    return max((idx for idx, _ in letters), default=-1)
-
-
 def word_to_string(letters, names):
     """Render a word with ^-1 inverses and ^k powers, e.g. 'a b^-2 c'."""
     if not letters:

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction, WeightsRefused,
+from jumploci.alexander import (ModuleAction,
                                 cover_homology_rank_one, cover_module_action,
                                 finite_locus_cover_check, fitting_chain_holds,
                                 fitting_generators, is_weight,
@@ -13,6 +13,7 @@ from jumploci.alexander import (ModuleAction, WeightsRefused,
                                 weights_and_inverses)
 from jumploci.characters import Character
 from jumploci.cyclotomic import Cyc, is_root_of_unity
+from jumploci.errors import Refusal
 from jumploci.laurent import LaurentPoly
 from jumploci.presentation import FinitePresentation
 from jumploci.twisted import twisted_cohomology_dims
@@ -224,9 +225,9 @@ def test_weights_and_identity_corpus():
 
 def test_weights_refusals():
     for name in ("surface2", "free2"):
-        with pytest.raises(WeightsRefused):
+        with pytest.raises(Refusal):
             weights_and_inverses(corpus.get(name), 2, 3)
-    with pytest.raises(WeightsRefused):
+    with pytest.raises(Refusal):
         weights_and_inverses(corpus.get("z2"), 3, 3)
 
 
@@ -258,5 +259,5 @@ def test_finite_locus_cover_checks():
     # fails the conditional prediction, and the tool reports that.
     r4 = finite_locus_cover_check(corpus.get("trefoil"), 2, 6)
     assert not r4.trivial_cover and r4.cover_index == 6 and not r4.passed
-    with pytest.raises(WeightsRefused):
+    with pytest.raises(Refusal):
         finite_locus_cover_check(corpus.get("free2"), 2, 4)

@@ -6,14 +6,16 @@ import pytest
 
 from conftest import REPO_ROOT, cli_env
 
-from jumploci.report import SchemaError, check_schema, load_schema
+from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
+                             check_schema, dumps_canonical, load_schema)
 
 RUN = [sys.executable, "-m", "jumploci"]
 
 
-def run_cli(*args, cwd=REPO_ROOT):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True,
-                          cwd=cwd, env=cli_env())
+def run_cli(*args, cwd=REPO_ROOT, flags=()):
+    return subprocess.run([sys.executable, *flags, "-m", "jumploci", *args],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=cli_env())
 
 
 def test_orbit_command_matches_contract(tmp_path):
@@ -70,6 +72,110 @@ def test_refusal_exit_code():
     res3 = run_cli("thm4", "s2xz2", "--K", "3")
     assert res3.returncode == 2
     assert "above the limit" in res3.stderr
+
+
+# One case per exit class but 70 (test_internal_error_exits_70), each
+# also under python -O: the classes rest on explicit raises, not asserts.
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("args,code,prefix", [
+    (("analyze", "z2", "--K", "2", "--out", "-"), 0, ""),
+    (("analyze", "no_such_input.pres"), 1, "parse error: "),
+    (("analyze", "z2", "--i", "3", "--K", "3"), 2, "refused: "),
+], ids=["success", "parse", "refusal"])
+def test_exit_classes(args, code, prefix, flags):
+    res = run_cli(*args, flags=flags)
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith(prefix) and "Traceback" not in res.stderr
+    assert (res.stdout != "") == (code == 0) == (res.stderr == "")
+
+
+PLANTED = """
+import sys
+import jumploci.cli as cli
+from jumploci.errors import InvariantError
+
+def planted(*args, **kwargs):
+    raise {exc}("planted fault")
+
+cli.discover_components = planted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("exc", ["InvariantError", "ValueError"])
+def test_internal_error_exits_70(exc, flags):
+    # Neither a broken invariant nor a stray ValueError is a refusal.
+    res = subprocess.run(
+        [sys.executable, *flags, "-c", PLANTED.format(exc=exc),
+         "analyze", "z2", "--K", "2"],
+        capture_output=True, text=True, cwd=REPO_ROOT, env=cli_env())
+    assert res.returncode == 70, res.stderr
+    assert res.stderr.startswith("Traceback")
+    assert f"{exc}: planted fault" in res.stderr
+    assert "refused:" not in res.stderr and res.stdout == ""
+
+
+def test_unwritable_out_exits_70(tmp_path):
+    res = run_cli("analyze", "z2", "--K", "2",
+                  "--out", str(tmp_path / "no_such_dir" / "r.json"))
+    assert res.returncode == 70
+    assert "FileNotFoundError" in res.stderr and "refused:" not in res.stderr
+
+
+MODEL = {"n": 1, "period": [[["1", "0"]], [["0", "1"]]]}
+COMPONENT = {"H": [], "tau": {"angles": ["0", "0"]}}
+
+
+@pytest.mark.parametrize("command,option,content", [
+    ("certify", "--component", None),
+    ("higgs", "--model", None),
+    ("certify", "--component", {"H": []}),
+    ("higgs", "--model", {"n": 1}),
+    ("certify", "--component", "{not json"),
+    ("higgs", "--model", "{not json"),
+    ("certify", "--component", {"H": [], "tau": {"angles": ["0", "x"]}}),
+    ("certify", "--component", {"H": [], "tau": {"angles": ["0", "1/0"]}}),
+    ("certify", "--component", {"H": [["1", 0]], "tau": {"angles": ["0", "0"]}}),
+    ("higgs", "--model", {"n": 1, "period": [[["1", "0"]], [["0", "i"]]]}),
+], ids=["component-missing", "model-missing", "tau-key-missing",
+        "period-key-missing", "component-not-json", "model-not-json",
+        "tau-not-rational", "tau-zero-denominator", "H-not-integers",
+        "period-not-rational"])
+def test_unreadable_input_files_are_parse_errors(tmp_path, command, option,
+                                                 content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+    args = (("certify", "z2") if command == "certify"
+            else ("higgs", "verify-thm3", "--samples", "1"))
+    res = run_cli(*args, option, str(path))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("parse error: ")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("orbit", "--moduli", "4,x", "--angles", "0,0"),
+    ("orbit", "--moduli", "4,2", "--angles", "0,1/0"),
+    ("orbit", "--moduli", "4,2", "--angles", "0,nan"),
+], ids=["moduli-text", "angles-zero-denominator", "angles-nan"])
+def test_malformed_rationals_are_parse_errors(args):
+    res = run_cli(*args)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("parse error: --")
+    assert "Traceback" not in res.stderr
+
+
+def test_well_formed_input_files_still_run(tmp_path):
+    for option, content, args in (
+            ("--component", COMPONENT, ("certify", "z2")),
+            ("--model", MODEL, ("higgs", "verify-thm3", "--samples", "3"))):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        res = run_cli(*args, option, str(path))
+        assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -199,6 +305,19 @@ def test_reports_validate_against_shipped_schema(tmp_path):
     assert check_schema(data, schema)
     with pytest.raises(SchemaError):
         check_schema({"tool": "other"}, schema)
+
+
+def test_shipped_schema_is_the_one_the_cli_checks():
+    shipped = load_schema(REPO_ROOT / "schema" / "report.schema.json")
+    assert {k: v for k, v in shipped.items()
+            if k not in ("$schema", "title")} == REPORT_SCHEMA
+
+
+def test_dumps_canonical_is_json_dumps():
+    report = build_report("x", {"b": 1, "a": [1, {"z": None, "\u00e9": 0.5}]},
+                          {"k": ["\u00fc", True, [], {}], "j": -2})
+    assert dumps_canonical(report) == json.dumps(report, sort_keys=True,
+                                                 indent=2) + "\n"
 
 
 def test_expected_report_fixtures_regression():

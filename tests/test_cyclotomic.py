@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.cyclotomic import (Cyc, RootOfUnityError, _poly_div_exact,
+from jumploci.cyclotomic import (Cyc, _poly_div_exact,
                                  as_root_of_unity, cyclotomic_polynomial,
                                  is_root_of_unity, rank_exact)
 from jumploci.errors import InvariantError
@@ -105,7 +105,7 @@ def test_root_of_unity_examples():
     assert is_root_of_unity(-(Cyc.root_of_unity(5) ** 2)) == (True, 10)
     golden = Cyc.one() + Cyc.root_of_unity(5) + Cyc.root_of_unity(5) ** 4
     assert is_root_of_unity(golden) == (False, None)
-    with pytest.raises(RootOfUnityError):
+    with pytest.raises(ValueError, match="zero is not"):
         is_root_of_unity(Cyc.zero())
 
 

@@ -5,6 +5,7 @@ import pytest
 from jumploci import corpus
 from jumploci.characters import Character
 from jumploci.cyclotomic import rank_exact
+from jumploci.errors import Refusal
 from jumploci.discovery import (abelian_cover_certificate, certify_component,
                                 count_genus_components, discover_components,
                                 reports_agree_after_transport, tietze_transport)
@@ -115,7 +116,7 @@ def test_count_genus_components():
     z4 = corpus.get("z4")
     assert count_genus_components(z4, 2, 4) == 0
     assert count_genus_components(z4, 3, 4) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(Refusal):
         count_genus_components(s2, 1, 3)
 
 

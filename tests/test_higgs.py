@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
+from jumploci.errors import Refusal
 from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
-                            LatticeCharacter, TorusModelError,
-                            character_to_higgs, higgs_cohomology_dim,
-                            higgs_to_character, lattice_cohomology_dims,
-                            partition_check, s_pq_membership,
-                            sigma_pq_membership, splitting_check)
+                            LatticeCharacter, character_to_higgs,
+                            higgs_cohomology_dim, higgs_to_character,
+                            lattice_cohomology_dims, partition_check,
+                            s_pq_membership, sigma_pq_membership,
+                            splitting_check)
 
 
 def std(n):
@@ -101,8 +102,19 @@ def test_rank_two_koszul_middle_vanishes():
 def test_out_of_range_errors():
     X = std(1)
     triv = HiggsLineBundle((Fraction(0),) * 2, ((Fraction(0), Fraction(0)),))
-    with pytest.raises(TorusModelError):
+    with pytest.raises(ValueError, match="out of range"):
         higgs_cohomology_dim(X, triv, 2, 0)
+
+
+@pytest.mark.parametrize("n,periods,message", [
+    (0, (), "dimension"),
+    (1, ((("1", "0"),),), "2n lattice generators"),
+    (1, ((("1", "0"), ("0", "0")), (("0", "1"),)), "n entries"),
+    (1, ((("1", "0"),), (("2", "0"),)), "does not span"),
+])
+def test_torus_model_shape_is_refused(n, periods, message):
+    with pytest.raises(Refusal, match=message):
+        ComplexTorusModel(n, periods)
 
 
 def test_hodge_symmetry_at_zero_form():

@@ -3,6 +3,7 @@ refusal past the deterministic range."""
 
 import pytest
 
+from jumploci.errors import Refusal
 from jumploci.numutil import (IS_PRIME_LIMIT, _is_prime,
                               first_prime_congruent_one)
 
@@ -30,9 +31,9 @@ def test_is_prime_refuses_past_deterministic_range():
     assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 + 1)
     assert not _is_prime(IS_PRIME_LIMIT - 1)        # even
     for n in (IS_PRIME_LIMIT, IS_PRIME_LIMIT + 1, 2 ** 89 - 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal):
             _is_prime(n)
-    with pytest.raises(ValueError):
+    with pytest.raises(Refusal):
         first_prime_congruent_one(6, lower=IS_PRIME_LIMIT)
 
 

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from jumploci import corpus, words
-from jumploci.errors import InvariantError
+from jumploci.errors import InvariantError, Refusal
 from jumploci.laurent import LaurentPoly
-from jumploci.presentation import (MAX_COVER_INDEX, CoverError,
-                                   FinitePresentation, _check_accounting,
+from jumploci.presentation import (MAX_COVER_INDEX, FinitePresentation, _check_accounting,
                                    abelianize,
                                    fox_identity_holds, fox_matrix,
                                    permuted_inverted, reidemeister_schreier)
@@ -97,13 +96,13 @@ def test_reidemeister_schreier_examples():
 
 def test_reidemeister_schreier_rejects_nonsurjective():
     z2 = corpus.get("z2")
-    with pytest.raises(CoverError):
+    with pytest.raises(ValueError, match="not a covering"):
         reidemeister_schreier(z2, [(0,), (0,)], (2,))
 
 
 def test_reidemeister_schreier_refuses_large_index():
     z2 = corpus.get("z2")
-    with pytest.raises(CoverError, match="above the limit"):
+    with pytest.raises(Refusal, match="above the limit"):
         reidemeister_schreier(z2, [(1, 0), (0, 1)],
                               (MAX_COVER_INDEX + 1, 1))
     cover, _ = reidemeister_schreier(z2, [(1,), (0,)], (MAX_COVER_INDEX,))
@@ -114,7 +113,7 @@ def test_thm4_on_s2xz2_refuses_its_index_20736_cover():
     # The weights of s2xz2 at K = 4 ask for the quotient (Z/12)^4; building
     # that cover exhausted memory before the preflight.
     from jumploci.alexander import finite_locus_cover_check
-    with pytest.raises(CoverError, match="index 20736"):
+    with pytest.raises(Refusal, match="index 20736"):
         within_seconds(60, finite_locus_cover_check, corpus.get("s2xz2"), 2, 4)
 
 
@@ -157,10 +156,24 @@ def test_abelianize_large_exponents():
     rows = [(27, 13, -12, 9, 7, 28), (-2, -3, 13, -11, -7, 17),
             (-10, -14, -16, -1, -5, 17), (-9, -28, 7, 19, -17, 21),
             (19, 13, -24, 12, 10, -22), (-15, -8, 26, -21, 15, 2)]
-    rels = tuple(tuple((j, e) for j, e in enumerate(row)) for row in rows)
+    rels = tuple(sum((words.generator(j, e) for j, e in enumerate(row)), ())
+                 for row in rows)
     p = FinitePresentation(6, rels)
     ab = within_seconds(10, abelianize, p)
     assert (ab.free_rank, ab.torsion) == (0, (154772358,))
+
+
+def test_letters_must_have_exponent_one_or_minus_one():
+    # A letter (0, -2) once built a presentation whose Fox rows and
+    # exponent sums disagreed, so presentation_data raised InvariantError.
+    with pytest.raises(ValueError, match="exponent must be 1 or -1"):
+        FinitePresentation(1, (((0, -2),),))
+    with pytest.raises(ValueError, match="exponent must be 1 or -1"):
+        FinitePresentation(2, (((0, 1), (1, 0)),))
+    with pytest.raises(ValueError, match="unknown generator"):
+        FinitePresentation(1, (((-1, 1),),))
+    assert FinitePresentation(1, (words.generator(0, -2),)).relators == (
+        ((0, -1), (0, -1)),)
 
 
 def test_accounting_check_raises_invariant_error():

@@ -43,6 +43,13 @@ def test_parse_word_errors_carry_location():
         parse_word("(a", NAMES)
 
 
+@pytest.mark.parametrize("word", ["a^-", "a^\u00b2", "a^1\u00b2"])
+def test_bad_integer_is_a_parse_error(word):
+    # "-" alone and digits int() does not read (superscript two).
+    with pytest.raises(ParseError, match="bad integer"):
+        parse_word(word, NAMES)
+
+
 def test_parse_presentation():
     text = """
     # a comment

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci import corpus
+from jumploci import corpus, words
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  torsion_modulus)
 from jumploci.discovery import discover_components
 import jumploci.twisted as tw
-from jumploci.twisted import (DegreeError, InvariantError, ScanBudgetError,
-                              coboundary_matrices, numeric_unitary_scan,
+from jumploci.errors import InvariantError, Refusal
+from jumploci.presentation import FinitePresentation
+from jumploci.twisted import (coboundary_matrices, numeric_unitary_scan,
                               scan_sigma, sigma_membership,
                               twisted_cohomology_dims)
 
@@ -50,17 +51,17 @@ def test_torus_nontrivial_not_member():
 def test_degree_two_requires_asphericity():
     tb = corpus.get("torus_bundle3")   # not flagged aspherical
     chi = Character.trivial(1, (3,))
-    with pytest.raises(DegreeError):
+    with pytest.raises(Refusal):
         sigma_membership(tb, chi, 2, 1)
 
 
 def test_degree_above_two_is_refused():
     z2 = corpus.get("z2")
-    with pytest.raises(DegreeError):
+    with pytest.raises(Refusal):
         sigma_membership(z2, Character.trivial(2), 3, 1)
-    with pytest.raises(DegreeError):
+    with pytest.raises(Refusal):
         scan_sigma(z2, 3, 1, 3)
-    with pytest.raises(DegreeError):
+    with pytest.raises(Refusal):
         discover_components(z2, 3, 1, 3)
 
 
@@ -68,7 +69,7 @@ def test_scan_budget_is_the_exact_count(monkeypatch):
     # z4 at K = 8 has 8,400 characters: refused one below, run at it.
     z4 = corpus.get("z4")
     monkeypatch.setattr(tw, "MAX_SCAN_CHARACTERS", 8399)
-    with pytest.raises(ScanBudgetError):
+    with pytest.raises(Refusal):
         scan_sigma(z4, 1, 1, 8)
     monkeypatch.setattr(tw, "MAX_SCAN_CHARACTERS", 8400)
     assert scan_sigma(z4, 1, 1, 8).scanned == 8400
@@ -141,6 +142,19 @@ def test_numeric_fallback_runs_and_is_flagged():
     assert all(item["flag"] == "numeric" for item in found)
     z2 = corpus.get("z2")
     assert numeric_unitary_scan(z2, 1, 1, samples=5, seed=0) == []
+
+
+def test_numeric_fallback_uses_the_exact_dims_rule():
+    # Z/3 has finite H1, so samples often land on the trivial character,
+    # where h0 = 1 and h1 = 0; h1 = 0 at the other two characters too.
+    c3 = FinitePresentation(1, (words.generator(0, 3),))
+    found = numeric_unitary_scan(c3, 0, 1, samples=9, seed=0)
+    assert found and all(item["torsion"] == ["0"] for item in found)
+    assert numeric_unitary_scan(c3, 1, 1, samples=9, seed=0) == []
+    with pytest.raises(Refusal):
+        numeric_unitary_scan(c3, 3, 1, samples=1, seed=0)
+    with pytest.raises(Refusal):
+        numeric_unitary_scan(c3, 1, 0, samples=1, seed=0)
 
 
 def test_dims_at_trivial_characters():
