@@ -19,12 +19,13 @@ from itertools import combinations, product
 
 from .characters import Character
 from .cyclotomic import Cyc
+from .discovery import kill_cover
 from .errors import InvariantError, Refusal
 from .intlinalg import identity, mat_mul, transpose
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import inverse, koszul_dims, rank_exact
 from .numutil import frac_mod1
-from .presentation import FinitePresentation, reidemeister_schreier
+from .presentation import FinitePresentation
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
 from .upoly import UPoly, cyclotomic_roots, numeric_roots, smith_invariants
 
@@ -413,14 +414,14 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     finite_dim = "exact"
     detail = ""
     if degree_bound >= 2:
-        if not _cover_module_is_torsion(p, ab):
+        # At free rank 1 the module's own Smith form decides finiteness.
+        module = cover_homology_rank_one(p) if b == 1 else None
+        if not (module.finite_dimensional if b == 1
+                else _cover_module_is_torsion(p, ab)):
             raise Refusal(
                 "cover homology is infinite-dimensional "
                 "(positive-dimensional jump locus expected instead)")
         if b == 1:
-            module = cover_homology_rank_one(p)
-            if not module.finite_dimensional:   # excluded by the test above
-                raise InvariantError("cover homology has positive rank")
             for omega, angle in module.eigen_angles:
                 # Homology eigenvalue angle -> cohomology weight = inverse.
                 chi = Character.unitary(1, ab.torsion, (frac_mod1(-angle),),
@@ -471,10 +472,10 @@ def _sigma_union_hits(p, degree_bound, max_order):
 
 
 def _cover_module_is_torsion(p, ab):
-    """Generic-rank test: the cover homology is a torsion module iff the
-    Fox matrix has generic rank g - 1 after every torsion-dual
-    specialization.  At free rank b >= 1, d1 is nonzero at every one, so
-    ker d1 has rank g - 1 (the augmentation line)."""
+    """Generic-rank test, used at free rank b >= 2: the cover homology is
+    a torsion module iff the Fox matrix has generic rank g - 1 after every
+    torsion-dual specialization.  At b >= 1, d1 is nonzero at every one,
+    so ker d1 has rank g - 1 (the augmentation line)."""
     g, r = p.generator_count, p.relator_count
     if r == 0:
         return g - 1 <= 0
@@ -514,24 +515,13 @@ def finite_locus_cover_check(p: FinitePresentation, degree_bound=2,
     The rescan is refused before it enumerates when the cover's torus has
     more than twisted.MAX_SCAN_CHARACTERS characters of order at most
     max_order."""
-    from .discovery import finite_quotient_from_characters
-
     report = weights_and_inverses(p, degree_bound, max_order)
     kill = [c for c in report.inverse_weights if not c.is_trivial]
     if report.numeric_weights:
         raise Refusal("numeric weights present; exact cover kill "
                       "set unavailable")
-    ab, _ = presentation_data(p)
-    if not kill:
-        cover, index = p, 1
-        trivial_cover = True
-    else:
-        orders, targets = finite_quotient_from_characters(kill, ab)
-        cover, _words = reidemeister_schreier(p, targets, orders)
-        index = 1
-        for o in orders:
-            index *= o
-        trivial_cover = False
+    trivial_cover = not kill
+    cover, _, index = (p, (), 1) if trivial_cover else kill_cover(p, kill)
     surviving = [chi for chi in _sigma_union_hits(cover, degree_bound,
                                                   max_order)
                  if not chi.is_trivial]

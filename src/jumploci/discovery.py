@@ -19,7 +19,7 @@ from functools import lru_cache
 from .characters import Character, torsion_modulus
 from .errors import InvariantError, Refusal
 from .laurent import rank_generic
-from .numutil import frac_mod1
+from .numutil import frac_mod1, lcm_all
 from .presentation import FinitePresentation, reidemeister_schreier
 from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
@@ -79,6 +79,13 @@ class JumpLocusReport:
         }
 
 
+# Largest conductor (lcm of angle denominators) of a translate that
+# certify_component evaluates: certify surface2 with one angle 1/10080
+# took 3.6 s, 1/27720 took 37 s and 1/2^55 overran a 1 GB address space
+# (Python 3.11, one core of a 2-core x86-64 host).
+MAX_CERTIFY_CONDUCTOR = 10_000
+
+
 def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
                       degree, mult):
     """("certified" | "refuted", generic h^degree on the coset).
@@ -86,13 +93,18 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     Positive-dimensional cosets are certified by substituting the monomial
     parametrization z_j = tau_j * prod_k s_k^(B_jk) into the Fox matrix
     and computing generic rank; at a generic point of a positive
-    dimensional coset the character is nontrivial.
+    dimensional coset the character is nontrivial.  Refuses a translate
+    whose conductor exceeds MAX_CERTIFY_CONDUCTOR, before evaluating it.
     """
     ab, fox = presentation_data(p)
     if sub.free_rank != ab.free_rank or sub.torsion != ab.torsion:
         raise ValueError("subtorus lives on a different character torus")
     check_query(p, degree, mult)
     tau = sub.translate
+    conductor = lcm_all(a.denominator for a in tau.angles + tau.tors_angles)
+    if conductor > MAX_CERTIFY_CONDUCTOR:
+        raise Refusal(f"translate of conductor {conductor} is above the "
+                      f"limit {MAX_CERTIFY_CONDUCTOR}")
     if sub.dim == 0:
         generic_h = twisted_cohomology_dims(p, tau)[degree]
     else:
@@ -241,69 +253,18 @@ def count_genus_components(p: FinitePresentation, genus, max_order=6):
                if c.dim == 2 * genus and c.contains_trivial)
 
 
-def finite_quotient_from_characters(characters, ab):
-    """Present Q = H1 / (joint kernel of finite-order characters):
-    returns (orders, presentation-generator targets) for
-    Reidemeister-Schreier."""
-    from .intlinalg import kernel_columns, smith_normal_form, transpose
-
-    free_rank, torsion = ab.free_rank, ab.torsion
-    gens = free_rank + len(torsion)
-    rows = []
-    mods = []
-    for chi in characters:
-        k = chi.order()
-        if k == 1:
-            continue
-        row = [int(a * k) for a in chi.angles] + [int(a * k) for a in chi.tors_angles]
-        rows.append(row)
-        mods.append(k)
-    # Torsion relations of H1 itself also hold in the quotient.
-    lattice_rows = []
-    for i, d in enumerate(torsion):
-        lattice_rows.append([0] * free_rank
-                            + [d if j == i else 0 for j in range(len(torsion))])
-    if not rows:
-        return (), tuple(() for _ in range(ab.generator_count))
-    # Kernel lattice: x with rows . x = 0 mod the respective orders.
-    aug = [row + [-mods[i] if t == i else 0 for t in range(len(rows))]
-           for i, row in enumerate(rows)]
-    ker = kernel_columns(aug, ncols=gens + len(rows))
-    klat = [[ker[i][t] for t in range(len(ker[0]))] for i in range(gens)] \
-        if ker and ker[0] else [[] for _ in range(gens)]
-    basis = transpose(klat)
-    basis.extend(lattice_rows)
-    # Q = Z^gens / row span(basis): Smith form gives canonical orders.
-    a = transpose(basis)  # columns are relations
-    u, dmat, _ = smith_normal_form(a)
-    n = min(len(a), len(a[0]) if a else 0)
-    diag = [dmat[i][i] for i in range(n)]
-    if len(diag) < gens or any(dv == 0 for dv in diag):
-        raise InvariantError("quotient is not finite")
-    orders = []
-    pos = []
-    for i, dv in enumerate(diag):
-        if dv >= 2:
-            orders.append(dv)
-            pos.append(i)
-    h1_targets = []
-    for j in range(gens):
-        col = [u[i][j] for i in range(len(u))]
-        h1_targets.append(tuple(col[pos[k]] % orders[k] for k in range(len(pos))))
-    # Push from H1 coordinates to presentation generators.
-    targets = []
-    for free_img, tors_img in ab.gen_images:
-        acc = [0] * len(orders)
-        for k, e in enumerate(free_img):
-            if e:
-                for t in range(len(orders)):
-                    acc[t] += e * h1_targets[k][t]
-        for i, e in enumerate(tors_img):
-            if e:
-                for t in range(len(orders)):
-                    acc[t] += e * h1_targets[free_rank + i][t]
-        targets.append(tuple(a % o for a, o in zip(acc, orders)))
-    return tuple(orders), tuple(targets)
+def kill_cover(p: FinitePresentation, characters):
+    """reidemeister_schreier for the joint kernel of finite-order
+    characters, whose cosets the characters label themselves: with n the
+    lcm of their orders and a_i(x) the angle of chi_i(x), x -> (n a_i(x))_i
+    in (Z/n)^m has kernel the intersection of the ker chi_i, so no normal
+    form of the quotient is needed."""
+    ab, _ = presentation_data(p)
+    n = lcm_all([chi.order() for chi in characters])
+    targets = [tuple((n * chi.value_parts(*image)[1]).numerator
+                     for chi in characters)
+               for image in ab.gen_images]
+    return reidemeister_schreier(p, targets, n)
 
 
 @dataclass
@@ -426,8 +387,7 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
         status, gh = certify_component(p, sub, 1, 1)
         comp = Component(sub, status, gh, contains_trivial=True)
         return CoverCertificate(p, tuple(), comp, base, trivial_cover=True)
-    orders, targets = finite_quotient_from_characters([tau], ab)
-    cover, schreier = reidemeister_schreier(p, targets, orders)
+    cover, schreier, _ = kill_cover(p, [tau])
     pulled = restrict_subtorus_to_cover(sub, ab, cover, schreier)
     if not pulled.translate.is_trivial:
         raise InvariantError("pulled-back translate is not trivial")

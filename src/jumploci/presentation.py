@@ -11,10 +11,11 @@ laurent.LaurentPoly values with a torsion twist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import words
 from .errors import InvariantError, Refusal
-from .intlinalg import smith_normal_form
+from .intlinalg import smith_normal_form, snf_diagonal
 from .laurent import LaurentPoly
 from .linalg import inverse, rank_exact
 
@@ -233,32 +234,34 @@ def permuted_inverted(p: FinitePresentation, perm, signs):
 MAX_COVER_INDEX = 512
 
 
-def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
-    """Presentation of the kernel of pi1 -> Q, Q finite abelian.
+def reidemeister_schreier(p: FinitePresentation, gen_targets, modulus):
+    """(cover, Schreier words, index) for the kernel of pi1 -> (Z/n)^m,
+    x_j -> gen_targets[j], n = modulus.
 
-    Q is given as Z/o_1 + ... + Z/o_k (group_orders, each >= 1) and
-    gen_targets[j] is the image tuple of generator j.  Refuses when |Q|
-    exceeds MAX_COVER_INDEX, before any coset is built; raises ValueError
-    when the images do not generate Q.  Schreier generators come from a
-    BFS transversal; the output is simplified only by free reduction and
-    dropping empty relators.
+    The map need not be onto: the index is the order of the image, the
+    span mod n of the columns of T^t for the g x m target matrix T.  With
+    T^t = U.D.V (U, V unimodular) that span is U(+ d_i.Z/nZ), so the
+    index is the product of n / gcd(d_i, n); a zero invariant counts 1.
+    Refuses an index above MAX_COVER_INDEX before any coset is built.
+    Schreier generators come from a BFS transversal; the output is
+    simplified only by free reduction and dropping empty relators.
     """
     g = p.generator_count
-    orders = tuple(group_orders)
-    size = 1
-    for o in orders:
-        size *= o
-    if size > MAX_COVER_INDEX:
-        raise Refusal(f"cover of index {size} is above the limit "
+    m = len(gen_targets[0]) if g else 0
+    index = 1
+    for d in snf_diagonal(gen_targets) if m else ():
+        index *= modulus // gcd(d, modulus)
+    if index > MAX_COVER_INDEX:
+        raise Refusal(f"cover of index {index} is above the limit "
                       f"{MAX_COVER_INDEX}")
 
     def add(c, t):
-        return tuple((a + b) % o for a, b, o in zip(c, t, orders))
+        return tuple((a + b) % modulus for a, b in zip(c, t))
 
     def neg(t):
-        return tuple((-a) % o for a, o in zip(t, orders))
+        return tuple(-a % modulus for a in t)
 
-    zero = tuple(0 for _ in orders)
+    zero = (0,) * m
     # BFS over the coset graph; transversal words are Schreier (prefix closed).
     transversal = {zero: ()}
     queue = [zero]
@@ -271,17 +274,16 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
                 if nc not in transversal:
                     transversal[nc] = transversal[c] + ((j, exp),)
                     queue.append(nc)
-    if len(transversal) != size:
-        raise ValueError("not a covering of the stated degree")
+    if len(transversal) != index:
+        raise InvariantError("coset count differs from the image order")
 
     cosets = sorted(transversal)
-    coset_index = {c: i for i, c in enumerate(cosets)}
 
     # Schreier generator for (coset c, generator j); tree edges are trivial.
     sgen_index = {}
     sgen_words = []
     names = []
-    for c in cosets:
+    for i, c in enumerate(cosets):
         for j in range(g):
             target = add(c, gen_targets[j])
             word = words.concat(transversal[c], words.generator(j),
@@ -291,22 +293,19 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
                 continue
             sgen_index[(c, j)] = len(sgen_words)
             sgen_words.append(word)
-            names.append(f"{p.names[j]}_{coset_index[c]}")
+            names.append(f"{p.names[j]}_{i}")
 
-    def rewrite(c, rel):
+    def rewrite(cur, rel):
         out = []
-        cur = c
         for idx, exp in rel:
-            if exp == 1:
-                s = sgen_index[(cur, idx)]
-                if s is not None:
-                    out.append((s, 1))
-                cur = add(cur, gen_targets[idx])
-            else:
+            # x^-1 leaves a coset along the edge that x enters it by.
+            if exp == -1:
                 cur = add(cur, neg(gen_targets[idx]))
-                s = sgen_index[(cur, idx)]
-                if s is not None:
-                    out.append((s, -1))
+            s = sgen_index[(cur, idx)]
+            if s is not None:
+                out.append((s, exp))
+            if exp == 1:
+                cur = add(cur, gen_targets[idx])
         return words.free_reduce(out)
 
     new_rels = []
@@ -318,4 +317,4 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, group_orders):
 
     cover = FinitePresentation(len(sgen_words), tuple(new_rels),
                                p.aspherical, tuple(names))
-    return cover, tuple(sgen_words)
+    return cover, tuple(sgen_words), index

@@ -245,10 +245,21 @@ def _solve_moduli_equations(rows, subtori, b):
             for j in range(b)]
 
 
+# Largest numerator or denominator _primes factors by trial division:
+# orbit --moduli 4,99999999999973 (a prime just below it) takes 0.7 s and
+# 4,2305843009213693951 ran past 20 s (Python 3.11, one core of a 2-core
+# x86-64 host).
+MAX_FACTORED = 10 ** 14
+
+
 def _primes(qs):
-    """Sorted primes of the numerators and denominators of qs."""
-    return sorted({p for q in qs
-                   for p in (*factorint(q.numerator), *factorint(q.denominator))})
+    """Sorted primes of the numerators and denominators of qs; refuses a
+    numerator or denominator above MAX_FACTORED before factoring any."""
+    parts = [x for q in qs for x in (q.numerator, q.denominator)]
+    if any(x > MAX_FACTORED for x in parts):
+        raise Refusal(f"a modulus with a numerator or denominator above "
+                      f"{MAX_FACTORED} is not factored")
+    return sorted({p for x in parts for p in factorint(x)})
 
 
 def _valuation(q: Fraction, p):

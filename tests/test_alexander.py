@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction,
+from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
                                 cover_homology_rank_one, cover_module_action,
                                 finite_locus_cover_check, fitting_chain_holds,
                                 fitting_generators, is_weight,
@@ -16,7 +16,7 @@ from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.errors import Refusal
 from jumploci.laurent import LaurentPoly
 from jumploci.presentation import FinitePresentation
-from jumploci.twisted import twisted_cohomology_dims
+from jumploci.twisted import presentation_data, twisted_cohomology_dims
 
 
 def test_fitting_examples():
@@ -229,6 +229,20 @@ def test_weights_refusals():
             weights_and_inverses(corpus.get(name), 2, 3)
     with pytest.raises(Refusal):
         weights_and_inverses(corpus.get("z2"), 3, 3)
+
+
+def test_rank_one_weights_refuse_from_the_module_itself():
+    # <x, y | y^2>: H1 = Z + Z/2, and over the nontrivial torsion-dual
+    # character y -> -1 the Fox row vanishes, so the cover homology has
+    # positive rank.  At free rank 1 the refusal comes from
+    # cover_homology_rank_one, and the generic-rank test agrees with it.
+    p = FinitePresentation(2, (((1, 1), (1, 1)),))
+    ab, _ = presentation_data(p)
+    assert (ab.free_rank, ab.torsion) == (1, (2,))
+    assert not cover_homology_rank_one(p).finite_dimensional
+    assert not _cover_module_is_torsion(p, ab)
+    with pytest.raises(Refusal, match="infinite-dimensional"):
+        weights_and_inverses(p, 2, 3)
 
 
 def test_five_term_inequality_rank_one():

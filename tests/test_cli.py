@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT, cli_env
+from conftest import REPO_ROOT, cli_env, within_seconds
 
 from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
                              check_schema, dumps_canonical, load_schema)
@@ -222,6 +222,24 @@ def test_malformed_certify_component_is_refused(tmp_path, group, component):
     res = run_cli("certify", group, "--component", str(comp))
     assert res.returncode == 2, res.stderr
     assert "refused" in res.stderr
+
+
+def test_orbit_refuses_to_factor_past_its_limit():
+    # 2^61 - 1 is prime: trial division to its square root ran for minutes.
+    res = within_seconds(10, run_cli, "orbit", "--moduli",
+                         "4,2305843009213693951", "--angles", "0,0")
+    assert res.returncode == 2, res.stderr
+    assert "is not factored" in res.stderr
+
+
+def test_certify_refuses_a_translate_past_the_conductor_limit(tmp_path):
+    # One angle 1/2^55 asks for Q(zeta_(2^55)); it once exhausted memory.
+    comp = tmp_path / "comp.json"
+    comp.write_text(json.dumps(
+        {"H": [], "tau": {"angles": [f"1/{2 ** 55}", "0", "0", "0"]}}))
+    res = run_cli("certify", "surface2", "--component", str(comp))
+    assert res.returncode == 2, res.stderr
+    assert f"conductor {2 ** 55} is above the limit 10000" in res.stderr
 
 
 def test_report_ignores_environment():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,9 @@ from jumploci.cyclotomic import rank_exact
 from jumploci.errors import Refusal
 from jumploci.discovery import (abelian_cover_certificate, certify_component,
                                 count_genus_components, discover_components,
-                                reports_agree_after_transport, tietze_transport)
+                                kill_cover, reports_agree_after_transport,
+                                tietze_transport, transport_character)
+from jumploci.numutil import frac_mod1
 from jumploci.subtorus import full_torus, point_subtorus
 from jumploci.twisted import presentation_data
 
@@ -210,3 +213,43 @@ def test_tietze_invariance_small_groups():
             vrep = discover_components(variant, 1, 1, 3)
             assert reports_agree_after_transport(p, rep, variant, vrep,
                                                  gen_words, 3), (name, perm, signs)
+
+
+def _subgroup_order(characters):
+    """Brute-force order of the subgroup of the character group that the
+    characters generate, each read as its angle vector modulo 1."""
+    vecs = [chi.angles + chi.tors_angles for chi in characters]
+    zero = tuple(Fraction(0) for _ in vecs[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        c = frontier.pop()
+        for v in vecs:
+            nc = tuple(frac_mod1(a + b) for a, b in zip(c, v))
+            if nc not in seen:
+                seen.add(nc)
+                frontier.append(nc)
+    return len(seen)
+
+
+def test_kill_cover_index_and_kills():
+    # The index of the joint kernel is the order of the subgroup the kill
+    # characters generate, and every kill character is trivial on the
+    # cover once restricted along the Schreier words.
+    rng = random.Random(34)
+    names = ("z2", "z3", "c3xz", "trefoil", "swap_torus", "surface2",
+             "torus_bundle3", "square_comm", "free2")
+    for _ in range(30):
+        p = corpus.get(rng.choice(names))
+        ab, _ = presentation_data(p)
+        kill = []
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randint(1, 3)
+            kill.append(Character.unitary(
+                ab.free_rank, ab.torsion,
+                [Fraction(rng.randrange(k), k) for _ in range(ab.free_rank)],
+                [Fraction(rng.randrange(d), d) for d in ab.torsion]))
+        cover, schreier, index = kill_cover(p, kill)
+        assert index == _subgroup_order(kill)
+        for chi in kill:
+            assert transport_character(chi, ab, cover, schreier).is_trivial

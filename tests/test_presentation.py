@@ -77,35 +77,77 @@ def test_fox_fundamental_identity_all_corpus_relators():
 
 def test_reidemeister_schreier_examples():
     z2 = corpus.get("z2")
-    cover, _ = reidemeister_schreier(z2, [(1,), (0,)], (2,))
+    cover, _, index = reidemeister_schreier(z2, [(1,), (0,)], 2)
+    assert index == 2
     abc = abelianize(cover)
     assert abc.free_rank == 2 and abc.torsion == ()
 
     s2 = corpus.get("surface2")
-    cov2, _ = reidemeister_schreier(s2, [(1,), (0,), (0,), (0,)], (2,))
+    cov2, _, _ = reidemeister_schreier(s2, [(1,), (0,), (0,), (0,)], 2)
     assert cov2.generator_count == 2 * (4 - 1) + 1
     ab2 = abelianize(cov2)
     assert ab2.free_rank == 6 and ab2.torsion == ()   # genus 3
 
     free2 = corpus.get("free2")
-    covf, _ = reidemeister_schreier(free2, [(1,), (0,)], (3,))
+    covf, _, _ = reidemeister_schreier(free2, [(1,), (0,)], 3)
     assert covf.generator_count == 3 * (2 - 1) + 1 == 4
     assert covf.relator_count == 0
     assert abelianize(covf).free_rank == 4            # Nielsen-Schreier
 
 
-def test_reidemeister_schreier_rejects_nonsurjective():
+def _image_order(targets, n):
+    """Brute-force size of the subgroup of (Z/n)^m the targets generate."""
+    m = len(targets[0]) if targets else 0
+    seen = {(0,) * m}
+    frontier = list(seen)
+    while frontier:
+        c = frontier.pop()
+        for t in targets:
+            nc = tuple((a + b) % n for a, b in zip(c, t))
+            if nc not in seen:
+                seen.add(nc)
+                frontier.append(nc)
+    return len(seen)
+
+
+def test_reidemeister_schreier_index_is_the_image_order():
+    # The map need not be onto: the index is the order of the image, and
+    # a Schreier transversal leaves N(g - 1) + 1 generators at index N.
+    rng = random.Random(33)
+    names = ("z2", "z3", "free2", "surface2", "trefoil", "c3xz", "swap_torus")
+    not_onto = 0
+    for _ in range(60):
+        p = corpus.get(rng.choice(names))
+        g = p.generator_count
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 3)
+        targets = [tuple(rng.randrange(n) * rng.randint(0, 1)
+                         for _ in range(m)) for _ in range(g)]
+        expected = _image_order(targets, n)
+        not_onto += expected < n ** m
+        cover, schreier, index = reidemeister_schreier(p, targets, n)
+        assert index == expected, (targets, n)
+        assert cover.generator_count == len(schreier) == index * (g - 1) + 1
+    assert not_onto >= 10
+
+
+def test_reidemeister_schreier_zero_map_gives_the_group_itself():
     z2 = corpus.get("z2")
-    with pytest.raises(ValueError, match="not a covering"):
-        reidemeister_schreier(z2, [(0,), (0,)], (2,))
+    for targets, n in (([(0,), (0,)], 2), ([(), ()], 1), ([(), ()], 5)):
+        cover, schreier, index = reidemeister_schreier(z2, targets, n)
+        assert index == 1
+        assert schreier == (((0, 1),), ((1, 1),))
+        assert cover.relators == z2.relators
 
 
 def test_reidemeister_schreier_refuses_large_index():
     z2 = corpus.get("z2")
-    with pytest.raises(Refusal, match="above the limit"):
-        reidemeister_schreier(z2, [(1, 0), (0, 1)],
-                              (MAX_COVER_INDEX + 1, 1))
-    cover, _ = reidemeister_schreier(z2, [(1,), (0,)], (MAX_COVER_INDEX,))
+    with pytest.raises(Refusal, match="cover of index 513 is above the limit 512"):
+        reidemeister_schreier(z2, [(1,), (0,)], MAX_COVER_INDEX + 1)
+    with pytest.raises(Refusal, match="cover of index 1024 is above the limit"):
+        reidemeister_schreier(z2, [(1, 0), (0, 1)], 32)
+    cover, _, index = reidemeister_schreier(z2, [(1,), (0,)], MAX_COVER_INDEX)
+    assert index == MAX_COVER_INDEX
     assert cover.generator_count == MAX_COVER_INDEX + 1
 
 
@@ -125,14 +167,14 @@ def test_cover_free_rank_matches_euler_characteristic():
         p = corpus.get(f"surface{genus}")
         for n in (2, 3):
             targets = [(1,)] + [(0,)] * (p.generator_count - 1)
-            cover, _ = reidemeister_schreier(p, targets, (n,))
+            cover, _, _ = reidemeister_schreier(p, targets, n)
             ab = abelianize(cover)
             assert ab.free_rank == 2 * (n * (genus - 1) + 1)
     for rank in (2, 3):
         p = corpus.get(f"free{rank}")
         for n in (2, 4):
             targets = [(1,)] + [(0,)] * (rank - 1)
-            cover, _ = reidemeister_schreier(p, targets, (n,))
+            cover, _, _ = reidemeister_schreier(p, targets, n)
             assert abelianize(cover).free_rank == n * (rank - 1) + 1
 
 
