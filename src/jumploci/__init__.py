@@ -18,8 +18,8 @@ from .alexander import (ModuleAction, is_weight, koszul_cohomology,
                         vanishing_check, fitting_generators,
                         weights_and_inverses, finite_locus_cover_check)
 from .higgs import (ComplexTorusModel, LatticeCharacter, HiggsLineBundle,
-                    character_to_higgs, higgs_cohomology_dim,
-                    splitting_check, partition_check)
+                    character_to_higgs, higgs_to_character,
+                    higgs_cohomology_dim, splitting_check, partition_check)
 
 __all__ = [
     "FinitePresentation", "abelianize", "fox_matrix", "reidemeister_schreier",
@@ -33,6 +33,6 @@ __all__ = [
     "ModuleAction", "is_weight", "koszul_cohomology", "vanishing_check",
     "fitting_generators", "weights_and_inverses", "finite_locus_cover_check",
     "ComplexTorusModel", "LatticeCharacter", "HiggsLineBundle",
-    "character_to_higgs", "higgs_cohomology_dim", "splitting_check",
-    "partition_check",
+    "character_to_higgs", "higgs_to_character", "higgs_cohomology_dim",
+    "splitting_check", "partition_check",
 ]

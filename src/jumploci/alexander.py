@@ -21,9 +21,9 @@ from .characters import Character
 from .cyclotomic import Cyc
 from .discovery import kill_cover
 from .errors import InvariantError, Refusal
-from .intlinalg import identity, mat_mul, transpose
+from .intlinalg import identity, mat_mul
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
-from .linalg import inverse, koszul_dims, rank_exact
+from .linalg import koszul_dims, rank_exact
 from .numutil import frac_mod1
 from .presentation import FinitePresentation
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
@@ -80,31 +80,6 @@ def _det_laplace(mat, nvars, torsion):
     return total
 
 
-def fitting_chain_holds(p: FinitePresentation, k):
-    """E_k lies in E_{k+1}: first-column Laplace expansion writes every
-    (g-k)-minor as a group-ring combination of its cofactors, so it
-    suffices that each nonzero cofactor, content-normalized, is one of
-    fitting_generators(p, k + 1)."""
-    ab, fox = presentation_data(p)
-    g, r = p.generator_count, p.relator_count
-    size = g - k
-    if size <= 1 or size > min(r, g):
-        return True
-    smaller = {_poly_key(m) for m in fitting_generators(p, k + 1)}
-    for rows in combinations(range(r), size):
-        for cols in combinations(range(g), size):
-            for i in rows:
-                if fox[i][cols[0]].is_zero():
-                    continue
-                minor = [[fox[rr][cc] for cc in cols[1:]]
-                         for rr in rows if rr != i]
-                d = _det_laplace(minor, ab.free_rank, ab.torsion)
-                if (not d.is_zero()
-                        and _poly_key(d.content_normalize()) not in smaller):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Module actions, weights, Koszul cohomology
 
@@ -112,13 +87,14 @@ def fitting_chain_holds(p: FinitePresentation, k):
 @dataclass(frozen=True)
 class ModuleAction:
     """Commuting invertible matrices over Q(zeta), one per free generator
-    of the acting group."""
+    of the acting group; int or Fraction entries are read as Cyc."""
 
-    rank: int                    # number of acting generators
     matrices: tuple              # tuple of dim x dim Cyc matrices
-    dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "matrices", tuple(
+            tuple(tuple(c if isinstance(c, Cyc) else Cyc.rational(c)
+                        for c in row) for row in m) for m in self.matrices))
         for m in self.matrices:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("matrix dimensions disagree")
@@ -129,17 +105,14 @@ class ModuleAction:
             if rank_exact(m) != self.dim:
                 raise ValueError("matrices must be invertible")
 
-    @staticmethod
-    def from_lists(mats):
-        mats = tuple(tuple(tuple(c if isinstance(c, Cyc) else Cyc.rational(c)
-                                 for c in row) for row in m) for m in mats)
-        dim = len(mats[0]) if mats else 0
-        return ModuleAction(len(mats), mats, dim)
+    @property
+    def rank(self):
+        """Number of acting generators."""
+        return len(self.matrices)
 
-    def dual(self):
-        """Contragredient action (inverse transpose)."""
-        return ModuleAction.from_lists(
-            [transpose(inverse(m)) for m in self.matrices])
+    @property
+    def dim(self):
+        return len(self.matrices[0]) if self.matrices else 0
 
 
 def is_weight(chi_values, action: ModuleAction):
@@ -290,36 +263,6 @@ def cover_homology_rank_one(p: FinitePresentation):
             if residual.degree >= 1:
                 numeric.extend(numeric_roots(residual))
     return CoverModule(True, total_dim, sorted(eigen), numeric, factors)
-
-
-def cover_module_action(p: FinitePresentation):
-    """Generator action on the cover homology as a ModuleAction, for
-    torsion-free H1 of rank one: companion blocks of the invariant
-    factors (monic with a nonzero constant term, so each block is
-    invertible)."""
-    ab, _ = presentation_data(p)
-    if ab.free_rank != 1 or ab.torsion:
-        raise ValueError("module action exposed for H1 = Z only")
-    module = cover_homology_rank_one(p)
-    if not module.finite_dimensional:
-        raise ValueError("cover homology has positive rank")
-    blocks = []
-    for _omega, f in module.invariant_factors:
-        d = f.degree
-        blocks.append([[-f.coeffs[i] if j == d - 1
-                        else (Cyc.one() if i == j + 1 else Cyc.zero())
-                       for j in range(d)] for i in range(d)])
-    if not blocks:
-        raise ValueError("cover homology is zero; no action to expose")
-    dim = sum(len(b) for b in blocks)
-    big = [[Cyc.zero()] * dim for _ in range(dim)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                big[offset + i][offset + j] = v
-        offset += len(b)
-    return ModuleAction.from_lists([big])
 
 
 def _all_torsion_duals(torsion):

@@ -141,10 +141,6 @@ class Character:
         """Cyc value per free coordinate: modulus times root of unity."""
         return [Cyc.from_angle(a) * m for a, m in zip(self.angles, self.moduli)]
 
-    def unitary_values(self):
-        """Cyc root-of-unity value per free coordinate (ignores moduli)."""
-        return [Cyc.from_angle(a) for a in self.angles]
-
     def torsion_values(self):
         return [Cyc.from_angle(a) for a in self.tors_angles]
 
@@ -163,12 +159,6 @@ class Character:
     def inverse(self):
         return Character(self.free_rank, self.torsion,
                          tuple(1 / m for m in self.moduli),
-                         tuple(-a for a in self.angles),
-                         tuple(-a for a in self.tors_angles))
-
-    def conjugate(self):
-        """Complex conjugate character (same moduli, negated angles)."""
-        return Character(self.free_rank, self.torsion, self.moduli,
                          tuple(-a for a in self.angles),
                          tuple(-a for a in self.tors_angles))
 

@@ -1,8 +1,8 @@
 """Named desk-scale presentations used by the regression suite and CLI.
 
-The `kaehler` flag marks groups known to be fundamental groups of compact
-Kaehler manifolds; structure assertions conditioned on Kaehlerness only
-run for those.
+CORPUS maps each name to a builder of its presentation.  Which of these
+groups are Kaehler is a fact about the groups, not about the program, so
+the one test that relies on it keeps its own list.
 """
 
 from __future__ import annotations
@@ -121,31 +121,28 @@ def baumslag_solitar_1_2():
 
 
 CORPUS = {
-    "surface2": (lambda: surface_group(2), {"kaehler": True}),
-    "surface3": (lambda: surface_group(3), {"kaehler": True}),
-    "free2": (lambda: free_group(2), {"kaehler": False}),
-    "free3": (lambda: free_group(3), {"kaehler": False}),
-    "z2": (lambda: free_abelian(2), {"kaehler": True}),
-    "z3": (lambda: free_abelian(3), {"kaehler": False}),
-    "z4": (lambda: free_abelian(4), {"kaehler": True}),
-    "c3xz": (lambda: cyclic_times_z(3), {"kaehler": False}),
-    "product23": (lambda: surface_product(2, 3), {"kaehler": True}),
-    "s2xz2": (lambda: surface_times_z2(2), {"kaehler": True}),
-    "square_comm": (lambda: square_commutator_group(), {"kaehler": False}),
-    "trefoil": (lambda: trefoil_group(), {"kaehler": False}),
-    "swap_torus": (lambda: swap_mapping_torus(), {"kaehler": False}),
-    "torus_bundle3": (lambda: torus_bundle_order3(), {"kaehler": False}),
-    "bs12": (lambda: baumslag_solitar_1_2(), {"kaehler": False}),
+    "surface2": lambda: surface_group(2),
+    "surface3": lambda: surface_group(3),
+    "free2": lambda: free_group(2),
+    "free3": lambda: free_group(3),
+    "z2": lambda: free_abelian(2),
+    "z3": lambda: free_abelian(3),
+    "z4": lambda: free_abelian(4),
+    "c3xz": lambda: cyclic_times_z(3),
+    "product23": lambda: surface_product(2, 3),
+    "s2xz2": lambda: surface_times_z2(2),
+    "square_comm": square_commutator_group,
+    "trefoil": trefoil_group,
+    "swap_torus": swap_mapping_torus,
+    "torus_bundle3": torus_bundle_order3,
+    "bs12": baumslag_solitar_1_2,
 }
 
 
 def get(name):
     try:
-        build, _meta = CORPUS[name]
+        build = CORPUS[name]
     except KeyError:
         raise KeyError(f"unknown corpus group {name!r}") from None
     return build()
 
-
-def metadata(name):
-    return CORPUS[name][1]

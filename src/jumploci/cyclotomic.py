@@ -251,30 +251,6 @@ class Cyc:
     # use serialize() strings as dictionary keys where needed.
     __hash__ = None
 
-    def galois(self, a):
-        """Image under zeta -> zeta^a, gcd(a, n) = 1."""
-        if gcd(a, self.n) != 1:
-            raise ValueError(f"{a} is not a unit mod {self.n}")
-        out = Cyc.zero()
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc.root_of_unity(self.n, (a * i) % self.n) * c
-        return out
-
-    def conjugate(self):
-        if self.n == 1:
-            return self
-        return self.galois(self.n - 1)
-
-    def embeddings(self):
-        """Numeric values under all phi(n) complex embeddings."""
-        out = []
-        for a in range(1, self.n + 1):
-            if gcd(a, self.n) == 1:
-                z = cmath.exp(2j * cmath.pi * a / self.n)
-                out.append(sum(complex(c) * z ** i for i, c in enumerate(self.coeffs)))
-        return out or [complex(self.coeffs[0])]
-
     def value(self):
         """Principal embedding zeta -> e^(2 pi i / n)."""
         z = cmath.exp(2j * cmath.pi / self.n)
@@ -341,14 +317,3 @@ def is_root_of_unity(x: Cyc):
             break
     return True, order
 
-
-def as_root_of_unity(x: Cyc):
-    """Rational angle a with x = e^(2 pi i a), or None."""
-    ok, order = is_root_of_unity(x)
-    if not ok:
-        return None
-    for k in range(order):
-        if gcd(k, order) == 1 or order == 1:
-            if x == Cyc.root_of_unity(order, k):
-                return Fraction(k, order)
-    raise InvariantError("order found but no matching primitive root")

@@ -310,19 +310,6 @@ def restrict_subtorus_to_cover(sub: TranslatedSubtorus, base_ab, cover_p,
     return subtorus_from_directions(new_dirs, translate)
 
 
-def tietze_transport(p: FinitePresentation, perm, signs):
-    """(variant presentation, generator words) for a permute/invert
-    Tietze move; generator j of the variant equals the returned word in
-    the original generators, so subtori and characters transport through
-    restrict_subtorus_to_cover / transport_character."""
-    from . import words as W
-    from .presentation import permuted_inverted
-    variant = permuted_inverted(p, perm, signs)
-    gen_words = tuple(W.generator(perm[j], signs[j])
-                      for j in range(p.generator_count))
-    return variant, gen_words
-
-
 def transport_character(chi: Character, base_ab, target_p, gen_words):
     """Character on the target presentation whose generator values match
     chi on the given words."""
@@ -344,29 +331,6 @@ def transport_character(chi: Character, base_ab, target_p, gen_words):
                      tuple(moduli), tuple(angles), tuple(tors))
 
 
-def reports_agree_after_transport(p: FinitePresentation, report,
-                                  variant: FinitePresentation, variant_report,
-                                  gen_words, max_order):
-    """Whether two discovery reports describe the same locus after the
-    coordinate change induced by generator words."""
-    ab, _ = presentation_data(p)
-    moved_members = {transport_character(chi, ab, variant, gen_words).sort_key()
-                     for chi, _dims in report.members}
-    their_members = {chi.sort_key() for chi, _dims in variant_report.members}
-    if moved_members != their_members:
-        return False
-    moved = []
-    for c in report.components:
-        sub = restrict_subtorus_to_cover(c.subtorus, ab, variant, gen_words)
-        sub = sub.canonical_translate(max_order)
-        moved.append((sub.annihilator, sub.translate.sort_key(), c.status))
-    theirs = []
-    for c in variant_report.components:
-        sub = c.subtorus.canonical_translate(max_order)
-        theirs.append((sub.annihilator, sub.translate.sort_key(), c.status))
-    return sorted(moved) == sorted(theirs)
-
-
 def abelian_cover_certificate(p: FinitePresentation, max_order=6):
     """For a positive-dimensional component tau*T of the first jump locus,
     build the finite abelian cover killing tau, pull the component back,
@@ -379,7 +343,7 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
         return None
     base = positive[0]
     sub = base.subtorus
-    if not sub.is_torsion_translate():
+    if not sub.is_unitary_translate():
         raise InvariantError("certificate requires a torsion translate")
     ab, _ = presentation_data(p)
     tau = sub.translate

@@ -130,15 +130,6 @@ class HiggsLineBundle:
     def flat_is_trivial(self):
         return all(a == 0 for a in self.angles)
 
-    @property
-    def theta_is_zero(self):
-        return all(re == 0 and im == 0 for re, im in self.theta)
-
-    def scale_theta(self, t: Fraction):
-        t = Fraction(t)
-        return HiggsLineBundle(self.angles,
-                               tuple((t * re, t * im) for re, im in self.theta))
-
     def add(self, other):
         return HiggsLineBundle(
             tuple(a + b for a, b in zip(self.angles, other.angles)),
@@ -196,19 +187,6 @@ def higgs_cohomology_dim(x: ComplexTorusModel, h: HiggsLineBundle, p, q):
     ranks = [rank_exact(koszul_differential(ops, k, Cyc.zero()))
              for k in (p - 1, p) if 0 <= k < n]
     return (comb(n, p) - sum(ranks)) * comb(n, q)
-
-
-def sigma_pq_membership(x, h, p, q, mult):
-    """Membership in the (p, q) multiplicity-m locus of Higgs pairs."""
-    return higgs_cohomology_dim(x, h, p, q) >= mult
-
-
-def s_pq_membership(x, angles, p, q, mult):
-    """The flat-bundle locus: the (p, q) locus intersected with the
-    theta = 0 slice."""
-    h = HiggsLineBundle(tuple(angles), tuple((Fraction(0), Fraction(0))
-                                             for _ in range(x.n)))
-    return sigma_pq_membership(x, h, p, q, mult)
 
 
 # ---------------------------------------------------------------------------

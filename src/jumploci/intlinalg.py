@@ -201,29 +201,6 @@ def kernel_columns(a, ncols=None):
     return ker
 
 
-def column_span_saturation(b):
-    """Saturation of the column span of b inside Z^rows.
-
-    sat(L) = ker(ann(L)) where ann(L) is the integer annihilator; returns
-    a rows x d matrix in column HNF.
-    """
-    n = len(b)
-    ann = annihilator_rows(b)
-    sat = kernel_columns(ann, ncols=n)
-    return hnf_columns(sat)
-
-
-def annihilator_rows(b):
-    """Rows u with u @ b = 0, i.e. the saturated lattice orthogonal to the
-    column span of b.  Returns a list of length-n rows, possibly empty."""
-    n = len(b)
-    bt = transpose(b)
-    if not bt:
-        return identity(n)
-    ker = kernel_columns(bt, ncols=n)  # n x k
-    return transpose(ker)
-
-
 def hnf_columns(b):
     """Canonical column-style Hermite normal form of the column span of b.
 

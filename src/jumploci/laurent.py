@@ -60,11 +60,6 @@ class LaurentPoly:
             p.terms[p._norm_key(key)] = c
         return p
 
-    @staticmethod
-    def constant(c, nvars, torsion=()):
-        return LaurentPoly.monomial(((0,) * nvars, (0,) * len(torsion)),
-                                    nvars, torsion, coeff=c)
-
     def add_term(self, key, coeff):
         out = self.copy()
         key = self._norm_key(key)

@@ -186,12 +186,6 @@ def fox_matrix(p: FinitePresentation, ab: AbelianizationData):
     ]
 
 
-def fox_identity_holds(p: FinitePresentation, ab: AbelianizationData, rel):
-    """sum_j (dr/dx_j)(x_j - 1) == r - 1 == 0 in Z[H1] for a relator."""
-    return fox_row_identity_holds(
-        [fox_derivative(rel, j, ab) for j in range(p.generator_count)], ab)
-
-
 def fox_row_identity_holds(row, ab: AbelianizationData):
     """The fundamental identity sum_j row[j] (x_j - 1) == 0 in Z[H1] for
     an already built Fox row."""

@@ -7,11 +7,14 @@
 Word syntax: juxtaposition (whitespace or * separated), ^k powers with
 k a possibly negative integer, [x,y] commutator sugar expanding to
 x y x^-1 y^-1, and (...) grouping.  Parse errors carry line/column info.
+Each of the three keys appears at most once, and no other key is read.
+A relator longer than MAX_RELATOR_LETTERS written out is refused.
 """
 
 from __future__ import annotations
 
 from . import words
+from .errors import Refusal
 from .presentation import FinitePresentation
 
 
@@ -25,8 +28,22 @@ class ParseError(ValueError):
         self.column = column
 
 
+# Longest relator parse_word expands, counted letter by letter as
+# written out, before any cancellation.  fox_derivative is quadratic in
+# the relator length: presentation_data takes 1.9 s on (a b)^8000 and
+# 5.4 s on a^20000, and analyze --K 2 on those takes 4.4 s and 8.0 s
+# (Python 3.11, one core of a 2-core x86-64 host).
+MAX_RELATOR_LETTERS = 20_000
+
+
 def parse_word(text, name_index, line=None):
-    """Parse a word string into reduced letters."""
+    """Parse a word string into reduced letters.
+
+    Each factor comes back with the number of letters it has written
+    out, so a word longer than MAX_RELATOR_LETTERS is refused before it
+    is expanded.  Sequences and powers are built as one letter list with
+    one free reduction; the reduced word is unique, so it is the same as
+    reducing factor by factor."""
     tokens = _tokenize(text, line)
     pos = [0]
 
@@ -38,13 +55,23 @@ def parse_word(text, name_index, line=None):
         pos[0] += 1
         return t
 
+    def bounded(length):
+        if length > MAX_RELATOR_LETTERS:
+            where = f" (line {line})" if line is not None else ""
+            raise Refusal(f"a relator written out has more than "
+                          f"{MAX_RELATOR_LETTERS} letters{where}")
+        return length
+
     def parse_sequence(stop):
-        out = ()
+        letters = []
+        length = 0
         while True:
             t = peek()
             if t is None or t[0] in stop:
-                return out
-            out = words.concat(out, parse_factor())
+                return words.free_reduce(letters), length
+            factor, n = parse_factor()
+            length = bounded(length + n)
+            letters.extend(factor)
 
     def parse_factor():
         t = take()
@@ -52,21 +79,22 @@ def parse_word(text, name_index, line=None):
         if kind == "name":
             if value not in name_index:
                 raise ParseError(f"unknown generator {value!r}", line, col)
-            base = words.generator(name_index[value])
+            base, length = words.generator(name_index[value]), 1
         elif kind == "(":
-            base = parse_sequence({")"})
+            base, length = parse_sequence({")"})
             closing = take() if peek() else None
             if not closing or closing[0] != ")":
                 raise ParseError("unbalanced parenthesis", line, col)
         elif kind == "[":
-            left = parse_sequence({","})
+            left, n_left = parse_sequence({","})
             comma = take() if peek() else None
             if not comma or comma[0] != ",":
                 raise ParseError("commutator needs two entries", line, col)
-            right = parse_sequence({"]"})
+            right, n_right = parse_sequence({"]"})
             closing = take() if peek() else None
             if not closing or closing[0] != "]":
                 raise ParseError("unbalanced commutator bracket", line, col)
+            length = bounded(2 * (n_left + n_right))
             base = words.commutator(left, right)
         else:
             raise ParseError(f"unexpected token {value!r}", line, col)
@@ -78,20 +106,15 @@ def parse_word(text, name_index, line=None):
                 raise ParseError("exponent must be an integer", line, col)
             take()
             k = e[1]
-            if k == 0:
-                return ()
+            length = bounded(length * abs(k))
             if k < 0:
                 base = words.inverse(base)
-                k = -k
-            out = ()
-            for _ in range(k):
-                out = words.concat(out, base)
-            return out
-        return base
+            return words.free_reduce(base * abs(k)), length
+        return base, length
 
     if text.strip() in ("", "1"):
         return ()
-    result = parse_sequence(set())
+    result, _ = parse_sequence(set())
     if pos[0] != len(tokens):
         raise ParseError("trailing tokens in word", line)
     return result
@@ -164,6 +187,9 @@ def _parse_list(value, line):
     return [x for x in items if x != ""]
 
 
+KEYS = ("generators", "relators", "aspherical")
+
+
 def parse_presentation(text):
     """Parse the structured text format into a FinitePresentation."""
     fields = {}
@@ -174,7 +200,14 @@ def parse_presentation(text):
         if ":" not in stripped:
             raise ParseError("expected 'key: value'", ln)
         key, _, value = stripped.partition(":")
-        fields[key.strip()] = (value.strip(), ln)
+        key = key.strip()
+        if key not in KEYS:
+            raise ParseError(f"unknown key {key!r}; expected one of "
+                             f"{', '.join(KEYS)}", ln)
+        if key in fields:
+            raise ParseError(f"repeated key {key!r} (first on line "
+                             f"{fields[key][1]})", ln)
+        fields[key] = (value.strip(), ln)
     if "generators" not in fields:
         raise ParseError("missing 'generators' field")
     gen_value, gen_line = fields["generators"]

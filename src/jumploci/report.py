@@ -84,11 +84,6 @@ def _type_ok(value, stype):
                for t in types)
 
 
-def load_schema(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # The report schema the CLI checks; schema/report.schema.json publishes it.
 REPORT_SCHEMA = {
     "type": "object",

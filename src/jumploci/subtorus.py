@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 
 from .characters import Character, torsion_modulus
-from .cyclotomic import is_root_of_unity
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_columns,
                         kernel_rational_rows, row_lattice_subset,
@@ -52,19 +50,6 @@ class TranslatedSubtorus:
 
     def is_unitary_translate(self):
         return self.translate.is_unitary
-
-    def is_torsion_translate(self):
-        # Exact unitary characters have rational angles, hence finite order.
-        return self.translate.is_unitary
-
-    def translate_root_of_unity_check(self):
-        """Every coordinate value of the translate passes the
-        root-of-unity test (trivially true for exact unitary data)."""
-        for v in self.translate.unitary_values() + self.translate.torsion_values():
-            ok, _ = is_root_of_unity(v)
-            if not ok:
-                return False
-        return True
 
     def contains(self, chi: Character):
         if chi.free_rank != self.free_rank or chi.torsion != self.torsion:
@@ -139,25 +124,6 @@ class TranslatedSubtorus:
             return False
         return self.contains(other.translate)
 
-    def intersect(self, other):
-        """Intersection as a translated subtorus, or None when empty.
-
-        Solves the combined binomial congruences for a common translate:
-        moduli multiplicatively (via prime exponents), angles by integer
-        congruences, finite dual by direct equality.
-        """
-        if (self.free_rank != other.free_rank) or (self.torsion != other.torsion):
-            raise ValueError("incompatible tori")
-        if self.translate.tors_angles != other.translate.tors_angles:
-            return None
-        stacked = [list(r) for r in self.annihilator] + [list(r) for r in other.annihilator]
-        ann = hnf_rows(stacked)
-        tau = _solve_common_translate(self, other, ann)
-        if tau is None:
-            return None
-        return TranslatedSubtorus(self.free_rank, self.torsion,
-                                  tuple(tuple(r) for r in ann), tau)
-
     def canonical_translate(self, max_order=None):
         """Reduce the translate to the lexicographically least torsion
         point of the coset with the same order bound (unitary case)."""
@@ -180,27 +146,6 @@ class TranslatedSubtorus:
             "tau": self.translate.serialize(),
             "dim": self.dim,
         }
-
-
-def _solve_common_translate(s1, s2, combined_ann):
-    """A character satisfying both cosets' binomial equations, or None."""
-    b = s1.free_rank
-    # Angles: solve u . theta = u . tau_angles (mod 1) for all rows of each.
-    rows = []
-    rhs = []
-    for s in (s1, s2):
-        for u in s.annihilator:
-            rows.append(list(u))
-            rhs.append(sum(Fraction(e) * a for e, a in zip(u, s.translate.angles)))
-    theta = _solve_angle_congruences(rows, rhs, b)
-    if theta is None:
-        return None
-    # Moduli: solve prod z_j^{u_j} = prod tau_j^{u_j} over positive rationals.
-    moduli = _solve_moduli_equations(rows, [s1, s2], b)
-    if moduli is None:
-        return None
-    return Character(b, s1.torsion, tuple(moduli), tuple(theta),
-                     s1.translate.tors_angles)
 
 
 def _solve_angle_congruences(rows, rhs, b):
@@ -227,24 +172,6 @@ def _solve_angle_congruences(rows, rhs, b):
     return [Fraction(sol[j], scale) for j in range(b)]
 
 
-def _solve_moduli_equations(rows, subtori, b):
-    """Positive rational moduli with prod m_j^{u_j} matching each coset;
-    rows are the subtori's annihilator rows, in order."""
-    targets = [prod((m ** e for m, e in zip(s.translate.moduli, u) if e),
-                    start=Fraction(1))
-               for s in subtori for u in s.annihilator]
-    primes = _primes(targets)
-    # For each prime independently: rows . x = v_p(target) over Z.
-    exps = {}
-    for p in primes:
-        sol = solve_integer(rows, [_valuation(t, p) for t in targets])
-        if sol is None:
-            return None
-        exps[p] = sol
-    return [prod((Fraction(p) ** exps[p][j] for p in primes), start=Fraction(1))
-            for j in range(b)]
-
-
 # Largest numerator or denominator _primes factors by trial division:
 # orbit --moduli 4,99999999999973 (a prime just below it) takes 0.7 s and
 # 4,2305843009213693951 ran past 20 s (Python 3.11, one core of a 2-core
@@ -269,11 +196,6 @@ def _valuation(q: Fraction, p):
             x //= p
             v += sign
     return v
-
-
-def full_torus(free_rank, torsion=()):
-    return TranslatedSubtorus(free_rank, tuple(torsion), (),
-                              Character.trivial(free_rank, tuple(torsion)))
 
 
 def point_subtorus(chi: Character):

@@ -180,15 +180,6 @@ class ScanResult:
     certifying_prime: int | None = None
     ranked: int = 0     # orbit representatives ranked mod p
 
-    @property
-    def certificate(self):
-        """How the hits' dims were established: "bounded-prime" (the rank
-        at certifying_prime, exact by the bound in the module docstring)
-        or "exact-elimination" (over Q(zeta_n), or no Fox matrix)."""
-        if self.certifying_prime is None:
-            return "exact-elimination"
-        return "bounded-prime"
-
 
 class _ModularEvaluator:
     """Evaluates Fox matrix entries at torsion characters over F_p.

@@ -1,0 +1,94 @@
+"""Reference checks that tests compare the program against.
+
+None of these is on a path the CLI or the library takes; each is an
+independent statement of a property the program's results must have.
+"""
+
+import cmath
+from itertools import combinations
+from math import gcd
+
+import jumploci.alexander as alexander
+from jumploci import words
+from jumploci.cyclotomic import Cyc, is_root_of_unity
+from jumploci.discovery import restrict_subtorus_to_cover, transport_character
+from jumploci.presentation import permuted_inverted
+from jumploci.twisted import presentation_data
+
+
+def fitting_chain_holds(p, k):
+    """E_k lies in E_{k+1}: first-column Laplace expansion writes every
+    (g-k)-minor as a group-ring combination of its cofactors, so it
+    suffices that each nonzero cofactor, content-normalized, is one of
+    fitting_generators(p, k + 1)."""
+    ab, fox = presentation_data(p)
+    g, r = p.generator_count, p.relator_count
+    size = g - k
+    if size <= 1 or size > min(r, g):
+        return True
+    smaller = {alexander._poly_key(m)
+               for m in alexander.fitting_generators(p, k + 1)}
+    for rows in combinations(range(r), size):
+        for cols in combinations(range(g), size):
+            for i in rows:
+                if fox[i][cols[0]].is_zero():
+                    continue
+                minor = [[fox[rr][cc] for cc in cols[1:]]
+                         for rr in rows if rr != i]
+                d = alexander._det_laplace(minor, ab.free_rank, ab.torsion)
+                if (not d.is_zero()
+                        and alexander._poly_key(d.content_normalize())
+                        not in smaller):
+                    return False
+    return True
+
+
+def translate_root_of_unity_check(sub):
+    """Every coordinate value of a subtorus's translate passes the
+    root-of-unity test (trivially true for exact unitary data)."""
+    tau = sub.translate
+    return all(is_root_of_unity(Cyc.from_angle(a))[0]
+               for a in tau.angles + tau.tors_angles)
+
+
+def embeddings(x: Cyc):
+    """Numeric values of x under all phi(n) complex embeddings."""
+    out = []
+    for a in range(1, x.n + 1):
+        if gcd(a, x.n) == 1:
+            z = cmath.exp(2j * cmath.pi * a / x.n)
+            out.append(sum(complex(c) * z ** i for i, c in enumerate(x.coeffs)))
+    return out or [complex(x.coeffs[0])]
+
+
+def tietze_transport(p, perm, signs):
+    """(variant presentation, generator words) for a permute/invert
+    Tietze move; generator j of the variant equals the returned word in
+    the original generators, so subtori and characters transport through
+    restrict_subtorus_to_cover / transport_character."""
+    variant = permuted_inverted(p, perm, signs)
+    gen_words = tuple(words.generator(perm[j], signs[j])
+                      for j in range(p.generator_count))
+    return variant, gen_words
+
+
+def reports_agree_after_transport(p, report, variant, variant_report,
+                                  gen_words, max_order):
+    """Whether two discovery reports describe the same locus after the
+    coordinate change induced by generator words."""
+    ab, _ = presentation_data(p)
+    moved_members = {transport_character(chi, ab, variant, gen_words).sort_key()
+                     for chi, _dims in report.members}
+    their_members = {chi.sort_key() for chi, _dims in variant_report.members}
+    if moved_members != their_members:
+        return False
+    moved = []
+    for c in report.components:
+        sub = restrict_subtorus_to_cover(c.subtorus, ab, variant, gen_words)
+        sub = sub.canonical_translate(max_order)
+        moved.append((sub.annihilator, sub.translate.sort_key(), c.status))
+    theirs = []
+    for c in variant_report.components:
+        sub = c.subtorus.canonical_translate(max_order)
+        theirs.append((sub.annihilator, sub.translate.sort_key(), c.status))
+    return sorted(moved) == sorted(theirs)

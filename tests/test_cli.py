@@ -7,9 +7,10 @@ import pytest
 from conftest import REPO_ROOT, cli_env, within_seconds
 
 from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
-                             check_schema, dumps_canonical, load_schema)
+                             check_schema, dumps_canonical)
 
 RUN = [sys.executable, "-m", "jumploci"]
+SHIPPED_SCHEMA = REPO_ROOT / "schema" / "report.schema.json"
 
 
 def run_cli(*args, cwd=REPO_ROOT, flags=()):
@@ -232,6 +233,30 @@ def test_orbit_refuses_to_factor_past_its_limit():
     assert "is not factored" in res.stderr
 
 
+def test_analyze_refuses_a_relator_past_the_letter_limit(tmp_path):
+    # a^100000000 was expanded by repeated concatenation and still running
+    # after 30 s; its length is now refused before it is expanded.
+    pres = tmp_path / "long.pres"
+    pres.write_text('generators: [a, b]\nrelators: ["a^100000000"]\n')
+    res = within_seconds(10, run_cli, "analyze", str(pres))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("refused: ") and "line 2" in res.stderr
+
+
+@pytest.mark.parametrize("text,line", [
+    ('generators: [a, b]\nrelaters: ["[a,b]"]\n', 2),
+    ('generators: [a, b]\nrelators: ["a"]\nrelators: ["b"]\n', 3),
+], ids=["unknown-key", "repeated-key"])
+def test_misspelt_or_repeated_keys_are_parse_errors(tmp_path, text, line):
+    # Both once analysed a presentation other than the one written.
+    pres = tmp_path / "keys.pres"
+    pres.write_text(text)
+    res = run_cli("analyze", str(pres), "--K", "2")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("parse error: ")
+    assert f"at line {line}" in res.stderr
+
+
 def test_certify_refuses_a_translate_past_the_conductor_limit(tmp_path):
     # One angle 1/2^55 asks for Q(zeta_(2^55)); it once exhausted memory.
     comp = tmp_path / "comp.json"
@@ -314,7 +339,7 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_reports_validate_against_shipped_schema(tmp_path):
-    schema = load_schema(REPO_ROOT / "schema" / "report.schema.json")
+    schema = json.loads(SHIPPED_SCHEMA.read_text(encoding="utf-8"))
     out = tmp_path / "r.json"
     res = run_cli("orbit", "--moduli", "2,3", "--angles", "0,0",
                   "--out", str(out))
@@ -326,7 +351,7 @@ def test_reports_validate_against_shipped_schema(tmp_path):
 
 
 def test_shipped_schema_is_the_one_the_cli_checks():
-    shipped = load_schema(REPO_ROOT / "schema" / "report.schema.json")
+    shipped = json.loads(SHIPPED_SCHEMA.read_text(encoding="utf-8"))
     assert {k: v for k, v in shipped.items()
             if k not in ("$schema", "title")} == REPORT_SCHEMA
 

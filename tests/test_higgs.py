@@ -9,7 +9,6 @@ from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
                             LatticeCharacter, character_to_higgs,
                             higgs_cohomology_dim, higgs_to_character,
                             lattice_cohomology_dims, partition_check,
-                            s_pq_membership, sigma_pq_membership,
                             splitting_check)
 
 
@@ -40,7 +39,8 @@ def test_correspondence_examples():
     assert h.theta == ((Fraction(1), Fraction(0)),)
     unitary = LatticeCharacter((Fraction(0),) * 2, (Fraction(1, 3), Fraction(0)))
     hu = character_to_higgs(X, unitary)
-    assert hu.theta_is_zero and hu.angles == unitary.angles
+    assert hu.theta == ((Fraction(0), Fraction(0)),)
+    assert hu.angles == unitary.angles
 
 
 def test_correspondence_round_trip_random():
@@ -73,7 +73,9 @@ def test_scaling_equivariance_pins_modulus_variant():
         rho = rand_character(rng, 1, 2)
         t = Fraction(rng.randint(1, 7), rng.randint(1, 5))
         lhs = character_to_higgs(X, rho.scale(t))
-        rhs = character_to_higgs(X, rho).scale_theta(t)
+        h = character_to_higgs(X, rho)
+        rhs = HiggsLineBundle(h.angles, tuple((t * re, t * im)
+                                              for re, im in h.theta))
         assert lhs.theta == rhs.theta and lhs.angles == rhs.angles
 
 
@@ -168,15 +170,6 @@ def test_partition_check_examples():
     assert ok and not lhs and not rhs
 
 
-def test_sigma_pq_and_flat_slice():
-    X = std(1)
-    triv = HiggsLineBundle((Fraction(0),) * 2, ((Fraction(0), Fraction(0)),))
-    assert sigma_pq_membership(X, triv, 0, 0, 1)
-    assert not sigma_pq_membership(X, triv, 0, 0, 2)
-    assert s_pq_membership(X, (Fraction(0), Fraction(0)), 0, 0, 1)
-    assert not s_pq_membership(X, (Fraction(1, 2), Fraction(0)), 0, 0, 1)
-
-
 def test_locus_structure_degenerates_to_product_shape():
     # On the torus model the (p, q) hit set is {trivial flat part} times
     # {theta strata}: either all theta (p out of range cases aside), or
@@ -188,7 +181,7 @@ def test_locus_structure_degenerates_to_product_shape():
         angles = (Fraction(rng.randint(0, 3), 4), Fraction(rng.randint(0, 3), 4))
         theta = ((Fraction(rng.randint(-2, 2)), Fraction(0)),)
         h = HiggsLineBundle(angles, theta)
-        if sigma_pq_membership(X, h, 0, 0, 1):
+        if higgs_cohomology_dim(X, h, 0, 0) >= 1:
             assert h.flat_is_trivial
             hits_theta.append(theta[0])
     assert all(t == (Fraction(0), Fraction(0)) for t in hits_theta)

@@ -1,9 +1,8 @@
 import random
 
-from jumploci.intlinalg import (annihilator_rows, column_span_saturation,
-                                hnf_columns, hnf_rows, kernel_columns,
-                                mat_mul, row_lattice_subset,
-                                smith_normal_form, solve_integer)
+from jumploci.intlinalg import (hnf_rows, kernel_columns, mat_mul,
+                                row_lattice_subset, smith_normal_form,
+                                solve_integer)
 from jumploci.linalg import inverse, rank_exact
 
 from conftest import within_seconds
@@ -66,25 +65,6 @@ def test_hnf_rows_is_span_invariant():
                 for t in range(c):
                     b[i][t] += q * b[j][t]
         assert hnf_rows(a) == hnf_rows(b)
-
-
-def test_saturation_idempotent_and_double_annihilator():
-    rng = random.Random(14)
-    for _ in range(60):
-        n, k = rng.randint(1, 4), rng.randint(1, 3)
-        b = rand_matrix(rng, n, k, 4)
-        sat = column_span_saturation(b)
-        assert column_span_saturation(sat) == sat
-        # ann(ann(L)) = sat(L) as column spans.
-        ann = annihilator_rows(b)
-        back = kernel_columns(ann, ncols=n)
-        assert hnf_columns(back) == sat
-
-
-def test_saturation_examples():
-    assert column_span_saturation([[2, 0], [0, 2]]) == [[1, 0], [0, 1]]
-    assert column_span_saturation([[2], [4]]) == [[1], [2]]
-    assert annihilator_rows([[1], [-2]]) == [[2, 1]]
 
 
 def test_solve_integer():

@@ -7,9 +7,9 @@ from jumploci import corpus, words
 from jumploci.errors import InvariantError, Refusal
 from jumploci.laurent import LaurentPoly
 from jumploci.presentation import (MAX_COVER_INDEX, FinitePresentation, _check_accounting,
-                                   abelianize,
-                                   fox_identity_holds, fox_matrix,
-                                   permuted_inverted, reidemeister_schreier)
+                                   abelianize, fox_matrix,
+                                   fox_row_identity_holds, permuted_inverted,
+                                   reidemeister_schreier)
 
 from conftest import within_seconds
 
@@ -71,8 +71,8 @@ def test_fox_fundamental_identity_all_corpus_relators():
     for name in corpus.CORPUS:
         p = corpus.get(name)
         ab = abelianize(p)
-        for rel in p.relators:
-            assert fox_identity_holds(p, ab, rel), (name, rel)
+        for rel, row in zip(p.relators, fox_matrix(p, ab)):
+            assert fox_row_identity_holds(row, ab), (name, rel)
 
 
 def test_reidemeister_schreier_examples():

@@ -1,8 +1,12 @@
 import pytest
 
 from jumploci import corpus, words
-from jumploci.presfile import (ParseError, format_presentation,
-                               parse_presentation, parse_word)
+from jumploci.errors import Refusal
+from jumploci.presfile import (MAX_RELATOR_LETTERS, ParseError,
+                               format_presentation, parse_presentation,
+                               parse_word)
+
+from conftest import within_seconds
 
 NAMES = {"a": 0, "b": 1, "t": 2}
 
@@ -73,6 +77,40 @@ def test_parse_presentation_errors():
         parse_presentation("generators: [a]\naspherical: maybe")
     with pytest.raises(ParseError, match="line 2"):
         parse_presentation("generators: [a]\nrelators: [\"b\"]")
+    # A misspelt key once left F2 with no relators, and a repeated key
+    # once replaced the earlier line.
+    with pytest.raises(ParseError, match="unknown key 'relaters'.* at line 2"):
+        parse_presentation('generators: [a, b]\nrelaters: ["[a,b]"]')
+    with pytest.raises(ParseError,
+                       match="repeated key 'relators'.* at line 3"):
+        parse_presentation('generators: [a, b]\nrelators: ["a"]\n'
+                           'relators: ["b"]')
+
+
+def test_long_words_parse_in_linear_time():
+    # Repeated concatenation made these quadratic: (a b)^8000 took 22 s.
+    ab = ((0, 1), (1, 1))
+    assert within_seconds(5, parse_word, "(a b)^8000", NAMES) == ab * 8000
+    assert within_seconds(5, parse_word, "a b " * 8000, NAMES) == ab * 8000
+    assert within_seconds(5, parse_word, "(a b^2 b^-1)^-4000", NAMES) == (
+        ((1, -1), (0, -1)) * 4000)
+    # The words are the freely reduced ones, so cancellation across
+    # factors and powers still happens.
+    assert parse_word("(a b)^3 (b^-1 a^-1)^2", NAMES) == ab
+    assert parse_word("(a t a^-1)^3", NAMES) == ((0, 1),) + ((2, 1),) * 3 + (
+        (0, -1),)
+
+
+def test_relator_past_the_letter_limit_is_refused():
+    limit = MAX_RELATOR_LETTERS
+    assert len(parse_word(f"a^{limit}", NAMES)) == limit
+    # Each is refused from its written-out length, before any expansion:
+    # cancellation does not count, and a^100000000 once ran past 30 s.
+    for word in (f"a^{limit + 1}", "a^100000000", "(a a^-1)^100000000",
+                 f"(a b)^{limit // 2} a", "((a b)^1000)^1000",
+                 f"[a^{limit // 4}, b^{limit // 4 + 1}]"):
+        with pytest.raises(Refusal, match="line 3"):
+            within_seconds(5, parse_word, word, NAMES, 3)
 
 
 def test_corpus_files_round_trip():

@@ -1,0 +1,73 @@
+"""Every definition in src/jumploci is reached by the program.
+
+A function, method or class that nothing in the package, the benchmark
+or the public ``__all__`` names is code that only tests can reach; such
+code belongs in tests/ or nowhere.  The check is by name: a definition
+counts as reached when its name is read somewhere in src/jumploci outside
+its own body (as a name or an attribute), anywhere in bench/*.py (also
+as a string, since bench/tracer.py wraps functions by their names), or
+is listed in ``jumploci.__all__``.  Dunder methods are exempt: the
+interpreter calls them.
+"""
+
+import ast
+from collections import Counter
+
+import jumploci
+
+from conftest import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "jumploci"
+BENCH = REPO_ROOT / "bench"
+
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _read_names(tree, strings=False):
+    """Counter of the names a tree reads: Name ids, attribute names and,
+    with strings, string constants."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out[node.value] += 1
+    return out
+
+
+def unreached_definitions():
+    """(module:line, name) of every non-dunder definition in the package
+    that nothing names by the rule in the module docstring."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    in_src = Counter()
+    for tree in trees.values():
+        in_src += _read_names(tree)
+    outside = set(jumploci.__all__)
+    for path in sorted(BENCH.glob("*.py")):
+        outside |= set(_read_names(ast.parse(path.read_text(encoding="utf-8")),
+                                   strings=True))
+    offenders = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFS):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in outside:
+                continue
+            if in_src[name] - _read_names(node)[name] > 0:
+                continue
+            offenders.append(f"{module}:{node.lineno} {name}")
+    return offenders
+
+
+def test_every_definition_is_reached():
+    offenders = unreached_definitions()
+    assert not offenders, ("definitions that only tests reach (move them "
+                           "into tests/ or delete them):\n  "
+                           + "\n  ".join(offenders))

@@ -13,6 +13,7 @@ import jumploci.twisted as tw
 from jumploci import corpus
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  torsion_modulus)
+from jumploci.cyclotomic import Cyc
 from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import rank_exact
@@ -114,10 +115,10 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
         res = scan_sigma(p, degree, 1, K)
         if not p.relator_count:
             # No Fox matrix: every dim follows from rank 0, no prime.
-            assert res.certificate == "exact-elimination"
+            assert res.certifying_prime is None
             assert res.filter_prime is None
         else:
-            assert res.certificate == "bounded-prime"
+            assert res.certifying_prime is not None
             assert res.filter_prime is not None
         for chi, dims in res.hits:
             assert dims == twisted_cohomology_dims(p, chi), (name, chi)
@@ -140,7 +141,6 @@ def test_large_exponents_rerank_at_certifying_prime():
     # H^2 = 8 * 10^6 and phimax = 2 at K = 4: the filter prime is too small.
     p = _commutator_power(1000)
     res = scan_sigma(p, 1, 1, 4)
-    assert res.certificate == "bounded-prime"
     assert res.certifying_prime ** 2 > (8 * 10 ** 6) ** 2
     assert res.certifying_prime > res.filter_prime
     assert res.hits == _exact_hits(p, 1, 1, 4)
@@ -153,7 +153,6 @@ def test_large_exponents_fall_back_to_exact_elimination():
     p = _commutator_power(100)
     assert (8 * 10 ** 4) ** 5 > IS_PRIME_LIMIT
     res = scan_sigma(p, 1, 1, 12)
-    assert res.certificate == "exact-elimination"
     assert res.certifying_prime is None
     assert res.filter_prime is not None
     hits = _exact_hits(p, 1, 1, 12)
@@ -164,9 +163,9 @@ def test_large_exponents_fall_back_to_exact_elimination():
 
 def test_degree_zero_and_free_groups_need_no_prime():
     res = scan_sigma(corpus.get("surface2"), 0, 1, 3)
-    assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
+    assert (res.certifying_prime, res.filter_prime) == (None, None)
     res = scan_sigma(corpus.get("free2"), 1, 1, 3)
-    assert (res.certificate, res.filter_prime) == ("exact-elimination", None)
+    assert (res.certifying_prime, res.filter_prime) == (None, None)
     # free2 is aspherical, so its hits carry h2 like twisted_cohomology_dims.
     assert res.hits[0] == (Character.trivial(2), (1, 2, 0))
 
@@ -200,7 +199,7 @@ def fox_like(draw):
 
 
 def _exact_rank(fox, chi):
-    vals = chi.unitary_values()
+    vals = [Cyc.from_angle(a) for a in chi.angles]
     return rank_exact([[e.evaluate(vals, []) for e in row] for row in fox])
 
 
@@ -220,7 +219,7 @@ def test_certified_prime_rank_equals_exact_rank(case):
 
 def test_filter_false_positive_is_corrected():
     # The entry 1000003 is zero modulo the filter prime of n = 2.
-    fox = [[LaurentPoly.constant(1000003, 1)]]
+    fox = [[LaurentPoly.monomial(((0,), ()), 1, coeff=1000003)]]
     e = (1,)       # the character of angle 1/2, with n = 2
     ev = _ModularEvaluator(fox, 1, (), 2)
     assert ev.prime == 1000003
