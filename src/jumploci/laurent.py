@@ -60,16 +60,6 @@ class LaurentPoly:
             p.terms[p._norm_key(key)] = c
         return p
 
-    def add_term(self, key, coeff):
-        out = self.copy()
-        key = self._norm_key(key)
-        c = out.terms.get(key, Cyc.zero()) + _coerce(coeff)
-        if c.is_zero():
-            out.terms.pop(key, None)
-        else:
-            out.terms[key] = c
-        return out
-
     def copy(self):
         p = LaurentPoly(self.nvars, self.torsion)
         p.terms = dict(self.terms)

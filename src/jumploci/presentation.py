@@ -160,22 +160,19 @@ def fox_derivative(rel, j, ab: AbelianizationData):
     Rules: d(uv) = du + u dv, dx/dx = 1, d(x^-1)/dx = -x^-1.  Prefix
     images are taken in H1, so the result lives in Z[H1].
     """
-    g = ab.generator_count
-    b, torsion = ab.free_rank, ab.torsion
-    out = LaurentPoly.zero(b, torsion)
-    prefix = [0] * g
+    coeffs = {}
+    prefix = [0] * ab.generator_count
     for idx, exp in rel:
         if idx == j:
             if exp == 1:
                 key = ab.project_vector(prefix)
-                out = out.add_term(key, 1)
             else:
                 step = list(prefix)
                 step[idx] -= 1
                 key = ab.project_vector(step)
-                out = out.add_term(key, -1)
+            coeffs[key] = coeffs.get(key, 0) + exp
         prefix[idx] += exp
-    return out
+    return LaurentPoly(ab.free_rank, ab.torsion, coeffs)
 
 
 def fox_matrix(p: FinitePresentation, ab: AbelianizationData):

@@ -8,7 +8,8 @@ Word syntax: juxtaposition (whitespace or * separated), ^k powers with
 k a possibly negative integer, [x,y] commutator sugar expanding to
 x y x^-1 y^-1, and (...) grouping.  Parse errors carry line/column info.
 Each of the three keys appears at most once, and no other key is read.
-A relator longer than MAX_RELATOR_LETTERS written out is refused.
+Relators with more than MAX_PRESENTATION_LETTERS letters written out,
+all of them together, are refused.
 """
 
 from __future__ import annotations
@@ -28,22 +29,23 @@ class ParseError(ValueError):
         self.column = column
 
 
-# Longest relator parse_word expands, counted letter by letter as
-# written out, before any cancellation.  fox_derivative is quadratic in
-# the relator length: presentation_data takes 1.9 s on (a b)^8000 and
-# 5.4 s on a^20000, and analyze --K 2 on those takes 4.4 s and 8.0 s
-# (Python 3.11, one core of a 2-core x86-64 host).
-MAX_RELATOR_LETTERS = 20_000
+# Most letters of all relators together, counted as written out, before
+# any cancellation.  Cost grows faster than the total: analyze --K 2
+# takes 1.5 s on a^20000, 4.2 s on (a b)^10000, 28 s on (a b)^10000,
+# (a c)^10000 and 118 s with (a d)^10000 added, mostly in
+# certify_component (Python 3.11, one core of a 2-core x86-64 host).
+MAX_PRESENTATION_LETTERS = 20_000
 
 
-def parse_word(text, name_index, line=None):
-    """Parse a word string into reduced letters.
+def parse_word(text, name_index, line=None, used=0):
+    """Parse a word string into (reduced letters, letters written out).
 
-    Each factor comes back with the number of letters it has written
-    out, so a word longer than MAX_RELATOR_LETTERS is refused before it
-    is expanded.  Sequences and powers are built as one letter list with
-    one free reduction; the reduced word is unique, so it is the same as
-    reducing factor by factor."""
+    used is the number of letters earlier relators wrote out.  Each
+    factor comes back with the number of letters it has written out, so
+    a word that takes the total past MAX_PRESENTATION_LETTERS is refused
+    before it is expanded.  Sequences and powers are built as one letter
+    list with one free reduction; the reduced word is unique, so it is
+    the same as reducing factor by factor."""
     tokens = _tokenize(text, line)
     pos = [0]
 
@@ -56,10 +58,10 @@ def parse_word(text, name_index, line=None):
         return t
 
     def bounded(length):
-        if length > MAX_RELATOR_LETTERS:
+        if used + length > MAX_PRESENTATION_LETTERS:
             where = f" (line {line})" if line is not None else ""
-            raise Refusal(f"a relator written out has more than "
-                          f"{MAX_RELATOR_LETTERS} letters{where}")
+            raise Refusal(f"the relators written out have more than "
+                          f"{MAX_PRESENTATION_LETTERS} letters{where}")
         return length
 
     def parse_sequence(stop):
@@ -113,8 +115,8 @@ def parse_word(text, name_index, line=None):
         return base, length
 
     if text.strip() in ("", "1"):
-        return ()
-    result, _ = parse_sequence(set())
+        return (), 0
+    result = parse_sequence(set())
     if pos[0] != len(tokens):
         raise ParseError("trailing tokens in word", line)
     return result
@@ -218,8 +220,11 @@ def parse_presentation(text):
     relators = []
     if "relators" in fields:
         rel_value, rel_line = fields["relators"]
+        used = 0
         for item in _parse_list(rel_value, rel_line):
-            relators.append(parse_word(item, name_index, rel_line))
+            word, length = parse_word(item, name_index, rel_line, used)
+            relators.append(word)
+            used += length
     aspherical = False
     if "aspherical" in fields:
         a_value, a_line = fields["aspherical"]

@@ -12,6 +12,9 @@ import jumploci.alexander as alexander
 from jumploci import words
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.discovery import restrict_subtorus_to_cover, transport_character
+from jumploci.laurent import LaurentPoly, rank_generic
+from jumploci.linalg import koszul_dims
+from jumploci.numutil import lcm_all
 from jumploci.presentation import permuted_inverted
 from jumploci.twisted import presentation_data
 
@@ -92,3 +95,24 @@ def reports_agree_after_transport(p, report, variant, variant_report,
         sub = c.subtorus.canonical_translate(max_order)
         theirs.append((sub.annihilator, sub.translate.sort_key(), c.status))
     return sorted(moved) == sorted(theirs)
+
+
+def lattice_cohomology_dims_bareiss(x, rho):
+    """Betti numbers of the lattice Z^(2n) with coefficients in the
+    rank-one system rho, from the generic ranks of its Koszul
+    differentials.
+
+    Values exp(q_j) zeta live in Q(zeta)[e^(1/D)] with e^(1/D) treated as
+    a Laurent variable; transcendence makes generic rank exact: a nonzero
+    rational function cannot vanish at a transcendental point."""
+    if rho.rank != 2 * x.n:
+        raise ValueError("character rank does not match the lattice")
+    den = lcm_all([q.denominator for q in rho.log_moduli], start=1)
+    values = []
+    for q, a in zip(rho.log_moduli, rho.angles):
+        coeff = Cyc.from_angle(a)
+        exp_int = int(q * den)
+        values.append(LaurentPoly.monomial(((exp_int,), ()), 1, coeff=coeff))
+    one = LaurentPoly.one(1)
+    ops = [[[v - one]] for v in values]
+    return koszul_dims(ops, 1, LaurentPoly.zero(1), rank_generic)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import REPO_ROOT, cli_env, within_seconds
 
+from jumploci.higgs import MAX_TORUS_DIMENSION
 from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
                              check_schema, dumps_canonical)
 
@@ -73,6 +74,11 @@ def test_refusal_exit_code():
     res3 = run_cli("thm4", "s2xz2", "--K", "3")
     assert res3.returncode == 2
     assert "above the limit" in res3.stderr
+    # a torus past higgs.MAX_TORUS_DIMENSION, before any Koszul matrix
+    res4 = within_seconds(1, run_cli, "higgs", "verify-thm3", "--n",
+                          str(MAX_TORUS_DIMENSION + 1))
+    assert res4.returncode == 2
+    assert "above the limit" in res4.stderr
 
 
 # One case per exit class but 70 (test_internal_error_exits_70), each

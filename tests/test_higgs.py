@@ -11,6 +11,9 @@ from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
                             lattice_cohomology_dims, partition_check,
                             splitting_check)
 
+from conftest import within_seconds
+from oracles import lattice_cohomology_dims_bareiss
+
 
 def std(n):
     return ComplexTorusModel.standard(n)
@@ -137,15 +140,62 @@ def test_lattice_cohomology_binomials_and_vanishing():
     assert lattice_cohomology_dims(X, rho) == (0, 0, 0)
 
 
+def _sweep(n, samples, rng):
+    X = std(n)
+    for idx in range(samples):
+        rho = rand_character(rng, n, idx % 3)
+        for degree in range(2 * n + 1):
+            ok, lhs, rhs = splitting_check(X, rho, degree)
+            assert ok, (n, rho, degree, lhs, rhs)
+
+
 def test_splitting_identity_sweep():
     rng = random.Random(84)
     for n in (1, 2):
+        _sweep(n, 12, rng)
+    # Generic ranks over the Laurent ring made n = 3 take 54 s.
+    within_seconds(5, _sweep, 3, 12, rng)
+
+
+def rand_exact_character(rng, n, stratum):
+    """Stratum 0: trivial in every coordinate but at most one; 1: log
+    moduli with denominators 1, 2 and 3 and angles in (1/k)Z for one
+    k <= 12; 2: the same moduli with angles 0."""
+    b = 2 * n
+    order = rng.randint(1, 12)
+
+    def log():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+    def angle():
+        return Fraction(rng.randrange(order), order)
+
+    logs, angles = [Fraction(0)] * b, [Fraction(0)] * b
+    if stratum == 0:
+        j = rng.randrange(b)
+        logs[j] = rng.choice((Fraction(0), log()))
+        angles[j] = rng.choice((Fraction(0), angle()))
+    else:
+        logs = [log() for _ in range(b)]
+        if stratum == 1:
+            angles = [angle() for _ in range(b)]
+    return LatticeCharacter(tuple(logs), tuple(angles))
+
+
+def test_lattice_dims_match_generic_rank_oracle():
+    # The closed form (binomials at the trivial character, zeros
+    # elsewhere) against generic ranks of the Koszul differentials over
+    # Q(zeta)[T^+-1].
+    rng = random.Random(86)
+    seen = set()
+    for n in (1, 2):
         X = std(n)
-        for idx in range(12):
-            rho = rand_character(rng, n, idx % 3)
-            for degree in range(2 * n + 1):
-                ok, lhs, rhs = splitting_check(X, rho, degree)
-                assert ok, (n, rho, degree, lhs, rhs)
+        for idx in range(60):
+            rho = rand_exact_character(rng, n, idx % 3)
+            dims = lattice_cohomology_dims(X, rho)
+            assert dims == lattice_cohomology_dims_bareiss(X, rho), rho
+            seen.add((n, rho.is_trivial))
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_binomial_identity_at_trivial():

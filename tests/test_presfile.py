@@ -2,7 +2,7 @@ import pytest
 
 from jumploci import corpus, words
 from jumploci.errors import Refusal
-from jumploci.presfile import (MAX_RELATOR_LETTERS, ParseError,
+from jumploci.presfile import (MAX_PRESENTATION_LETTERS, ParseError,
                                format_presentation, parse_presentation,
                                parse_word)
 
@@ -11,27 +11,31 @@ from conftest import within_seconds
 NAMES = {"a": 0, "b": 1, "t": 2}
 
 
+def letters(text):
+    return parse_word(text, NAMES)[0]
+
+
 def test_parse_word_basics():
-    assert parse_word("a b", NAMES) == ((0, 1), (1, 1))
-    assert parse_word("a^-1", NAMES) == ((0, -1),)
-    assert parse_word("a^3", NAMES) == ((0, 1),) * 3
-    assert parse_word("1", NAMES) == ()
-    assert parse_word("", NAMES) == ()
-    assert parse_word("a a^-1", NAMES) == ()
+    assert parse_word("a b", NAMES) == (((0, 1), (1, 1)), 2)
+    assert letters("a^-1") == ((0, -1),)
+    assert letters("a^3") == ((0, 1),) * 3
+    assert parse_word("1", NAMES) == ((), 0)
+    assert letters("") == ()
+    assert parse_word("a a^-1", NAMES) == ((), 2)
 
 
 def test_parse_word_commutator_sugar():
     expected = words.commutator(words.generator(0), words.generator(1))
-    assert parse_word("[a,b]", NAMES) == expected
-    nested = parse_word("[a,[b,t]]", NAMES)
+    assert letters("[a,b]") == expected
+    nested = letters("[a,[b,t]]")
     inner = words.commutator(words.generator(1), words.generator(2))
     assert nested == words.commutator(words.generator(0), inner)
 
 
 def test_parse_word_groups_and_powers():
-    w = parse_word("(a b)^-1", NAMES)
+    w = letters("(a b)^-1")
     assert w == ((1, -1), (0, -1))
-    assert parse_word("(a b)^2", NAMES) == ((0, 1), (1, 1), (0, 1), (1, 1))
+    assert letters("(a b)^2") == ((0, 1), (1, 1), (0, 1), (1, 1))
 
 
 def test_parse_word_errors_carry_location():
@@ -90,27 +94,38 @@ def test_parse_presentation_errors():
 def test_long_words_parse_in_linear_time():
     # Repeated concatenation made these quadratic: (a b)^8000 took 22 s.
     ab = ((0, 1), (1, 1))
-    assert within_seconds(5, parse_word, "(a b)^8000", NAMES) == ab * 8000
-    assert within_seconds(5, parse_word, "a b " * 8000, NAMES) == ab * 8000
-    assert within_seconds(5, parse_word, "(a b^2 b^-1)^-4000", NAMES) == (
+    assert within_seconds(5, letters, "(a b)^8000") == ab * 8000
+    assert within_seconds(5, letters, "a b " * 8000) == ab * 8000
+    assert within_seconds(5, letters, "(a b^2 b^-1)^-4000") == (
         ((1, -1), (0, -1)) * 4000)
     # The words are the freely reduced ones, so cancellation across
     # factors and powers still happens.
-    assert parse_word("(a b)^3 (b^-1 a^-1)^2", NAMES) == ab
-    assert parse_word("(a t a^-1)^3", NAMES) == ((0, 1),) + ((2, 1),) * 3 + (
+    assert letters("(a b)^3 (b^-1 a^-1)^2") == ab
+    assert letters("(a t a^-1)^3") == ((0, 1),) + ((2, 1),) * 3 + (
         (0, -1),)
 
 
 def test_relator_past_the_letter_limit_is_refused():
-    limit = MAX_RELATOR_LETTERS
-    assert len(parse_word(f"a^{limit}", NAMES)) == limit
+    limit = MAX_PRESENTATION_LETTERS
+    assert len(letters(f"a^{limit}")) == limit
     # Each is refused from its written-out length, before any expansion:
     # cancellation does not count, and a^100000000 once ran past 30 s.
-    for word in (f"a^{limit + 1}", "a^100000000", "(a a^-1)^100000000",
+    for text in (f"a^{limit + 1}", "a^100000000", "(a a^-1)^100000000",
                  f"(a b)^{limit // 2} a", "((a b)^1000)^1000",
                  f"[a^{limit // 4}, b^{limit // 4 + 1}]"):
         with pytest.raises(Refusal, match="line 3"):
-            within_seconds(5, parse_word, word, NAMES, 3)
+            within_seconds(5, parse_word, text, NAMES, 3)
+    # The limit is on all relators together: three relators, each under
+    # it, that reach it exactly pass, and one letter more is refused.
+    k = limit // 3
+
+    def three_relators(extra):
+        last = limit - 2 * k + extra
+        return (f'generators: [a, b, t]\n\nrelators: '
+                f'["a^{k}", "(b t)^{k // 2}", "t^{last}"]')
+    assert within_seconds(5, parse_presentation, three_relators(0))
+    with pytest.raises(Refusal, match="line 3"):
+        within_seconds(5, parse_presentation, three_relators(1))
 
 
 def test_corpus_files_round_trip():

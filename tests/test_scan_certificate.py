@@ -187,11 +187,12 @@ def fox_like(draw):
     for i in range(rows):
         row = []
         for _ in range(cols):
-            poly = LaurentPoly.zero(nvars)
+            terms = {}
             for exps, c in draw(st.lists(term, max_size=2)):
-                poly = poly.add_term(
-                    (exps, ()), c * filter_prime if i == scaled else c)
-            row.append(poly)
+                key = (exps, ())
+                terms[key] = terms.get(key, 0) + (
+                    c * filter_prime if i == scaled else c)
+            row.append(LaurentPoly(nvars, (), terms))
         fox.append(row)
     angles = tuple(Fraction(draw(st.integers(0, k - 1)), k)
                    for _ in range(nvars))
