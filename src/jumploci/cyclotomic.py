@@ -211,6 +211,8 @@ class Cyc:
     __truediv__ = exact_div
 
     def __pow__(self, k):
+        if self.n == 1:
+            return Cyc.rational(self.coeffs[0] ** k)
         if k < 0:
             return self.inverse() ** (-k)
         out = Cyc.one()

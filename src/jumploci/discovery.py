@@ -108,10 +108,10 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     if sub.dim == 0:
         generic_h = twisted_cohomology_dims(p, tau)[degree]
     else:
-        cols = sub.lattice_columns()         # b x d
         free_vals, tors_vals = tau.free_values(), tau.torsion_values()
         param_rows = [
-            [e.substitute_monomials(cols, free_vals, sub.dim, tors_vals)
+            [e.substitute_monomials(sub.directions, free_vals, sub.dim,
+                                    tors_vals)
              for e in row]
             for row in fox
         ]
@@ -294,11 +294,9 @@ def restrict_subtorus_to_cover(sub: TranslatedSubtorus, base_ab, cover_p,
     images = [base_ab.project_word(w) for w in schreier_words]
     # Direction transport: base angle direction v -> angles on cover gens
     # -> coordinates on the cover's free H1 basis via basis lifts.
-    cols = sub.lattice_columns()
-    d = len(cols[0]) if cols and cols[0] else 0
     new_dirs = []
-    for t in range(d):
-        v = [Fraction(cols[j][t]) for j in range(sub.free_rank)]
+    for col in zip(*sub.directions):
+        v = [Fraction(x) for x in col]
         gen_angles = [sum(Fraction(fi) * vi for fi, vi in zip(img[0], v))
                       for img in images]
         coord = []

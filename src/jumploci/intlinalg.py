@@ -1,6 +1,6 @@
-"""Exact integer matrix algebra: Smith and Hermite normal forms, kernels,
-lattice saturation and congruence solving.  The Smith form also serves
-any Euclidean domain (upoly uses it over Q(zeta)[T]).
+"""Exact integer matrix algebra: Smith and Hermite normal forms and
+saturated kernels.  The Smith form also serves any Euclidean domain
+(upoly uses it over Q(zeta)[T]).
 
 All matrices are lists of lists of Python ints (arbitrary precision), rows
 first.  Everything here is deterministic: pivots are chosen by first
@@ -34,10 +34,6 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += x * bt[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def transpose(a):
@@ -245,41 +241,6 @@ def hnf_rows(a):
     """Canonical row HNF of the row span of a (zero rows dropped)."""
     t = hnf_columns(transpose(a))
     return transpose(t)
-
-
-def lattice_contains(container_rows, vec):
-    """Whether an integer vector lies in the row lattice of container_rows."""
-    if all(x == 0 for x in vec):
-        return True
-    if not container_rows:
-        return False
-    # Solve y @ container_rows = vec over Z via SNF of the transpose.
-    a = transpose(container_rows)  # n x k, solve a @ y^T = vec^T
-    return solve_integer(a, list(vec)) is not None
-
-
-def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u, d, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    n = min(rows, cols)
-    for i in range(rows):
-        di = d[i][i] if i < n else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
-
-
-def row_lattice_subset(a, b):
-    """Whether row lattice of a is contained in the row lattice of b."""
-    return all(lattice_contains(b, row) for row in a)
 
 
 def kernel_rational_rows(rows_of_fractions, ncols):

@@ -31,9 +31,10 @@ class ParseError(ValueError):
 
 # Most letters of all relators together, counted as written out, before
 # any cancellation.  Cost grows faster than the total: analyze --K 2
-# takes 1.5 s on a^20000, 4.2 s on (a b)^10000, 28 s on (a b)^10000,
-# (a c)^10000 and 118 s with (a d)^10000 added, mostly in
-# certify_component (Python 3.11, one core of a 2-core x86-64 host).
+# takes 1.0 s on a^20000, 2.6 s on (a b)^10000, 8.5 s on (a b)^10000,
+# (a c)^10000 and 21 s with (a d)^10000 added, about 60 % of it in
+# certify_component and 30 % in the Fox identity check (Python 3.11,
+# one core of a 2-core x86-64 host).
 MAX_PRESENTATION_LETTERS = 20_000
 
 

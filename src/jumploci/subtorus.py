@@ -2,51 +2,70 @@
 integer lattices plus an exact translate character.
 
 A subtorus T is cut out by binomial equations z^u = 1 for u running over
-the rows of a saturated annihilator matrix U (canonical row HNF).  The
-coset tau*T fixes the finite dual coordinates at tau's values, since a
-connected subtorus cannot move them.
+the rows of a saturated annihilator matrix H (canonical row HNF).  Every
+stored annihilator is saturated, so T is connected, and carries the
+transforms of its one Smith form U H V = [I_m | 0]: the direction basis
+B = V[:, m:] and the right inverse R = V[:, :m] U with H R = I.  An
+annihilator that is not saturated is refused.  The coset tau*T fixes the
+finite dual coordinates at tau's values, since a connected subtorus
+cannot move them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .characters import Character, torsion_modulus
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_columns,
-                        kernel_rational_rows, row_lattice_subset,
-                        solve_integer, transpose)
+                        kernel_rational_rows, mat_mul, smith_normal_form,
+                        transpose)
 from .numutil import factorint, frac_mod1, lcm_all
 
 
 @dataclass(frozen=True)
 class TranslatedSubtorus:
-    """tau * T with T = {z : z^u = 1 for rows u of annihilator}."""
+    """tau * T with T = {z : z^u = 1 for rows u of annihilator}.
+
+    directions is the saturated b x d basis B of T's direction lattice
+    and right_inverse the b x m matrix R, both read from the Smith form
+    of the annihilator taken once at construction (module docstring)."""
 
     free_rank: int
     torsion: tuple
     annihilator: tuple          # rows, canonical HNF, saturated
     translate: Character
+    directions: tuple = field(init=False, repr=False, compare=False)
+    right_inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(len(r) != self.free_rank for r in self.annihilator):
             raise Refusal("annihilator rows need one entry per free "
                           "generator")
-        ann = hnf_rows([list(r) for r in self.annihilator])
-        object.__setattr__(self, "annihilator", tuple(tuple(r) for r in ann))
         if self.translate.free_rank != self.free_rank:
             raise Refusal("translate lives on a different torus")
+        ann = hnf_rows([list(r) for r in self.annihilator])
+        m = len(ann)
+        if m:
+            u, d, v = smith_normal_form(ann)
+            if any(d[i][i] != 1 for i in range(m)):
+                raise Refusal("annihilator rows span a lattice that is not "
+                              "saturated, so they cut out more than one "
+                              "component")
+        else:
+            u, v = [], identity(self.free_rank)
+        for name, value in (
+                ("annihilator", ann),
+                ("directions", [row[m:] for row in v]),
+                ("right_inverse", mat_mul([row[:m] for row in v], u))):
+            object.__setattr__(self, name, tuple(tuple(r) for r in value))
 
     @property
     def dim(self):
         return self.free_rank - len(self.annihilator)
-
-    def lattice_columns(self):
-        """Saturated b x d basis of the subtorus direction lattice."""
-        ann = [list(r) for r in self.annihilator]
-        return kernel_columns(ann, ncols=self.free_rank)
 
     def is_unitary_translate(self):
         return self.translate.is_unitary
@@ -88,39 +107,54 @@ class TranslatedSubtorus:
         of the coset's points, grouped by killing order k (duplicates
         across orders possible).
 
-        For each k the points killed by k form either the empty set or a
-        coset theta_0 + B (Z/k)^d / k; theta_0 is found by solving the
-        angle congruences B z = -k tau (mod 1), which matters whenever the
-        translate's order does not divide k.  As vectors that coset is
+        Soundness, with U H V = [I_m | 0], B = V[:, m:] and R = V[:, :m] U:
+        - The coset is {theta : H theta = H tau (mod 1)} with the torsion
+          coordinates fixed at tau's.  Set c = H tau; theta_0 = R c lies
+          in the coset, since H R = I.
+        - A point theta of the coset killed by k has k c = H (k theta)
+          integral, and k kills tau's torsion angles.  Conversely, when
+          both hold, k theta_0 = R (k c) is integral.
+        - The points killed by such a k are then theta_0 + B w / k for w
+          in (Z/k)^d: for theta = theta_0 + x / k with x = V y integral,
+          H x = U^-1 y[:m] lies in k Z^m iff y[:m] does, so theta is
+          theta_0 + B y[m:] / k modulo Z^b, and distinct w mod k give
+          distinct points because B is part of the unimodular V.
+        So the orders k with points are the multiples of q, the lcm of
+        the denominators of c and of the torsion angles, and no Smith
+        form or solve runs per k.  As vectors the points are
         n theta_0 + (n/k) B (Z/k)^d, taken mod n."""
         tau = self.translate
         if not tau.is_unitary:
             return
+        # H tau = c / den in integers, then reduced: den becomes the lcm
+        # of the denominators of H tau.
+        den = lcm_all(a.denominator for a in tau.angles)
+        t = [a.numerator * (den // a.denominator) for a in tau.angles]
+        c = [sum(x * y for x, y in zip(u, t)) for u in self.annihilator]
+        g = gcd(den, *c)
+        c, den = [x // g for x in c], den // g
+        q = lcm_all((a.denominator for a in tau.tors_angles), start=den)
+        if q > max_order:
+            return
+        # den | q <= max_order divides n, so n theta_0 = (n / den) R c.
         n = torsion_modulus(max_order, self.torsion)
-        cols = self.lattice_columns()
-        d = len(cols[0]) if cols and cols[0] else 0
-        rows = [[cols[j][t] for t in range(d)] for j in range(self.free_rank)]
+        base = [n // den * sum(r * x for r, x in zip(row, c)) % n
+                for row in self.right_inverse]
         tail = tuple(a.numerator * (n // a.denominator) for a in tau.tors_angles)
-        for k in range(1, max_order + 1):
-            # The torsion-dual part must also be killed by k.
-            if any((k * a).denominator != 1 for a in tau.tors_angles):
-                continue
-            z0 = _solve_angle_congruences(
-                rows, [frac_mod1(-k * a) for a in tau.angles], d)
-            if z0 is None:
-                continue
-            # k theta_0 is integral and k | n, so n theta_0 is an integer.
-            base = [(a + Fraction(sum(x * z for x, z in zip(row, z0)), k)) * n
-                    for a, row in zip(tau.angles, rows)]
-            base = [x.numerator % n for x in base]
+        rows = self.directions
+        for k in range(q, max_order + 1, q):
             step = n // k
-            for w in product(range(k), repeat=d):
-                yield tuple((x + step * sum(c * y for c, y in zip(row, w))) % n
+            for w in product(range(k), repeat=self.dim):
+                yield tuple((x + step * sum(e * y for e, y in zip(row, w))) % n
                             for x, row in zip(base, rows)) + tail
 
     def contains_subtorus(self, other):
-        """Whether other (a translated subtorus) is contained in self."""
-        if not row_lattice_subset(list(self.annihilator), list(other.annihilator)):
+        """Whether other (a translated subtorus) is contained in self: each
+        row of self's annihilator kills other's directions (both lattices
+        are saturated, so this is containment of the annihilator
+        lattices), and other's translate lies in self."""
+        if any(sum(x * y for x, y in zip(u, col))
+               for u in self.annihilator for col in zip(*other.directions)):
             return False
         return self.contains(other.translate)
 
@@ -146,30 +180,6 @@ class TranslatedSubtorus:
             "tau": self.translate.serialize(),
             "dim": self.dim,
         }
-
-
-def _solve_angle_congruences(rows, rhs, b):
-    """theta in Q^b with rows . theta = rhs (mod 1), or None.
-
-    By Smith normal form, when the system is solvable it has a solution
-    with denominator dividing lcm(rhs denominators) * lcm(elementary
-    divisors of the row matrix), so one integer solve decides.
-    """
-    if not rows:
-        return [Fraction(0)] * b
-    from .intlinalg import snf_diagonal
-    n_den = lcm_all([x.denominator for x in rhs], start=1)
-    elem = snf_diagonal(rows)
-    scale = n_den * lcm_all([e for e in elem if e], start=1)
-    # rows . psi + scale * k = scale * rhs with psi = scale * theta.
-    m = len(rows)
-    aug = [list(row) + [scale if i == j else 0 for j in range(m)]
-           for i, row in enumerate(rows)]
-    c = [int(x * scale) for x in rhs]
-    sol = solve_integer(aug, c)
-    if sol is None:
-        return None
-    return [Fraction(sol[j], scale) for j in range(b)]
 
 
 # Largest numerator or denominator _primes factors by trial division:
@@ -208,10 +218,9 @@ def subtorus_from_directions(direction_rows, translate: Character):
     direction vectors (e.g. lifted differences of torsion points)."""
     b = translate.free_rank
     fr_rows = [[Fraction(x) for x in row] for row in direction_rows]
-    ann = kernel_rational_rows(fr_rows, b)   # b x k columns
-    ann_rows = transpose(ann)
     return TranslatedSubtorus(b, translate.torsion,
-                              tuple(tuple(r) for r in ann_rows), translate)
+                              transpose(kernel_rational_rows(fr_rows, b)),
+                              translate)
 
 
 def orbit_closure(chi, variant="B"):
@@ -232,22 +241,13 @@ def orbit_closure(chi, variant="B"):
     if variant == "B":
         primes = _primes(chi.moduli)
         exp_rows = [[_valuation(m, p) for m in chi.moduli] for p in primes]
-        if exp_rows:
-            # relations = {u : prod m_j^{u_j} = 1}, saturated integer kernel.
-            relations = transpose(kernel_columns(exp_rows, ncols=b))
-        else:
-            # All moduli are 1: the orbit is the single unitary point.
-            relations = identity(b)
-        ann_rows = hnf_rows(relations)
-        return TranslatedSubtorus(b, chi.torsion,
-                                  tuple(tuple(r) for r in ann_rows),
+        # relations = {u : prod m_j^{u_j} = 1}, the saturated integer
+        # kernel; when all moduli are 1 it is Z^b and the orbit one point.
+        relations = transpose(kernel_columns(exp_rows, ncols=b))
+        return TranslatedSubtorus(b, chi.torsion, relations,
                                   chi.unitary_part())
     if variant == "A":
         # u with u . angles = 0 over Q (exact rational angle relations).
-        rows = [[Fraction(a) for a in chi.angles]]
-        ann_cols = kernel_rational_rows(rows, b)
-        relations = transpose(ann_cols)
-        ann_rows = hnf_rows(relations)
-        return TranslatedSubtorus(b, chi.torsion,
-                                  tuple(tuple(r) for r in ann_rows), chi)
+        relations = transpose(kernel_rational_rows([list(chi.angles)], b))
+        return TranslatedSubtorus(b, chi.torsion, relations, chi)
     raise ValueError(f"unknown action variant {variant!r}")

@@ -63,7 +63,7 @@ def test_parse_error_exit_code(tmp_path):
     assert "parse error" in res.stderr
 
 
-def test_refusal_exit_code():
+def test_refusal_exit_code(tmp_path):
     # degree-2 request on a presentation not flagged aspherical
     res = run_cli("analyze", "torus_bundle3", "--i", "2", "--K", "3")
     assert res.returncode == 2
@@ -79,6 +79,14 @@ def test_refusal_exit_code():
                           str(MAX_TORUS_DIMENSION + 1))
     assert res4.returncode == 2
     assert "above the limit" in res4.stderr
+    # an annihilator that is not saturated: 2 x_1 = 0, x_2 = 0 cuts out
+    # the two points (1, 1) and (-1, 1), not one component
+    comp = tmp_path / "unsaturated.json"
+    comp.write_text(json.dumps({"H": [[2, 0], [0, 1]],
+                                "tau": {"angles": ["0", "0"]}}))
+    res5 = run_cli("certify", "z2", "--component", str(comp))
+    assert res5.returncode == 2
+    assert "not saturated" in res5.stderr and res5.stdout == ""
 
 
 # One case per exit class but 70 (test_internal_error_exits_70), each

@@ -61,6 +61,25 @@ def test_mixed_conductor_arithmetic():
     assert (z6 - z6).is_zero()
 
 
+def test_rational_power_equals_repeated_multiplication():
+    # A rational base is raised as one Fraction power; the result equals
+    # repeated multiplication by the base (or by its inverse).
+    for q in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 4),
+              Fraction(7, 5), Fraction(0)):
+        base = Cyc.rational(q)
+        for k in range(-6, 7):
+            if q == 0 and k < 0:
+                continue
+            step = base if k >= 0 else base.inverse()
+            expected = Cyc.one()
+            for _ in range(abs(k)):
+                expected = expected * step
+            got = base ** k
+            assert got == expected and got.n == 1, (q, k)
+    with pytest.raises(ZeroDivisionError):
+        Cyc.rational(0) ** -1
+
+
 def test_rank_exact_examples():
     one, zero = Cyc.one(), Cyc.zero()
     z4 = Cyc.root_of_unity(4)

@@ -2,50 +2,10 @@
 independent brute-force oracles."""
 
 import random
-from fractions import Fraction
 
 from jumploci.cyclotomic import Cyc
 from jumploci.laurent import LaurentPoly, det_bareiss
-from jumploci.subtorus import _solve_angle_congruences
 from jumploci.upoly import UPoly, smith_invariants
-
-
-def test_angle_congruences_against_brute_force():
-    # Solve rows . theta = rhs (mod 1) and compare solvability with a
-    # brute-force search over a denominator grid that provably suffices
-    # for these sizes.
-    rng = random.Random(91)
-    for _ in range(120):
-        m = rng.randint(1, 3)
-        b = rng.randint(1, 3)
-        rows = [[rng.randint(-2, 2) for _ in range(b)] for _ in range(m)]
-        den = rng.choice([1, 2, 3, 4])
-        rhs = [Fraction(rng.randint(0, den - 1), den) for _ in range(m)]
-        theta = _solve_angle_congruences(rows, rhs, b)
-        if theta is not None:
-            for row, r in zip(rows, rhs):
-                val = sum(Fraction(e) * t for e, t in zip(row, theta)) - r
-                assert val.denominator == 1, (rows, rhs, theta)
-        else:
-            # brute force over denominators up to den * 12
-            grid = den * 12
-            found = False
-            def search(prefix):
-                nonlocal found
-                if found:
-                    return
-                if len(prefix) == b:
-                    for row, r in zip(rows, rhs):
-                        v = sum(Fraction(e * p, grid) for e, p in zip(row, prefix)) - r
-                        if v.denominator != 1:
-                            return
-                    found = True
-                    return
-                for p in range(grid):
-                    search(prefix + [p])
-            if b <= 2 and grid <= 36:
-                search([])
-                assert not found, (rows, rhs)
 
 
 def test_smith_invariants_product_matches_determinant():

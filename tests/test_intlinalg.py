@@ -1,8 +1,7 @@
 import random
 
 from jumploci.intlinalg import (hnf_rows, kernel_columns, mat_mul,
-                                row_lattice_subset, smith_normal_form,
-                                solve_integer)
+                                smith_normal_form)
 from jumploci.linalg import inverse, rank_exact
 
 from conftest import within_seconds
@@ -66,15 +65,3 @@ def test_hnf_rows_is_span_invariant():
                     b[i][t] += q * b[j][t]
         assert hnf_rows(a) == hnf_rows(b)
 
-
-def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    assert solve_integer([[2]], [3]) is None
-    sol = solve_integer([[1, 2], [2, 4]], [3, 6])
-    assert sol is not None and sol[0] + 2 * sol[1] == 3
-
-
-def test_row_lattice_subset():
-    assert row_lattice_subset([[2, 0]], [[1, 0]])
-    assert not row_lattice_subset([[1, 0]], [[2, 0]])
-    assert row_lattice_subset([], [[1, 0]])

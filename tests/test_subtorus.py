@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  rplus_act, torsion_modulus)
+from jumploci.errors import Refusal
+from jumploci.linalg import rank_exact
 from jumploci.subtorus import (TranslatedSubtorus, orbit_closure,
                                point_subtorus, subtorus_from_directions)
 
@@ -113,12 +115,13 @@ def test_canonical_translate_is_lex_least():
 
 
 @st.composite
-def torsion_cosets(draw):
+def torsion_cosets(draw, shape=None):
     """(b, torsion, coset, K): the annihilator is the saturated integer
     kernel of random direction rows, and the translate has rational
-    angles whose denominators need not divide K."""
-    b = draw(st.integers(1, 3))
-    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    angles whose denominators need not divide K.  shape fixes (b,
+    torsion)."""
+    b, torsion = shape or (draw(st.integers(1, 3)),
+                           draw(st.sampled_from([(), (2,), (3,), (2, 4)])))
     directions = draw(st.lists(
         st.lists(st.integers(-2, 2), min_size=b, max_size=b), max_size=b))
     angles = tuple(Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12)))
@@ -148,3 +151,61 @@ def test_torsion_points_equal_filtered_enumeration(case):
         assert canon.annihilator == sub.annihilator
     else:
         assert canon is sub
+
+
+@st.composite
+def coset_pairs(draw):
+    """Two cosets on one torus; half the time they share a translate, so
+    that containment turns on the direction lattices alone."""
+    b, torsion, first, _ = draw(torsion_cosets())
+    second = draw(torsion_cosets((b, torsion)))[2]
+    if draw(st.booleans()):
+        second = TranslatedSubtorus(b, torsion, second.annihilator,
+                                    first.translate)
+    return first, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_pairs())
+def test_contains_subtorus_against_rational_span(pair):
+    # other lies in self iff self's annihilator rows lie in the rational
+    # row span of other's (both are saturated) and other's translate is
+    # a point of self.
+    for outer, inner in (pair, pair[::-1]):
+        spans = (rank_exact(list(outer.annihilator) + list(inner.annihilator))
+                 == len(inner.annihilator))
+        assert outer.contains_subtorus(inner) == (
+            spans and outer.contains(inner.translate))
+    assert pair[0].contains_subtorus(pair[0])
+
+
+def test_one_smith_form_per_coset(monkeypatch):
+    # The annihilator's Smith form is taken once, at construction; the
+    # coset walk and the containment test read its transforms.
+    import jumploci.subtorus as subtorus
+    calls = []
+    real = subtorus.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(subtorus, "smith_normal_form", counted)
+    tau = Character.unitary(3, (2,), (Fraction(1, 3), Fraction(0),
+                                      Fraction(1, 2)), (Fraction(1, 2),))
+    sub = TranslatedSubtorus(3, (2,), ((1, 1, 0),), tau)
+    assert len(calls) == 1
+    assert len(sub.torsion_points(6)) > 0
+    assert sub.contains_subtorus(sub)
+    assert len(calls) == 1
+
+
+def test_unsaturated_annihilator_is_refused():
+    # 2 x_1 = 0 cuts out two components, x_1 = 0 and x_1 = 1/2.
+    with pytest.raises(Refusal, match="not saturated"):
+        TranslatedSubtorus(2, (), ((2, 0), (0, 1)), Character.trivial(2))
+    with pytest.raises(Refusal, match="not saturated"):
+        TranslatedSubtorus(2, (), ((2, 4),), Character.trivial(2))
+    # A dependent row is dropped, not refused.
+    sub = TranslatedSubtorus(2, (), ((1, 2), (2, 4)), Character.trivial(2))
+    assert sub.annihilator == ((1, 2),) and sub.dim == 1
