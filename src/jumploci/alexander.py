@@ -13,7 +13,6 @@ conventions differ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,6 +27,7 @@ from .numutil import frac_mod1
 from .presentation import FinitePresentation
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
 from .upoly import UPoly, cyclotomic_roots, numeric_roots, smith_invariants
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +84,17 @@ def _det_laplace(mat, nvars, torsion):
 # Module actions, weights, Koszul cohomology
 
 
-@dataclass(frozen=True)
-class ModuleAction:
+class ModuleAction(Value):
     """Commuting invertible matrices over Q(zeta), one per free generator
-    of the acting group; int or Fraction entries are read as Cyc."""
+    of the acting group, stored as a tuple of dim x dim Cyc matrices;
+    int or Fraction entries are read as Cyc."""
 
-    matrices: tuple              # tuple of dim x dim Cyc matrices
+    _fields = ("matrices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(
+    def __init__(self, matrices: tuple):
+        self.__dict__["matrices"] = tuple(
             tuple(tuple(c if isinstance(c, Cyc) else Cyc.rational(c)
-                        for c in row) for row in m) for m in self.matrices))
+                        for c in row) for row in m) for m in matrices)
         for m in self.matrices:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("matrix dimensions disagree")
@@ -144,11 +144,11 @@ def koszul_cohomology(action: ModuleAction, chi_values):
     return koszul_dims(ops, dim, Cyc.zero(), rank_exact)
 
 
-@dataclass
 class VanishingVerdict:
-    inverse_is_weight: bool
-    h_dims: tuple
-    consistent: bool
+    def __init__(self, inverse_is_weight, h_dims, consistent):
+        self.inverse_is_weight = inverse_is_weight
+        self.h_dims = h_dims
+        self.consistent = consistent
 
     def serialize(self):
         return {"inverse_is_weight": self.inverse_is_weight,
@@ -175,18 +175,21 @@ def vanishing_check(action: ModuleAction, chi_values):
 # The Alexander module of the maximal abelian cover
 
 
-@dataclass
 class CoverModule:
     """Finite-dimensional first homology of the maximal abelian cover,
     split along the finite dual: per torsion character, the invariant
     factors of the module over Q(zeta)[T, T^-1]."""
 
-    finite_dimensional: bool
-    dim_over_field: int
-    eigen_angles: list       # (torsion character angles, angle) exact pairs
-    numeric_eigenvalues: list
-    invariant_factors: list = None   # (torsion character angles, UPoly) pairs
-    detail: str = ""
+    def __init__(self, finite_dimensional, dim_over_field, eigen_angles,
+                 numeric_eigenvalues, invariant_factors=None, detail=""):
+        self.finite_dimensional = finite_dimensional
+        self.dim_over_field = dim_over_field
+        # (torsion character angles, angle) exact pairs
+        self.eigen_angles = eigen_angles
+        self.numeric_eigenvalues = numeric_eigenvalues
+        # (torsion character angles, UPoly) pairs
+        self.invariant_factors = invariant_factors
+        self.detail = detail
 
 
 def _specialized_fox(p, omega_tors_angles):
@@ -312,15 +315,17 @@ def _candidate_points_rank_two(p: FinitePresentation, omega):
     return cands, has_numeric, True
 
 
-@dataclass
 class WeightsReport:
-    weights: list            # exact cohomology-weight Characters
-    inverse_weights: list    # W^{-1}, exact Characters
-    numeric_weights: list    # flagged, principal-embedding complex values
-    finite_dim: str          # "exact" | "scan-bounded" | "refused"
-    identity_holds: bool
-    max_order: int
-    detail: str = ""
+    def __init__(self, weights, inverse_weights, numeric_weights, finite_dim,
+                 identity_holds, max_order, detail=""):
+        self.weights = weights                  # exact Characters
+        self.inverse_weights = inverse_weights  # W^{-1}, exact Characters
+        # flagged, principal-embedding complex values
+        self.numeric_weights = numeric_weights
+        self.finite_dim = finite_dim    # "exact" | "scan-bounded" | "refused"
+        self.identity_holds = identity_holds
+        self.max_order = max_order
+        self.detail = detail
 
     def serialize(self):
         return {
@@ -430,14 +435,16 @@ def _cover_module_is_torsion(p, ab):
 # Finite-locus cover check
 
 
-@dataclass
 class CoverCheckReport:
-    trivial_cover: bool
-    cover_generators: int
-    cover_index: int
-    surviving: list        # nontrivial torsion characters in the cover loci
-    passed: bool
-    max_order: int
+    def __init__(self, trivial_cover, cover_generators, cover_index,
+                 surviving, passed, max_order):
+        self.trivial_cover = trivial_cover
+        self.cover_generators = cover_generators
+        self.cover_index = cover_index
+        # nontrivial torsion characters in the cover loci
+        self.surviving = surviving
+        self.passed = passed
+        self.max_order = max_order
 
     def serialize(self):
         return {

@@ -32,7 +32,6 @@ flagged fallback paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -40,37 +39,34 @@ from math import gcd
 from .cyclotomic import Cyc
 from .errors import Refusal
 from .numutil import divisors, frac_mod1, lcm_all, mobius, rational_power
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """Exact character of Z^b + Z/d_1 + ... + Z/d_t."""
 
-    free_rank: int
-    torsion: tuple
-    moduli: tuple
-    angles: tuple
-    tors_angles: tuple
+    _fields = ("free_rank", "torsion", "moduli", "angles", "tors_angles")
 
-    def __post_init__(self):
-        if not len(self.moduli) == len(self.angles) == self.free_rank:
+    def __init__(self, free_rank: int, torsion: tuple, moduli: tuple,
+                 angles: tuple, tors_angles: tuple):
+        if not len(moduli) == len(angles) == free_rank:
             raise Refusal("one modulus and one angle per free generator "
                           "required")
-        if len(self.tors_angles) != len(self.torsion):
+        if len(tors_angles) != len(torsion):
             raise Refusal("one angle per torsion generator required")
-        moduli = tuple(Fraction(m) for m in self.moduli)
+        moduli = tuple(Fraction(m) for m in moduli)
         if any(m <= 0 for m in moduli):
             raise Refusal("moduli must be positive")
-        angles = tuple(frac_mod1(Fraction(a)) for a in self.angles)
+        angles = tuple(frac_mod1(Fraction(a)) for a in angles)
         tors = []
-        for a, d in zip(self.tors_angles, self.torsion):
+        for a, d in zip(tors_angles, torsion):
             a = frac_mod1(Fraction(a))
             if (a * d).denominator != 1:
                 raise Refusal("torsion value is not a d-th root of unity")
             tors.append(a)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "tors_angles", tuple(tors))
+        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+                             moduli=moduli, angles=angles,
+                             tors_angles=tuple(tors))
 
     @staticmethod
     def trivial(free_rank, torsion=()):
@@ -94,11 +90,10 @@ class Character:
         coordinate i a multiple of n / d_i.  Nothing is checked again."""
         chi = object.__new__(Character)
         angles = tuple(Fraction(x, n) for x in e)
-        for name, value in (("free_rank", free_rank), ("torsion", tuple(torsion)),
-                            ("moduli", (Fraction(1),) * free_rank),
-                            ("angles", angles[:free_rank]),
-                            ("tors_angles", angles[free_rank:])):
-            object.__setattr__(chi, name, value)
+        chi.__dict__.update(free_rank=free_rank, torsion=tuple(torsion),
+                            moduli=(Fraction(1),) * free_rank,
+                            angles=angles[:free_rank],
+                            tors_angles=angles[free_rank:])
         return chi
 
     @property
@@ -178,15 +173,16 @@ class Character:
                 f"torsion={[str(a) for a in self.tors_angles]})")
 
 
-@dataclass(frozen=True)
-class NumericCharacter:
-    """Flagged numeric character used by fallback paths only."""
+class NumericCharacter(Value):
+    """Flagged numeric character used by fallback paths only; values
+    holds one complex number per free generator."""
 
-    free_rank: int
-    torsion: tuple
-    values: tuple          # complex per free generator
-    tors_angles: tuple
-    flag: str = "numeric"
+    _fields = ("free_rank", "torsion", "values", "tors_angles", "flag")
+
+    def __init__(self, free_rank: int, torsion: tuple, values: tuple,
+                 tors_angles: tuple, flag: str = "numeric"):
+        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+                             values=values, tors_angles=tors_angles, flag=flag)
 
     def value(self, free_vec, tors_vec=()):
         out = complex(1.0)

@@ -12,7 +12,6 @@ then gives membership on the whole coset, not just generically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,15 +24,23 @@ from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
 from .twisted import (check_query, dims_from_rank, presentation_data,
                       scan_sigma, twisted_cohomology_dims)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Component:
-    subtorus: TranslatedSubtorus
-    status: str                  # "certified" | "refuted" | "candidate"
-    generic_h: int
-    contains_trivial: bool
-    insufficient_sampling: bool = False
+class Component(Value):
+    """A translated subtorus with its status: "certified", "refuted" or
+    "candidate"."""
+
+    _fields = ("subtorus", "status", "generic_h", "contains_trivial",
+               "insufficient_sampling")
+
+    def __init__(self, subtorus: TranslatedSubtorus, status: str,
+                 generic_h: int, contains_trivial: bool,
+                 insufficient_sampling: bool = False):
+        self.__dict__.update(subtorus=subtorus, status=status,
+                             generic_h=generic_h,
+                             contains_trivial=contains_trivial,
+                             insufficient_sampling=insufficient_sampling)
 
     @property
     def dim(self):
@@ -52,15 +59,16 @@ class Component:
         return out
 
 
-@dataclass
 class JumpLocusReport:
-    degree: int
-    mult: int
-    max_order: int
-    members: list                # (Character, dims) canonical order
-    components: list             # Component, canonical order
-    residual: list               # Characters not explained by components
-    scanned: int
+    def __init__(self, degree, mult, max_order, members, components,
+                 residual, scanned):
+        self.degree = degree
+        self.mult = mult
+        self.max_order = max_order
+        self.members = members          # (Character, dims) canonical order
+        self.components = components    # Component, canonical order
+        self.residual = residual        # Characters no component explains
+        self.scanned = scanned
 
     def certified_components(self):
         return [c for c in self.components if c.status == "certified"]
@@ -267,13 +275,15 @@ def kill_cover(p: FinitePresentation, characters):
     return reidemeister_schreier(p, targets, n)
 
 
-@dataclass
 class CoverCertificate:
-    cover: FinitePresentation
-    schreier_words: tuple
-    component: Component
-    base_component: Component
-    trivial_cover: bool
+    def __init__(self, cover: FinitePresentation, schreier_words: tuple,
+                 component: Component, base_component: Component,
+                 trivial_cover: bool):
+        self.cover = cover
+        self.schreier_words = schreier_words
+        self.component = component
+        self.base_component = base_component
+        self.trivial_cover = trivial_cover
 
     def serialize(self):
         return {

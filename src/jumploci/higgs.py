@@ -12,14 +12,15 @@ lattice_cohomology_dims).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .cyclotomic import Cyc
 from .errors import Refusal
 from .linalg import koszul_differential, rank_exact, solve
 from .numutil import frac_mod1
+from .value import Value
 
 
 # Largest torus dimension a model may have.  Only the Higgs side grows
@@ -30,28 +31,26 @@ from .numutil import frac_mod1
 MAX_TORUS_DIMENSION = 6
 
 
-@dataclass(frozen=True)
-class ComplexTorusModel:
+class ComplexTorusModel(Value):
     """C^n modulo a rank-2n lattice; periods[j] is the j-th lattice
-    generator as a vector of (real, imag) rational pairs."""
+    generator as a vector of (real, imag) rational pairs, so 2n entries,
+    each an n-tuple of (Fraction, Fraction)."""
 
-    n: int
-    periods: tuple     # 2n entries, each an n-tuple of (Fraction, Fraction)
+    _fields = ("n", "periods")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, periods: tuple):
+        if n < 1:
             raise Refusal("the torus needs dimension n >= 1")
-        if self.n > MAX_TORUS_DIMENSION:
-            raise Refusal(f"torus dimension {self.n} is above the limit "
+        if n > MAX_TORUS_DIMENSION:
+            raise Refusal(f"torus dimension {n} is above the limit "
                           f"{MAX_TORUS_DIMENSION}")
-        if len(self.periods) != 2 * self.n:
+        if len(periods) != 2 * n:
             raise Refusal("need 2n lattice generators")
-        if any(len(row) != self.n for row in self.periods):
+        if any(len(row) != n for row in periods):
             raise Refusal("each lattice generator needs n entries")
-        periods = tuple(
+        self.__dict__.update(n=n, periods=tuple(
             tuple((Fraction(re), Fraction(im)) for re, im in row)
-            for row in self.periods)
-        object.__setattr__(self, "periods", periods)
+            for row in periods))
         if rank_exact(self.real_period_matrix()) < 2 * self.n:
             raise Refusal("lattice does not span")
 
@@ -75,19 +74,17 @@ class ComplexTorusModel:
         return rows
 
 
-@dataclass(frozen=True)
-class LatticeCharacter:
+class LatticeCharacter(Value):
     """Exact character of the period lattice: modulus exp(log_moduli[j])
-    and angle angles[j] (in turns) on the j-th generator."""
+    and angle angles[j] (in turns) on the j-th generator, both stored as
+    Fractions, the angles reduced mod 1."""
 
-    log_moduli: tuple      # Fractions q_j with r_j = exp(q_j)
-    angles: tuple          # Fractions, reduced mod 1
+    _fields = ("log_moduli", "angles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "log_moduli",
-                           tuple(Fraction(q) for q in self.log_moduli))
-        object.__setattr__(self, "angles",
-                           tuple(frac_mod1(Fraction(a)) for a in self.angles))
+    def __init__(self, log_moduli: tuple, angles: tuple):
+        self.__dict__.update(
+            log_moduli=tuple(Fraction(q) for q in log_moduli),
+            angles=tuple(frac_mod1(Fraction(a)) for a in angles))
 
     @property
     def rank(self):
@@ -117,22 +114,20 @@ class LatticeCharacter:
                 "angles": [str(a) for a in self.angles]}
 
 
-@dataclass(frozen=True)
-class HiggsLineBundle:
-    """Unitary character (the flat line bundle), torsion first Chern
-    class (always trivial on a torus model, kept as data), and the
-    1-form coefficient vector theta with rational real/imag parts."""
+class HiggsLineBundle(Value):
+    """Unitary character of the lattice (the flat line bundle), torsion
+    first Chern class (always trivial on a torus model, kept as data),
+    and the 1-form coefficient vector theta as n pairs of rational
+    (real, imag) parts."""
 
-    angles: tuple            # unitary character of the lattice
-    theta: tuple             # n pairs (Fraction re, Fraction im)
-    torsion_class: int = 0
+    _fields = ("angles", "theta", "torsion_class")
 
-    def __post_init__(self):
-        object.__setattr__(self, "angles",
-                           tuple(frac_mod1(Fraction(a)) for a in self.angles))
-        object.__setattr__(self, "theta",
-                           tuple((Fraction(re), Fraction(im)) for re, im in self.theta))
-        if self.torsion_class != 0:
+    def __init__(self, angles: tuple, theta: tuple, torsion_class: int = 0):
+        self.__dict__.update(
+            angles=tuple(frac_mod1(Fraction(a)) for a in angles),
+            theta=tuple((Fraction(re), Fraction(im)) for re, im in theta),
+            torsion_class=torsion_class)
+        if torsion_class != 0:
             raise ValueError("complex tori have no torsion classes")
 
     @property
@@ -176,9 +171,16 @@ def higgs_to_character(x: ComplexTorusModel, h: HiggsLineBundle):
 # Cohomology of a Higgs line bundle on the torus model
 
 
-def _theta_gauss(h: HiggsLineBundle):
+@lru_cache(maxsize=8)
+def _wedge_theta_ranks(theta):
+    """Ranks of wedging with theta, Lambda^k W* -> Lambda^(k+1) W* for
+    k = 0 .. n-1: the Koszul differentials of the scalars theta_j.
+    Cached per 1-form, so the degrees of splitting_check and
+    partition_check on one pair rank each differential once."""
     i_unit = Cyc.root_of_unity(4)
-    return [Cyc.rational(re) + i_unit * im for re, im in h.theta]
+    ops = [[[Cyc.rational(re) + i_unit * im]] for re, im in theta]
+    return tuple(rank_exact(koszul_differential(ops, k, Cyc.zero()))
+                 for k in range(len(theta)))
 
 
 def higgs_cohomology_dim(x: ComplexTorusModel, h: HiggsLineBundle, p, q):
@@ -191,11 +193,9 @@ def higgs_cohomology_dim(x: ComplexTorusModel, h: HiggsLineBundle, p, q):
         raise ValueError("(p, q) out of range")
     if not h.flat_is_trivial:
         return 0
-    # Wedging with theta is the Koszul differential of the scalars theta_j.
-    ops = [[[t]] for t in _theta_gauss(h)]
-    ranks = [rank_exact(koszul_differential(ops, k, Cyc.zero()))
-             for k in (p - 1, p) if 0 <= k < n]
-    return (comb(n, p) - sum(ranks)) * comb(n, q)
+    ranks = _wedge_theta_ranks(h.theta)
+    lost = sum(ranks[k] for k in (p - 1, p) if 0 <= k < n)
+    return (comb(n, p) - lost) * comb(n, q)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ laurent.LaurentPoly values with a torsion twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import words
@@ -18,35 +17,32 @@ from .errors import InvariantError, Refusal
 from .intlinalg import smith_normal_form, snf_diagonal
 from .laurent import LaurentPoly
 from .linalg import inverse, rank_exact
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(Value):
     """Generators x_0 .. x_{g-1} and cyclically reduced relator words."""
 
-    generator_count: int
-    relators: tuple
-    aspherical: bool = False
-    names: tuple = ()
+    _fields = ("generator_count", "relators", "aspherical", "names")
 
-    def __post_init__(self):
-        if self.generator_count < 0:
+    def __init__(self, generator_count: int, relators: tuple,
+                 aspherical: bool = False, names: tuple = ()):
+        if generator_count < 0:
             raise ValueError("generator count must be nonnegative")
         reduced = []
-        for rel in self.relators:
+        for rel in relators:
             for idx, exp in rel:
                 if exp not in (1, -1):
                     raise ValueError("a letter's exponent must be 1 or -1")
-                if not 0 <= idx < self.generator_count:
+                if not 0 <= idx < generator_count:
                     raise ValueError("relator uses an unknown generator")
             rel = words.cyclic_reduce(words.free_reduce(rel))
             if rel:
                 reduced.append(rel)
-        object.__setattr__(self, "relators", tuple(reduced))
-        if not self.names:
-            object.__setattr__(
-                self, "names",
-                tuple(_default_name(i) for i in range(self.generator_count)))
+        self.__dict__.update(
+            generator_count=generator_count, relators=tuple(reduced),
+            aspherical=aspherical, names=names or tuple(
+                _default_name(i) for i in range(generator_count)))
 
     @property
     def relator_count(self):
@@ -64,8 +60,7 @@ def _default_name(i):
     return f"x{i}"
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
+class AbelianizationData(Value):
     """H1 of a presentation as Z^b + Z/d_1 + ... + Z/d_t with projection.
 
     gen_images[j] = (free coords in Z^b, torsion coords mod d_i) of the
@@ -74,11 +69,13 @@ class AbelianizationData:
     characters between Tietze-equivalent presentations.
     """
 
-    free_rank: int
-    torsion: tuple
-    gen_images: tuple
-    basis_lifts: tuple = field(default=(), compare=False)
-    torsion_lifts: tuple = field(default=(), compare=False)
+    _fields = ("free_rank", "torsion", "gen_images")
+
+    def __init__(self, free_rank: int, torsion: tuple, gen_images: tuple,
+                 basis_lifts: tuple = (), torsion_lifts: tuple = ()):
+        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+                             gen_images=gen_images, basis_lifts=basis_lifts,
+                             torsion_lifts=torsion_lifts)
 
     @property
     def generator_count(self):

@@ -13,7 +13,6 @@ cannot move them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -24,30 +23,28 @@ from .intlinalg import (hnf_rows, identity, kernel_columns,
                         kernel_rational_rows, mat_mul, smith_normal_form,
                         transpose)
 from .numutil import factorint, frac_mod1, lcm_all
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TranslatedSubtorus:
+class TranslatedSubtorus(Value):
     """tau * T with T = {z : z^u = 1 for rows u of annihilator}.
 
-    directions is the saturated b x d basis B of T's direction lattice
-    and right_inverse the b x m matrix R, both read from the Smith form
-    of the annihilator taken once at construction (module docstring)."""
+    annihilator holds the rows in canonical HNF, saturated.  directions
+    is the saturated b x d basis B of T's direction lattice and
+    right_inverse the b x m matrix R, both read from the Smith form of
+    the annihilator taken once at construction (module docstring) and
+    kept out of comparison."""
 
-    free_rank: int
-    torsion: tuple
-    annihilator: tuple          # rows, canonical HNF, saturated
-    translate: Character
-    directions: tuple = field(init=False, repr=False, compare=False)
-    right_inverse: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("free_rank", "torsion", "annihilator", "translate")
 
-    def __post_init__(self):
-        if any(len(r) != self.free_rank for r in self.annihilator):
+    def __init__(self, free_rank: int, torsion: tuple, annihilator: tuple,
+                 translate: Character):
+        if any(len(r) != free_rank for r in annihilator):
             raise Refusal("annihilator rows need one entry per free "
                           "generator")
-        if self.translate.free_rank != self.free_rank:
+        if translate.free_rank != free_rank:
             raise Refusal("translate lives on a different torus")
-        ann = hnf_rows([list(r) for r in self.annihilator])
+        ann = hnf_rows([list(r) for r in annihilator])
         m = len(ann)
         if m:
             u, d, v = smith_normal_form(ann)
@@ -56,12 +53,14 @@ class TranslatedSubtorus:
                               "saturated, so they cut out more than one "
                               "component")
         else:
-            u, v = [], identity(self.free_rank)
+            u, v = [], identity(free_rank)
+        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+                             translate=translate)
         for name, value in (
                 ("annihilator", ann),
                 ("directions", [row[m:] for row in v]),
                 ("right_inverse", mat_mul([row[:m] for row in v], u))):
-            object.__setattr__(self, name, tuple(tuple(r) for r in value))
+            self.__dict__[name] = tuple(tuple(r) for r in value)
 
     @property
     def dim(self):

@@ -66,7 +66,6 @@ MAX_SCAN_CHARACTERS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -163,7 +162,6 @@ def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
 # Fast scanning
 
 
-@dataclass
 class ScanResult:
     """Hits of a scan, with the primes behind them (kept out of reports).
 
@@ -172,13 +170,15 @@ class ScanResult:
     or no relators), and certifying_prime is None when the scan fell back
     to exact elimination."""
 
-    hits: list          # (Character, dims tuple) pairs, canonical order
-    points: list        # the hits' exponent vectors, in the same order
-    scanned: int
-    max_order: int
-    filter_prime: int | None = None
-    certifying_prime: int | None = None
-    ranked: int = 0     # orbit representatives ranked mod p
+    def __init__(self, hits, points, scanned, max_order, filter_prime=None,
+                 certifying_prime=None, ranked=0):
+        self.hits = hits        # (Character, dims) pairs, canonical order
+        self.points = points    # the hits' exponent vectors, in that order
+        self.scanned = scanned
+        self.max_order = max_order
+        self.filter_prime = filter_prime
+        self.certifying_prime = certifying_prime
+        self.ranked = ranked    # orbit representatives ranked mod p
 
 
 class _ModularEvaluator:

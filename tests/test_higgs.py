@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
+from jumploci import cli, higgs
 from jumploci.errors import Refusal
 from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
                             LatticeCharacter, character_to_higgs,
                             higgs_cohomology_dim, higgs_to_character,
                             lattice_cohomology_dims, partition_check,
                             splitting_check)
+from jumploci.linalg import rank_exact
 
 from conftest import within_seconds
 from oracles import lattice_cohomology_dims_bareiss
@@ -235,3 +237,21 @@ def test_locus_structure_degenerates_to_product_shape():
             assert h.flat_is_trivial
             hits_theta.append(theta[0])
     assert all(t == (Fraction(0), Fraction(0)) for t in hits_theta)
+
+
+def test_verify_thm3_ranks_each_differential_once(monkeypatch, tmp_path):
+    # At n = 6 with 3 samples, samples 0 and 2 have a trivial flat part,
+    # so 2 x 6 wedge-with-theta differentials are ranked, plus the
+    # model's span check: 13 ranks over all 13 degrees of each sample.
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return rank_exact(matrix)
+
+    monkeypatch.setattr(higgs, "rank_exact", counted)
+    higgs._wedge_theta_ranks.cache_clear()
+    argv = ["higgs", "verify-thm3", "--n", "6", "--samples", "3",
+            "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 13

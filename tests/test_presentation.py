@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,7 +5,8 @@ import pytest
 from jumploci import corpus, words
 from jumploci.errors import InvariantError, Refusal
 from jumploci.laurent import LaurentPoly
-from jumploci.presentation import (MAX_COVER_INDEX, FinitePresentation, _check_accounting,
+from jumploci.presentation import (MAX_COVER_INDEX, AbelianizationData,
+                                   FinitePresentation, _check_accounting,
                                    abelianize, fox_matrix,
                                    fox_row_identity_holds, permuted_inverted,
                                    reidemeister_schreier)
@@ -230,7 +230,9 @@ def test_accounting_check_raises_invariant_error():
     c3 = FinitePresentation(1, (words.generator(0, 3),))
     ab = abelianize(c3)
     with pytest.raises(InvariantError, match="free rank"):
-        _check_accounting(c3, dataclasses.replace(ab, free_rank=1,
-                                                  gen_images=(((1,), (1,)),)))
+        _check_accounting(c3, AbelianizationData(
+            1, ab.torsion, (((1,), (1,)),), ab.basis_lifts, ab.torsion_lifts))
     with pytest.raises(InvariantError, match="relator"):
-        _check_accounting(c3, dataclasses.replace(ab, torsion=(4,)))
+        _check_accounting(c3, AbelianizationData(
+            ab.free_rank, (4,), ab.gen_images, ab.basis_lifts,
+            ab.torsion_lifts))

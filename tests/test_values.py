@@ -1,0 +1,128 @@
+"""Value semantics of the ten frozen records.
+
+Sets and dicts of these records decide the order of what reports list,
+so equality and hash must follow the compared fields as declared: the
+hash is the hash of the tuple of compared fields in declaration order,
+equality needs the same class and equal compared fields, fields kept out
+of comparison are ignored, and no attribute can be set or deleted once
+the record is built.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from jumploci import corpus
+from jumploci.alexander import ModuleAction, cover_homology_rank_one
+from jumploci.characters import Character, rplus_act
+from jumploci.discovery import Component, discover_components
+from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
+                            character_to_higgs)
+from jumploci.presentation import (AbelianizationData, FinitePresentation,
+                                   abelianize)
+from jumploci.subtorus import TranslatedSubtorus
+
+
+def _companion(poly):
+    """Companion matrix of a monic polynomial given low degree first."""
+    d = len(poly.coeffs) - 1
+    return [[int(i == j + 1) for j in range(d - 1)] + [-poly.coeffs[i]]
+            for i in range(d)]
+
+
+def _cases():
+    """(class, constructor args, index of an arg to change, its new value,
+    compared field names) per frozen record, built from corpus data."""
+    trefoil = corpus.get("trefoil")
+    ab = abelianize(corpus.get("c3xz"))
+    chi = Character(ab.free_rank, ab.torsion, (2,), ("1/4",), ("1/3",))
+    numeric = rplus_act(Fraction(1, 2), chi)
+    comp = discover_components(corpus.get("swap_torus"), 1, 1, 4).components[0]
+    sub = comp.subtorus
+    alexander_poly = cover_homology_rank_one(trefoil).invariant_factors[0][1]
+    model = ComplexTorusModel.standard(2)
+    rho = LatticeCharacter((1, 0, -1, 2), ("1/6", 0, 0, "1/2"))
+    h = character_to_higgs(model, LatticeCharacter((1, 0, -1, 2), (0,) * 4))
+    return [
+        (FinitePresentation,
+         (trefoil.generator_count, trefoil.relators, True, trefoil.names),
+         2, False, ("generator_count", "relators", "aspherical", "names")),
+        (AbelianizationData,
+         (ab.free_rank, ab.torsion, ab.gen_images, ab.basis_lifts,
+          ab.torsion_lifts),
+         1, (9,), ("free_rank", "torsion", "gen_images")),
+        (Character,
+         (chi.free_rank, chi.torsion, chi.moduli, chi.angles, chi.tors_angles),
+         3, ("1/3",), ("free_rank", "torsion", "moduli", "angles",
+                       "tors_angles")),
+        (type(numeric),
+         (numeric.free_rank, numeric.torsion, numeric.values,
+          numeric.tors_angles, numeric.flag),
+         4, "other", ("free_rank", "torsion", "values", "tors_angles", "flag")),
+        (TranslatedSubtorus,
+         (sub.free_rank, sub.torsion, sub.annihilator, sub.translate),
+         3, Character.trivial(sub.free_rank),
+         ("free_rank", "torsion", "annihilator", "translate")),
+        (Component,
+         (sub, comp.status, comp.generic_h, comp.contains_trivial,
+          comp.insufficient_sampling),
+         1, "refuted", ("subtorus", "status", "generic_h", "contains_trivial",
+                        "insufficient_sampling")),
+        (ModuleAction, ((_companion(alexander_poly),),),
+         0, (((1, 0), (0, 1)),), ("matrices",)),
+        (ComplexTorusModel, (model.n, model.periods),
+         1, model.periods[::-1], ("n", "periods")),
+        (LatticeCharacter, (rho.log_moduli, rho.angles),
+         1, (0,) * 4, ("log_moduli", "angles")),
+        (type(h), (h.angles, h.theta, h.torsion_class),
+         1, ((1, 0), (0, 0)), ("angles", "theta", "torsion_class")),
+    ]
+
+
+CASES = _cases()
+
+
+def _hash(value):
+    """hash(value), or TypeError for a value with an unhashable part
+    (Cyc entries make a ModuleAction unhashable)."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, args, index, value, compared", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_frozen_record_value_semantics(cls, args, index, value, compared):
+    x = cls(*args)
+    key = tuple(getattr(x, name) for name in compared)
+    assert _hash(x) == _hash(key)
+    twin = cls(*args)
+    assert twin == x and _hash(twin) == _hash(x) and twin is not x
+    changed = list(args)
+    changed[index] = value
+    assert cls(*changed) != x
+    assert type(cls.__name__, (cls,), {})(*args) != x
+    assert x != key and x != object()
+    with pytest.raises(AttributeError):
+        x.unknown_name = 1
+    for name in compared:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in compared) == key
+
+
+def test_fields_out_of_comparison_are_ignored():
+    ab = abelianize(corpus.get("c3xz"))
+    bare = AbelianizationData(ab.free_rank, ab.torsion, ab.gen_images)
+    assert ab.basis_lifts and bare.basis_lifts == ()
+    assert bare == ab and hash(bare) == hash(ab)
+    sub = discover_components(corpus.get("swap_torus"), 1, 1,
+                              4).components[0].subtorus
+    twin = TranslatedSubtorus(sub.free_rank, sub.torsion, sub.annihilator,
+                              sub.translate)
+    object.__setattr__(twin, "directions", ())
+    object.__setattr__(twin, "right_inverse", ())
+    assert twin == sub and hash(twin) == hash(sub)
