@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import Cyc
 from .errors import Refusal
-from .numutil import divisors, frac_mod1, lcm_all, mobius, rational_power
+from .numutil import divisors, frac_mod1, mobius, rational_power
 from .value import Value
 
 
@@ -109,8 +109,7 @@ class Character(Value):
         """Multiplicative order; defined for unitary characters only."""
         if not self.is_unitary:
             raise ValueError("non-unitary characters have infinite order")
-        return lcm_all([a.denominator for a in self.angles]
-                       + [a.denominator for a in self.tors_angles])
+        return lcm(*(a.denominator for a in self.angles + self.tors_angles))
 
     def value_parts(self, free_vec, tors_vec=()):
         """(modulus, angle) of the value on an H1 element."""
@@ -198,7 +197,7 @@ class NumericCharacter(Value):
 def torsion_modulus(max_order, torsion):
     """n = lcm(1..max_order, d_1..d_t), the common denominator of the
     torsion points of order at most max_order and of the torsion dual."""
-    return lcm_all(list(range(1, max_order + 1)) + list(torsion), start=1)
+    return lcm(*range(1, max_order + 1), *torsion)
 
 
 def enumerate_torsion_characters(free_rank, torsion, max_order):

@@ -96,7 +96,7 @@ def _rationals(values, where):
 def _load_input(source):
     if os.path.exists(source):
         return parse_presentation(_read_text(source))
-    if source in corpus.CORPUS:
+    if source in corpus.names():
         return corpus.get(source)
     raise ParseError(f"no such file or corpus group: {source}")
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantError
 from .linalg import rank_exact  # noqa: F401  (the public name of the field rank)
-from .numutil import divisors, euler_phi, lcm
+from .numutil import divisors, euler_phi
 
 
 _CYCLO_CACHE = {}
@@ -36,20 +36,11 @@ def cyclotomic_polynomial(n):
 
 
 def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[len(den) - 1 + k]
-        if c % den[-1]:
-            raise InvariantError("inexact cyclotomic division")
-        q = c // den[-1]
-        out[k] = q
-        if q:
-            for i, dc in enumerate(den):
-                num[i + k] -= q * dc
-    if any(num):
+    """num / den for integer lists, as ints; raises unless exact."""
+    q, r = _upoly_divmod([Fraction(c) for c in num], den)
+    if any(r) or any(c.denominator != 1 for c in q):
         raise InvariantError("inexact cyclotomic division")
-    return out
+    return [c.numerator for c in q]
 
 
 _ZERO = Fraction(0)

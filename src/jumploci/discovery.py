@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .characters import Character, torsion_modulus
 from .errors import InvariantError, Refusal
 from .laurent import rank_generic
-from .numutil import frac_mod1, lcm_all
+from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
@@ -109,7 +110,7 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
         raise ValueError("subtorus lives on a different character torus")
     check_query(p, degree, mult)
     tau = sub.translate
-    conductor = lcm_all(a.denominator for a in tau.angles + tau.tors_angles)
+    conductor = lcm(*(a.denominator for a in tau.angles + tau.tors_angles))
     if conductor > MAX_CERTIFY_CONDUCTOR:
         raise Refusal(f"translate of conductor {conductor} is above the "
                       f"limit {MAX_CERTIFY_CONDUCTOR}")
@@ -141,7 +142,10 @@ def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
 
     seed and class_hits are exponent vectors and translate is seed's
     character.  The subset check iterates lazily so rejected directions
-    fail on the first non-hit point of the enlarged coset."""
+    fail on the first non-hit point of the enlarged coset.  A hit whose
+    direction lies in the current span is a point of the current coset of
+    order at most max_order, so it is in covered and skipped, and every
+    candidate has one dimension more than the current coset."""
     n = torsion_modulus(max_order, translate.torsion)
     b = translate.free_rank
     directions = []
@@ -151,8 +155,6 @@ def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
             continue
         cand_dirs = directions + [_lift_difference(other, seed, n, b)]
         cand = subtorus_from_directions(cand_dirs, translate)
-        if current is not None and cand.dim == current.dim:
-            continue
         points = set()
         for pt in cand.iter_torsion_points(max_order):
             if pt not in hit_keys:
@@ -268,7 +270,7 @@ def kill_cover(p: FinitePresentation, characters):
     in (Z/n)^m has kernel the intersection of the ker chi_i, so no normal
     form of the quotient is needed."""
     ab, _ = presentation_data(p)
-    n = lcm_all([chi.order() for chi in characters])
+    n = lcm(*(chi.order() for chi in characters))
     targets = [tuple((n * chi.value_parts(*image)[1]).numerator
                      for chi in characters)
                for image in ab.gen_images]

@@ -9,7 +9,7 @@ minimal nonzero entry, never randomly.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 def mat_copy(a):
@@ -250,9 +250,7 @@ def kernel_rational_rows(rows_of_fractions, ncols):
     """
     cleared = []
     for row in rows_of_fractions:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row))
         cleared.append([int(x * den) for x in row])
     if not cleared:
         return identity(ncols)

@@ -13,6 +13,7 @@ torsion twist to roots of unity first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclotomic import Cyc
 from .errors import InvariantError
@@ -186,14 +187,11 @@ class LaurentPoly:
         p = self.shift_normalize()
         if not p.terms:
             return p
-        from math import gcd
-        num_gcd, den_lcm = 0, 1
         rational = all(c.is_rational() for c in p.terms.values())
         if rational:
-            for c in p.terms.values():
-                q = c.rational_value()
-                num_gcd = gcd(num_gcd, q.numerator)
-                den_lcm = den_lcm * q.denominator // gcd(den_lcm, q.denominator)
+            qs = [c.rational_value() for c in p.terms.values()]
+            num_gcd = gcd(*(q.numerator for q in qs))
+            den_lcm = lcm(*(q.denominator for q in qs))
             scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
             p = p * scale
             _, lead = p.leading()

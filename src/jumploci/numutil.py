@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import Refusal
 
@@ -45,17 +44,6 @@ def divisors(n):
     for p, e in factorint(n).items():
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def lcm_all(values, start=1):
-    out = start
-    for v in values:
-        out = lcm(out, v)
-    return out
 
 
 def frac_mod1(x: Fraction) -> Fraction:

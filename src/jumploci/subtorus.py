@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .characters import Character, torsion_modulus
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_columns,
                         kernel_rational_rows, mat_mul, smith_normal_form,
                         transpose)
-from .numutil import factorint, frac_mod1, lcm_all
+from .numutil import factorint, frac_mod1
 from .value import Value
 
 
@@ -127,12 +127,12 @@ class TranslatedSubtorus(Value):
             return
         # H tau = c / den in integers, then reduced: den becomes the lcm
         # of the denominators of H tau.
-        den = lcm_all(a.denominator for a in tau.angles)
+        den = lcm(*(a.denominator for a in tau.angles))
         t = [a.numerator * (den // a.denominator) for a in tau.angles]
         c = [sum(x * y for x, y in zip(u, t)) for u in self.annihilator]
         g = gcd(den, *c)
         c, den = [x // g for x in c], den // g
-        q = lcm_all((a.denominator for a in tau.tors_angles), start=den)
+        q = lcm(den, *(a.denominator for a in tau.tors_angles))
         if q > max_order:
             return
         # den | q <= max_order divides n, so n theta_0 = (n / den) R c.
@@ -157,17 +157,16 @@ class TranslatedSubtorus(Value):
             return False
         return self.contains(other.translate)
 
-    def canonical_translate(self, max_order=None):
+    def canonical_translate(self, max_order):
         """Reduce the translate to the lexicographically least torsion
-        point of the coset with the same order bound (unitary case)."""
+        point of order at most max_order of the coset (unitary case)."""
         if not self.translate.is_unitary:
             return self
-        k = max_order or self.translate.order()
-        least = min(self._points(k), default=None)
+        least = min(self._points(max_order), default=None)
         if least is None:
             return self
         best = Character.from_exponents(self.free_rank, self.torsion, least,
-                                        torsion_modulus(k, self.torsion))
+                                        torsion_modulus(max_order, self.torsion))
         return TranslatedSubtorus(self.free_rank, self.torsion, self.annihilator, best)
 
     def sort_key(self):
@@ -216,9 +215,8 @@ def subtorus_from_directions(direction_rows, translate: Character):
     """Connected subtorus whose direction span is generated by rational
     direction vectors (e.g. lifted differences of torsion points)."""
     b = translate.free_rank
-    fr_rows = [[Fraction(x) for x in row] for row in direction_rows]
     return TranslatedSubtorus(b, translate.torsion,
-                              transpose(kernel_rational_rows(fr_rows, b)),
+                              transpose(kernel_rational_rows(direction_rows, b)),
                               translate)
 
 

@@ -395,8 +395,12 @@ def _modular_evaluator_cached(p, max_order):
     return _ModularEvaluator(fox, ab.free_rank, ab.torsion, max_order)
 
 
-def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed,
-                         tol=1e-8):
+# Singular values below this fraction of the largest (or of 1, if that is
+# larger) count as zero in the numeric fallback's rank.
+NUMERIC_RANK_TOL = 1e-8
+
+
+def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed):
     """Flagged numeric fallback: random unitary characters, SVD rank.
 
     Returns characters (as angle tuples) whose numeric rank drop suggests
@@ -423,7 +427,7 @@ def numeric_unitary_scan(p: FinitePresentation, degree, mult, samples, seed,
             rank = 0
         else:
             sv = np.linalg.svd(mat, compute_uv=False)
-            rank = int((sv > tol * max(1.0, sv[0])).sum())
+            rank = int((sv > NUMERIC_RANK_TOL * max(1.0, sv[0])).sum())
         trivial = not any(angles) and not any(tors)
         if dims_from_rank(p, trivial, rank)[degree] >= mult:
             found.append({"angles": [str(a) for a in angles],

@@ -6,6 +6,7 @@ Smith form in `intlinalg`), and exact detection of root-of-unity roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Cyc
 from .errors import InvariantError
@@ -123,11 +124,7 @@ class UPoly:
         return out
 
     def conductor(self):
-        n = 1
-        for c in self.coeffs:
-            from .numutil import lcm
-            n = lcm(n, c.n)
-        return n
+        return lcm(*(c.n for c in self.coeffs))
 
     def __repr__(self):
         return f"UPoly({self.coeffs!r})"

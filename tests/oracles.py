@@ -6,7 +6,7 @@ independent statement of a property the program's results must have.
 
 import cmath
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import jumploci.alexander as alexander
 from jumploci import words
@@ -14,7 +14,6 @@ from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.discovery import restrict_subtorus_to_cover, transport_character
 from jumploci.laurent import LaurentPoly, rank_generic
 from jumploci.linalg import koszul_dims
-from jumploci.numutil import lcm_all
 from jumploci.presentation import permuted_inverted
 from jumploci.twisted import presentation_data
 
@@ -107,7 +106,7 @@ def lattice_cohomology_dims_bareiss(x, rho):
     rational function cannot vanish at a transcendental point."""
     if rho.rank != 2 * x.n:
         raise ValueError("character rank does not match the lattice")
-    den = lcm_all([q.denominator for q in rho.log_moduli], start=1)
+    den = lcm(*(q.denominator for q in rho.log_moduli))
     values = []
     for q, a in zip(rho.log_moduli, rho.angles):
         coeff = Cyc.from_angle(a)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -53,6 +54,77 @@ def test_analyze_reads_presentation_files(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["results"]["components"]) == 1
     assert data["results"]["components"][0]["dim"] == 0
+
+
+def test_corpus_names_resolve_against_the_checkout(tmp_path):
+    # A name is corpus/<name>.pres of the checkout the package runs from,
+    # whatever the working directory.
+    res = subprocess.run(RUN + ["analyze", "z2", "--K", "4"],
+                         capture_output=True, cwd=tmp_path, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    expected = REPO_ROOT / "corpus" / "expected" / "analyze_z2_K4.json"
+    assert res.stdout == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["../corpus/z2", "z2.pres", "expected"])
+def test_only_listed_corpus_stems_are_names(tmp_path, name):
+    res = run_cli("analyze", name, "--K", "2", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("parse error: "), res.stderr
+
+
+# Counts the opens and listings of the corpus directory argv[1] and of
+# its files: at import, then after one name lookup.
+CORPUS_READS = """
+import os
+import sys
+
+seen = []
+
+def hook(event, args):
+    if (event in ("open", "os.listdir", "os.scandir") and args
+            and isinstance(args[0], (str, bytes))
+            and os.fsdecode(args[0]).startswith(sys.argv[1])):
+        seen.append(event)
+
+sys.addaudithook(hook)
+import jumploci.cli
+print(len(seen))
+jumploci.corpus.names()
+print(len(seen))
+"""
+
+
+def test_importing_the_cli_reads_no_corpus_file():
+    res = subprocess.run([sys.executable, "-c", CORPUS_READS,
+                          str(REPO_ROOT / "corpus")], capture_output=True,
+                         text=True, cwd=REPO_ROOT, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    # None at import; the lookup afterwards shows that the hook sees them.
+    assert res.stdout.split() == ["0", "1"]
+
+
+def test_package_without_a_corpus_directory(tmp_path):
+    shutil.copytree(REPO_ROOT / "src" / "jumploci",
+                    tmp_path / "src" / "jumploci",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert not (tmp_path / "corpus").exists()
+    shutil.copyfile(REPO_ROOT / "corpus" / "z2.pres", tmp_path / "z2.pres")
+    env = dict(cli_env(), PYTHONPATH=str(tmp_path / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, cwd=tmp_path, env=env)
+
+    res = run("-c", "import jumploci.cli, jumploci.corpus as c; "
+                    "print(c.CORPUS_DIR, c.names())")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{tmp_path / 'corpus'} []\n"
+    res = run("-m", "jumploci", "analyze", "z2.pres", "--K", "2")
+    assert res.returncode == 0, res.stderr
+    res = run("-m", "jumploci", "analyze", "z2", "--K", "2")
+    assert res.returncode == 1
+    assert res.stderr.startswith("parse error: "), res.stderr
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -29,7 +29,7 @@ def test_abelianize_examples():
 
 
 def test_abelianize_kills_relators_and_counts():
-    for name in corpus.CORPUS:
+    for name in corpus.names():
         p = corpus.get(name)
         ab = abelianize(p)
         for rel in p.relators:
@@ -75,7 +75,7 @@ def test_fox_matrix_free_group_empty():
 
 
 def test_fox_fundamental_identity_all_corpus_relators():
-    for name in corpus.CORPUS:
+    for name in corpus.names():
         p = corpus.get(name)
         ab = abelianize(p)
         for rel, row in zip(p.relators, fox_matrix(p, ab)):

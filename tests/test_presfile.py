@@ -3,8 +3,8 @@ import pytest
 from jumploci import corpus, words
 from jumploci.errors import Refusal
 from jumploci.presfile import (MAX_PRESENTATION_LETTERS, ParseError,
-                               format_presentation, load_presentation,
-                               parse_presentation, parse_word)
+                               format_presentation, parse_presentation,
+                               parse_word)
 
 from conftest import REPO_ROOT, within_seconds
 
@@ -128,17 +128,13 @@ def test_relator_past_the_letter_limit_is_refused():
         within_seconds(5, parse_presentation, three_relators(1))
 
 
+def test_corpus_names_are_the_shipped_file_stems():
+    stems = sorted(path.stem for path in (REPO_ROOT / "corpus").glob("*.pres"))
+    assert len(stems) == 15
+    assert corpus.names() == stems
+
+
 def test_corpus_files_round_trip():
-    for name in corpus.CORPUS:
+    for name in corpus.names():
         p = corpus.get(name)
         assert parse_presentation(format_presentation(p)) == p
-
-
-def test_shipped_corpus_files_equal_the_builders():
-    # The benchmark runs corpus/<name>.pres while the CLI's corpus names
-    # run the builders; both must give the same presentation, names and
-    # asphericity flag included, and there is one file per name.
-    files = {path.stem: path for path in (REPO_ROOT / "corpus").glob("*.pres")}
-    assert set(files) == set(corpus.CORPUS)
-    for name, path in files.items():
-        assert load_presentation(path) == corpus.get(name), name

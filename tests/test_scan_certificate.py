@@ -3,6 +3,7 @@ elimination: corpus scans, random Fox-like matrices, the large-exponent
 fallback, and the once-per-presentation Fox identity check; and of the
 Galois-orbit scan against a scan that ranks every character."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,7 @@ from jumploci.cyclotomic import Cyc
 from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import rank_exact
-from jumploci.numutil import (IS_PRIME_LIMIT, first_prime_congruent_one,
-                              lcm_all)
+from jumploci.numutil import IS_PRIME_LIMIT, first_prime_congruent_one
 from jumploci.presentation import FinitePresentation
 from jumploci.twisted import (_ModularEvaluator, _rank_mod_p, scan_sigma,
                               twisted_cohomology_dims)
@@ -182,7 +182,7 @@ def fox_like(draw):
     term = st.tuples(st.tuples(*[st.integers(-3, 3)] * nvars),
                      st.integers(-3, 3))
     scaled = draw(st.sampled_from([None] + list(range(rows))))
-    filter_prime = first_prime_congruent_one(lcm_all(range(1, k + 1)))
+    filter_prime = first_prime_congruent_one(math.lcm(*range(1, k + 1)))
     fox = []
     for i in range(rows):
         row = []
