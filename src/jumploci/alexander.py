@@ -15,18 +15,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from .characters import Character
 from .cyclotomic import Cyc
 from .discovery import kill_cover
 from .errors import InvariantError, Refusal
-from .intlinalg import identity, mat_mul
+from .intlinalg import identity, mat_mul, smith_form
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import koszul_dims, rank_exact
-from .numutil import frac_mod1
+from .numutil import euler_phi, frac_mod1
 from .presentation import FinitePresentation
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
-from .upoly import UPoly, cyclotomic_roots, numeric_roots, smith_invariants
 from .value import Value
 
 
@@ -187,7 +187,7 @@ class CoverModule:
         # (torsion character angles, angle) exact pairs
         self.eigen_angles = eigen_angles
         self.numeric_eigenvalues = numeric_eigenvalues
-        # (torsion character angles, UPoly) pairs
+        # (torsion character angles, monic LaurentPoly in T) pairs
         self.invariant_factors = invariant_factors
         self.detail = detail
 
@@ -202,28 +202,6 @@ def _specialized_fox(p, omega_tors_angles):
              for e in row] for row in fox]
 
 
-def _laurent1_to_upoly(poly, shift=None):
-    """One-variable Laurent polynomial as a UPoly after multiplying by
-    T^(-shift).  Matrix conversions must share one shift: per-entry unit
-    scaling is not a module operation and breaks linear identities."""
-    if poly.is_zero():
-        return UPoly.zero()
-    if shift is None:
-        shift = min(k[0][0] for k in poly.terms)
-    coeffs = {}
-    for (v, _), c in poly.terms.items():
-        if v[0] < shift:
-            raise InvariantError("common shift too small")
-        coeffs[v[0] - shift] = c
-    top = max(coeffs)
-    return UPoly([coeffs.get(i, Cyc.zero()) for i in range(top + 1)])
-
-
-def _common_shift(polys):
-    exps = [k[0][0] for p in polys for k in p.terms]
-    return min(exps) if exps else 0
-
-
 def cover_homology_rank_one(p: FinitePresentation):
     """Exact Alexander module computation for free rank 1 (plus finite
     torsion, split by Maschke along the finite dual).
@@ -234,7 +212,7 @@ def cover_homology_rank_one(p: FinitePresentation):
     and ker d1 is a direct summand: R^g / im d2 = H1(cover) + R (Crowell).
     The Smith form of the Fox matrix therefore gives H1 of the cover: the
     torsion invariants are its diagonal entries with their unit factors
-    c T^k removed, and the free rank is g - rank - 1."""
+    c T^k removed (monic), and the free rank is g - rank - 1."""
     ab, _ = presentation_data(p)
     if ab.free_rank != 1:
         raise InvariantError("cover homology is computed for free rank 1 only")
@@ -243,29 +221,73 @@ def cover_homology_rank_one(p: FinitePresentation):
     factors = []
     total_dim = 0
     for omega in _all_torsion_duals(ab.torsion):
-        fox_s = _specialized_fox(p, omega)
-        shift = _common_shift([e for row in fox_s for e in row])
-        mat = [[_laurent1_to_upoly(e, shift) for e in row] for row in fox_s]
-        invariants, rank = smith_invariants(mat)
-        free = p.generator_count - rank - 1
+        invariants = smith_invariants(_specialized_fox(p, omega))
+        free = p.generator_count - len(invariants) - 1
         if free < 0:
             raise InvariantError("Fox matrix rank exceeds g - 1")
         if free > 0:
             return CoverModule(False, -1, [], [], [],
                                detail="cover homology has positive rank")
         for f in invariants:
-            low = next(i for i, c in enumerate(f.coeffs) if c)
-            f = UPoly(f.coeffs[low:])       # T is a unit of R
-            if f.is_unit():
+            if f.span == 0:                 # c T^k is a unit of R
                 continue
             factors.append((tuple(omega), f))
             angles, residual = cyclotomic_roots(f)
-            total_dim += f.degree
+            total_dim += f.span
             for a in angles:
                 eigen.append((tuple(omega), a))
-            if residual.degree >= 1:
+            if residual.span >= 1:
                 numeric.extend(numeric_roots(residual))
     return CoverModule(True, total_dim, sorted(eigen), numeric, factors)
+
+
+def smith_invariants(mat):
+    """Nonzero monic invariant factors of a matrix over R = Q(zeta)[T, T^-1]
+    (one-variable LaurentPoly entries); their number is the rank, and the
+    matrix presents coker = sum R/(f_i) + R^(rows - rank)."""
+    _, d, _ = smith_form(mat, lambda f: f.span)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [f.monic() for f in diag if f]
+
+
+def cyclotomic_roots(poly: LaurentPoly):
+    """(root_angles, residual) for a nonzero one-variable polynomial:
+    root_angles lists rational angles a (with multiplicity) such that
+    e^(2 pi i a) is a root, and residual is the cofactor with no
+    root-of-unity roots left.
+
+    Any root of unity in the splitting picture has degree phi(q) at most
+    span(poly) * phi(conductor) over Q, which bounds the orders to try.
+    """
+    if poly.is_zero():
+        raise ValueError("zero polynomial has every root")
+    conductor = lcm(*(c.n for c in poly.terms.values()))
+    bound = max(1, poly.span * euler_phi(conductor))
+    orders = [q for q in range(1, 2 * bound * bound + 3) if euler_phi(q) <= bound]
+    angles = []
+    current = poly
+    for q in orders:
+        for a in range(q):
+            if q > 1 and gcd(a, q) != 1:
+                continue
+            root = Cyc.root_of_unity(q, a)
+            while current.span >= 1 and current.evaluate((root,)).is_zero():
+                lin = LaurentPoly(1, (), {((0,), ()): -root, ((1,), ()): 1})
+                current, rem = current.divmod(lin)
+                if rem:
+                    raise InvariantError("a root leaves a nonzero remainder")
+                angles.append(Fraction(a, q))
+    return sorted(angles), current
+
+
+def numeric_roots(poly: LaurentPoly):
+    """Numeric roots of a one-variable residual factor via the principal
+    embedding, flagged non-exact by callers."""
+    import numpy as np
+    cs = [complex(c.value()) for c in poly.coefficients()[1]]
+    if len(cs) <= 1:
+        return []
+    return [complex(z) for z in np.roots(cs[::-1])]
 
 
 def _all_torsion_duals(torsion):
@@ -307,8 +329,8 @@ def _candidate_points_rank_two(p: FinitePresentation, omega):
                 break
         if elim is None:
             return [], False, False
-        angles, residual = cyclotomic_roots(_laurent1_to_upoly(elim))
-        if residual.degree >= 1:
+        angles, residual = cyclotomic_roots(elim)
+        if residual.span >= 1:
             has_numeric = True
         axis_roots.append(sorted(set(angles)))
     cands = [(a0, a1) for a0 in axis_roots[0] for a1 in axis_roots[1]]

@@ -1,6 +1,7 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms and
 saturated kernels.  The Smith form also serves any Euclidean domain
-(upoly uses it over Q(zeta)[T]).
+(alexander uses it over Q(zeta)[T, T^-1], with LaurentPoly entries), and
+the Hermite form reuses its row transform.
 
 All matrices are lists of lists of Python ints (arbitrary precision), rows
 first.  Everything here is deterministic: pivots are chosen by first
@@ -95,9 +96,9 @@ def smith_form(a, size):
     """Smith form with transforms over a Euclidean domain.
 
     Entries are ints (size=abs) or ring elements supporting + - * // %
-    and a truth test, such as upoly.UPoly (size = degree); size(x) is the
-    Euclidean size of a nonzero x.  Returns (u, d, v) with u @ a @ v == d,
-    u and v invertible over the ring, and d diagonal with
+    and a truth test, such as one-variable LaurentPoly (size=span); size(x)
+    is the Euclidean size of a nonzero x.  Returns (u, d, v) with
+    u @ a @ v == d, u and v invertible over the ring, and d diagonal with
     d[0][0] | d[1][1] | ..., zeros last.  Diagonal entries are fixed only
     up to units; callers normalize them.
 
@@ -197,50 +198,31 @@ def kernel_columns(a, ncols=None):
     return ker
 
 
-def hnf_columns(b):
-    """Canonical column-style Hermite normal form of the column span of b.
-
-    Columns are reduced so each pivot is positive, entries to its right in
-    its row lie in [0, pivot), and zero columns are dropped.  Two integer
-    matrices have equal column span iff their HNFs are equal.
-    """
-    if not b or not b[0]:
-        return [[] for _ in b] if b else []
-    n = len(b)
-    work = [list(col) for col in zip(*b)]  # work on columns as rows
-    work = [list(c) for c in work]
+def hnf_rows(a):
+    """Canonical row Hermite normal form of the row span of a: per
+    column, smith_form's extended-gcd row transform puts the gcd in the
+    pivot row and clears the rows below; the pivot is made positive and
+    entries above it reduced into [0, pivot).  Zero rows are dropped, and
+    two integer matrices have equal row span iff their HNFs are equal."""
+    work = mat_copy(a)
     cur = 0
-    for i in range(n):
-        piv = None
-        for c in range(cur, len(work)):
-            if work[c][i]:
-                piv = c
-                break
+    for j in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(cur, len(work)) if work[i][j]), None)
         if piv is None:
             continue
-        for c in range(piv + 1, len(work)):
-            while work[c][i]:
-                q = work[piv][i] // work[c][i]
-                for t in range(n):
-                    work[piv][t] -= q * work[c][t]
-                work[piv], work[c] = work[c], work[piv]
         work[cur], work[piv] = work[piv], work[cur]
-        if work[cur][i] < 0:
+        for i in range(cur + 1, len(work)):
+            if work[i][j]:
+                op = _elimination(work[cur][j], work[i][j], 1, 0)
+                _row_op(work, cur, i, op)
+        if work[cur][j] < 0:
             work[cur] = [-x for x in work[cur]]
-        for c in range(cur):
-            q = work[c][i] // work[cur][i]
+        for i in range(cur):
+            q = work[i][j] // work[cur][j]
             if q:
-                for t in range(n):
-                    work[c][t] -= q * work[cur][t]
+                work[i] = [x - q * y for x, y in zip(work[i], work[cur])]
         cur += 1
-    cols = [c for c in work[:cur]]
-    return [ [cols[j][i] for j in range(len(cols))] for i in range(n) ]
-
-
-def hnf_rows(a):
-    """Canonical row HNF of the row span of a (zero rows dropped)."""
-    t = hnf_columns(transpose(a))
-    return transpose(t)
+    return work[:cur]
 
 
 def kernel_rational_rows(rows_of_fractions, ncols):

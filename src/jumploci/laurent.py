@@ -7,7 +7,8 @@ exponents are reduced modulo the orders.  The term order is lexicographic
 on the combined key, which fixes pivots, canonical forms and serialized
 output.  Rank and division are only defined for torsion-free elements
 (the group ring with torsion is not a domain); callers specialize the
-torsion twist to roots of unity first.
+torsion twist to roots of unity first.  In one free variable without
+torsion, Q(zeta)[T, T^-1] is Euclidean with size span (divmod, monic).
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -237,6 +241,62 @@ class LaurentPoly:
             out = out * LaurentPoly.monomial((shift, ()), self.nvars)
         return out
 
+    def coefficients(self):
+        """(lowest exponent, coefficients from there up) of a polynomial in
+        one free variable with no torsion; (0, []) for zero."""
+        if self.nvars != 1 or self.torsion:
+            raise InvariantError("Euclidean operations need one free "
+                                 "variable and no torsion")
+        if not self.terms:
+            return 0, []
+        low = min(self.terms)[0][0]
+        cs = [Cyc.zero()] * (max(self.terms)[0][0] - low + 1)
+        for (v, _), c in self.terms.items():
+            cs[v[0] - low] = c
+        return low, cs
+
+    @property
+    def span(self):
+        """Highest minus lowest exponent, -1 for zero: the Euclidean size
+        of Q(zeta)[T, T^-1], whose units c T^k have span 0."""
+        return len(self.coefficients()[1]) - 1
+
+    def divmod(self, other):
+        """(q, r) with self == q * other + r and r zero or r.span below
+        other.span, for one free variable and no torsion; any other shape
+        raises InvariantError.
+
+        Both operands are shifted to polynomials with a nonzero constant
+        term, T^a A and T^b B, those are divided, A = Q B + R, and the
+        shifts are put back: q = T^(a-b) Q and r = T^a R, so r.span is at
+        most deg R < deg B = other.span."""
+        b_low, b_cs = other.coefficients()
+        if not b_cs:
+            raise ZeroDivisionError("Laurent division by zero")
+        a_low, rem = self.coefficients()
+        q = [Cyc.zero()] * max(0, len(rem) - len(b_cs) + 1)
+        inv = b_cs[-1].inverse()
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[len(b_cs) - 1 + k] * inv
+            q[k] = c
+            if not c.is_zero():
+                for i, bc in enumerate(b_cs):
+                    rem[i + k] = rem[i + k] - c * bc
+        return _from_dense(a_low - b_low, q), _from_dense(a_low, rem)
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def monic(self):
+        """The associate with a nonzero constant term and leading
+        coefficient 1: shift to T^0, then divide by the leading
+        coefficient.  Zero stays zero."""
+        _, cs = self.coefficients()
+        return _from_dense(0, cs) * cs[-1].inverse() if cs else self
+
     def __repr__(self):
         if not self.terms:
             return "LaurentPoly(0)"
@@ -250,6 +310,12 @@ class LaurentPoly:
             {"exps": list(v), "tors": list(w), "coeff": c.serialize()}
             for (v, w), c in self.sorted_terms()
         ]
+
+
+def _from_dense(low, coeffs):
+    """sum coeffs[i] T^(low + i), a one-variable torsion-free polynomial."""
+    return LaurentPoly(1, (), {((low + i,), ()): c
+                               for i, c in enumerate(coeffs)})
 
 
 def _bareiss(matrix):

@@ -6,14 +6,14 @@ independent statement of a property the program's results must have.
 
 import cmath
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import jumploci.alexander as alexander
 from jumploci import words
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.discovery import restrict_subtorus_to_cover, transport_character
 from jumploci.laurent import LaurentPoly, rank_generic
-from jumploci.linalg import koszul_dims
+from jumploci.linalg import koszul_differential, koszul_dims, rank_exact
 from jumploci.presentation import permuted_inverted
 from jumploci.twisted import presentation_data
 
@@ -115,3 +115,20 @@ def lattice_cohomology_dims_bareiss(x, rho):
     one = LaurentPoly.one(1)
     ops = [[[v - one]] for v in values]
     return koszul_dims(ops, 1, LaurentPoly.zero(1), rank_generic)
+
+
+def higgs_cohomology_dim_koszul(x, h, p, q):
+    """dim of the (p, q) cohomology of a Higgs pair from the exact ranks
+    of wedging with theta, Lambda^k W* -> Lambda^(k+1) W*: the Koszul
+    differentials of the scalars theta_j, tensored with Lambda^q Wbar*.
+    A nontrivial flat part gives zero, as every Dolbeault group of a
+    nontrivial flat bundle on a torus vanishes."""
+    n = x.n
+    if not h.flat_is_trivial:
+        return 0
+    i_unit = Cyc.root_of_unity(4)
+    ops = [[[Cyc.rational(re) + i_unit * im]] for re, im in h.theta]
+    ranks = [rank_exact(koszul_differential(ops, k, Cyc.zero()))
+             for k in range(n)]
+    lost = sum(ranks[k] for k in (p - 1, p) if 0 <= k < n)
+    return (comb(n, p) - lost) * comb(n, q)

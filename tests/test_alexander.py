@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ import pytest
 
 from jumploci import corpus
 from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
-                                cover_homology_rank_one,
+                                cover_homology_rank_one, cyclotomic_roots,
                                 finite_locus_cover_check, fitting_generators,
                                 is_weight, koszul_cohomology, vanishing_check,
                                 weights_and_inverses)
@@ -202,6 +203,30 @@ def test_cover_homology_drops_unit_factors():
     assert mod.invariant_factors == [] and mod.numeric_eigenvalues == []
 
 
+def test_cyclotomic_roots_of_cyclotomic_products():
+    # T^k times a product of cyclotomic polynomials Phi_d: the roots are
+    # the primitive d-th roots of unity, each as often as Phi_d occurs,
+    # and a factor with no root of unity is left as the residual.
+    t = LaurentPoly.monomial(((1,), ()), 1)
+    one = LaurentPoly.one(1)
+    phi = {1: t - one, 2: t + one, 3: t * t + t + one, 4: t * t + one,
+           6: t * t - t + one}
+    rng = random.Random(31)
+    for _ in range(12):
+        ds = [rng.choice(sorted(phi)) for _ in range(rng.randint(1, 3))]
+        k = rng.randint(-3, 3)
+        poly = LaurentPoly.monomial(((k,), ()), 1)
+        for d in ds:
+            poly = poly * phi[d]
+        want = sorted(Fraction(a, d) for d in ds for a in range(d)
+                      if math.gcd(a, d) == 1)
+        angles, residual = cyclotomic_roots(poly)
+        assert angles == want and residual.span == 0
+        angles, residual = cyclotomic_roots(poly * (t - one * 2))
+        assert angles == want
+        assert residual.monic() == t - one * 2
+
+
 def test_weight_convention_pinned_by_asymmetric_fixture():
     # For the eigenvalue-2 fixture the jump locus is {1, chi(t) = 2}, so
     # W must be {1, 1/2}: cohomology weights invert homology eigenvalues.
@@ -259,8 +284,8 @@ def _companion_action(module):
     constant term, so each block is invertible)."""
     blocks = []
     for _omega, f in module.invariant_factors:
-        d = f.degree
-        blocks.append([[-f.coeffs[i] if j == d - 1
+        d = f.span
+        blocks.append([[-f.terms.get(((i,), ()), Cyc.zero()) if j == d - 1
                         else (Cyc.one() if i == j + 1 else Cyc.zero())
                         for j in range(d)] for i in range(d)])
     dim = sum(len(b) for b in blocks)

@@ -14,7 +14,8 @@ from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
 from jumploci.linalg import rank_exact
 
 from conftest import within_seconds
-from oracles import lattice_cohomology_dims_bareiss
+from oracles import (higgs_cohomology_dim_koszul,
+                     lattice_cohomology_dims_bareiss)
 
 
 def std(n):
@@ -200,6 +201,33 @@ def test_lattice_dims_match_generic_rank_oracle():
     assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
+def test_higgs_dims_match_koszul_rank_oracle():
+    # The closed form (binomials when the flat part is trivial and
+    # theta = 0, zero otherwise) against exact ranks of wedging with
+    # theta, for theta = 0, theta with one nonzero entry and general
+    # theta, with trivial and nontrivial flat parts, at every (p, q).
+    rng = random.Random(87)
+    zero = (Fraction(0), Fraction(0))
+
+    def entry():
+        return (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for n in (1, 2, 3, 4):
+        X = std(n)
+        one = [zero] * n
+        one[rng.randrange(n)] = (Fraction(0), Fraction(rng.choice((-2, 1))))
+        thetas = [(zero,) * n, tuple(one),
+                  tuple(entry() for _ in range(n))]
+        for theta in thetas:
+            flat = (Fraction(1, 3),) + (0,) * (2 * n - 1)
+            for angles in ((0,) * (2 * n), flat):
+                h = HiggsLineBundle(angles, theta)
+                for p in range(n + 1):
+                    for q in range(n + 1):
+                        assert higgs_cohomology_dim(X, h, p, q) == \
+                            higgs_cohomology_dim_koszul(X, h, p, q), (h, p, q)
+
+
 def test_binomial_identity_at_trivial():
     for n in (1, 2):
         X = std(n)
@@ -240,9 +268,9 @@ def test_locus_structure_degenerates_to_product_shape():
 
 
 def test_verify_thm3_ranks_each_differential_once(monkeypatch, tmp_path):
-    # At n = 6 with 3 samples, samples 0 and 2 have a trivial flat part,
-    # so 2 x 6 wedge-with-theta differentials are ranked, plus the
-    # model's span check: 13 ranks over all 13 degrees of each sample.
+    # The pair's cohomology is read from whether theta vanishes, so at
+    # n = 6 with 3 samples the one rank_exact call is the model's span
+    # check.
     calls = []
 
     def counted(matrix):
@@ -250,8 +278,7 @@ def test_verify_thm3_ranks_each_differential_once(monkeypatch, tmp_path):
         return rank_exact(matrix)
 
     monkeypatch.setattr(higgs, "rank_exact", counted)
-    higgs._wedge_theta_ranks.cache_clear()
     argv = ["higgs", "verify-thm3", "--n", "6", "--samples", "3",
             "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    assert len(calls) == 13
+    assert calls == [12]

@@ -52,10 +52,15 @@ def test_kernel_columns_annihilate():
 
 
 def test_hnf_rows_is_span_invariant():
+    # Unimodular row moves leave the HNF fixed, and the HNF has its shape:
+    # positive pivots stepping right, entries above a pivot in
+    # [0, pivot), no zero rows, and as many rows as the rank even when
+    # the input has more rows than columns.
     rng = random.Random(13)
-    for _ in range(100):
-        r, c = rng.randint(1, 4), rng.randint(1, 4)
-        a = rand_matrix(rng, r, c, 4)
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(1, 4)
+        a = [[0 if rng.random() < 0.3 else rng.randint(-4, 4)
+              for _ in range(c)] for _ in range(r)]
         b = [list(row) for row in a]
         for _ in range(6):
             i, j = rng.randrange(r), rng.randrange(r)
@@ -63,5 +68,16 @@ def test_hnf_rows_is_span_invariant():
                 q = rng.randint(-3, 3)
                 for t in range(c):
                     b[i][t] += q * b[j][t]
-        assert hnf_rows(a) == hnf_rows(b)
-
+        h = hnf_rows(a)
+        assert h == hnf_rows(b)
+        assert len(h) == rank_exact(a)
+        pivots = []
+        for row in h:
+            assert any(row)
+            j = next(t for t, x in enumerate(row) if x)
+            assert row[j] > 0
+            pivots.append(j)
+        assert pivots == sorted(set(pivots))
+        for k, j in enumerate(pivots):
+            assert all(0 <= h[i][j] < h[k][j] for i in range(k))
+            assert all(h[i][j] == 0 for i in range(k + 1, len(h)))

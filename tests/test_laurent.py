@@ -116,3 +116,36 @@ def test_substitute_monomials():
     # translate values multiply in
     q2 = p.substitute_monomials([[1], [2]], [Cyc.rational(-1), Cyc.one()], 1)
     assert q2 == LaurentPoly.monomial(((4,), ()), 1, coeff=Cyc.one())
+
+
+def test_divmod_is_euclidean_in_one_variable():
+    # a == q * b + r with r zero or of smaller span, for one-variable
+    # polynomials with negative exponents and Q(zeta_3) coefficients.
+    rng = random.Random(23)
+    zeta3 = Cyc.root_of_unity(3)
+
+    def rand_poly1():
+        low = rng.randint(-3, 2)
+        return LaurentPoly(1, (), {
+            ((low + i,), ()): Cyc.rational(rng.randint(-3, 3))
+            + zeta3 * rng.randint(-2, 2) for i in range(rng.randint(1, 5))})
+    for _ in range(80):
+        a, b = rand_poly1(), rand_poly1()
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert a == q * b + r
+        assert r.is_zero() or r.span < b.span
+        assert (a // b, a % b) == (q, r)
+        m = b.monic()
+        (low,), _ = min(m.terms)
+        assert low == 0 and m.terms[((m.span,), ())] == 1
+        assert m.span == b.span and (b % m).is_zero()
+    assert LaurentPoly.zero(1).span == -1
+    assert LaurentPoly.monomial(((-4,), ()), 1, coeff=5).span == 0
+    A, B = gens(2)
+    with pytest.raises(InvariantError):
+        A.divmod(B)
+    s = LaurentPoly.monomial(((1,), (1,)), 1, (2,))
+    with pytest.raises(InvariantError):
+        s.divmod(LaurentPoly.one(1, (2,)))

@@ -24,10 +24,11 @@ from jumploci.subtorus import TranslatedSubtorus
 
 
 def _companion(poly):
-    """Companion matrix of a monic polynomial given low degree first."""
-    d = len(poly.coeffs) - 1
-    return [[int(i == j + 1) for j in range(d - 1)] + [-poly.coeffs[i]]
-            for i in range(d)]
+    """Companion matrix of a monic one-variable LaurentPoly with a
+    nonzero constant term."""
+    d = poly.span
+    return [[int(i == j + 1) for j in range(d - 1)]
+            + [-poly.terms.get(((i,), ()), 0)] for i in range(d)]
 
 
 def _cases():
