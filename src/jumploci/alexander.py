@@ -14,6 +14,7 @@ conventions differ).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -262,20 +263,23 @@ def cyclotomic_roots(poly: LaurentPoly):
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
     conductor = lcm(*(c.n for c in poly.terms.values()))
-    bound = max(1, poly.span * euler_phi(conductor))
+    current, cs = poly, poly.coefficients()[1]
+    bound = max(1, (len(cs) - 1) * euler_phi(conductor))
     orders = [q for q in range(1, 2 * bound * bound + 3) if euler_phi(q) <= bound]
     angles = []
-    current = poly
     for q in orders:
         for a in range(q):
             if q > 1 and gcd(a, q) != 1:
                 continue
             root = Cyc.root_of_unity(q, a)
-            while current.span >= 1 and current.evaluate((root,)).is_zero():
+            # Horner on T^-low current, which has current's nonzero roots.
+            while len(cs) > 1 and reduce(lambda acc, c: acc * root + c,
+                                         reversed(cs)).is_zero():
                 lin = LaurentPoly(1, (), {((0,), ()): -root, ((1,), ()): 1})
                 current, rem = current.divmod(lin)
                 if rem:
                     raise InvariantError("a root leaves a nonzero remainder")
+                cs = current.coefficients()[1]
                 angles.append(Fraction(a, q))
     return sorted(angles), current
 

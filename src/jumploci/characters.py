@@ -14,9 +14,10 @@ vector e in (Z/n)^(b+t) of its angles e_j / n, free coordinates first.
 Torsion coordinate i of a point is a multiple of n / d_i.  Since every
 angle has the same denominator n, lexicographic order on vectors is
 Character.sort_key order on the points they stand for, so a sorted list
-of vectors is already in the canonical report order.  Scans and coset
-growth work on vectors alone; Character.from_exponents turns the points
-that reach a report into characters.
+of vectors is already in the canonical report order.  Scans, coset
+growth and the report's member list work on vectors alone
+(ExponentMembers); Character.from_exponents builds a character only for
+a grow seed, a component, a residual point or a library reader.
 
 The units (Z/n)^x act on vectors by e -> u.e mod n.  Read on characters,
 u raises chi to the u-th power, which is the Galois automorphism
@@ -192,6 +193,46 @@ class NumericCharacter(Value):
             if e:
                 out *= complex(Cyc.from_angle(Fraction(a)).value()) ** e
         return out
+
+
+class ExponentMembers:
+    """Members of a jump locus as (exponent vector, dims) pairs modulo n,
+    in canonical order; a Character is built only on request."""
+
+    def __init__(self, free_rank, torsion, n, pairs):
+        self.free_rank, self.torsion, self.n = free_rank, torsion, n
+        self.pairs = pairs
+
+    def character(self, e):
+        return Character.from_exponents(self.free_rank, self.torsion, e, self.n)
+
+    def characters(self):
+        return [(self.character(e), dims) for e, dims in self.pairs]
+
+    def write_json(self, out, newline):
+        """Write [chi.serialize() | {"dims": list(dims)} for chi, dims in
+        self.characters()] as JSONEncoder(sort_keys=True, indent=2) does
+        where the list's lines start with newline, building no Character."""
+        item, key = newline + "  ", newline + "    "
+        b, n = self.free_rank, self.n
+        name = {x: f'"{Fraction(x, n)}"'
+                for x in {x for e, _ in self.pairs for x in e}}
+        moduli = _json_list(['"1"'] * b, key)
+        sep = "["
+        for e, dims in self.pairs:
+            angles = [name[x] for x in e]
+            out.write(f'{sep}{item}{{{key}"angles": '
+                      f'{_json_list(angles[:b], key)},{key}"dims": '
+                      f'{_json_list([str(d) for d in dims], key)},{key}'
+                      f'"moduli": {moduli},{key}"torsion": '
+                      f'{_json_list(angles[b:], key)}{item}}}')
+            sep = ","
+        out.write(newline + "]" if self.pairs else "[]")
+
+
+def _json_list(items, newline):
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
 
 
 def torsion_modulus(max_order, torsion):

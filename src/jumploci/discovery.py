@@ -61,27 +61,32 @@ class Component(Value):
 
 
 class JumpLocusReport:
-    def __init__(self, degree, mult, max_order, members, components,
+    def __init__(self, degree, mult, max_order, vectors, components,
                  residual, scanned):
         self.degree = degree
         self.mult = mult
         self.max_order = max_order
-        self.members = members          # (Character, dims) canonical order
+        self.vectors = vectors          # ExponentMembers of the scan's hits
         self.components = components    # Component, canonical order
         self.residual = residual        # Characters no component explains
         self.scanned = scanned
+
+    @property
+    def members(self):
+        """(Character, dims) pairs in canonical order, built on each read."""
+        return self.vectors.characters()
 
     def certified_components(self):
         return [c for c in self.components if c.status == "certified"]
 
     def serialize(self):
+        # The member list stays vectors; report.dumps_canonical writes it.
         return {
             "degree": self.degree,
             "multiplicity": self.mult,
             "K": self.max_order,
             "scanned": self.scanned,
-            "members": [chi.serialize() | {"dims": list(d)}
-                        for chi, d in self.members],
+            "members": self.vectors,
             "components": [c.serialize() | {"K": self.max_order}
                            for c in self.components],
             "residual": [chi.serialize() for chi in self.residual],
@@ -179,12 +184,13 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
     if max_order < 2:
         raise Refusal("scan order must be at least 2")
     result = scan_sigma(p, degree, mult, max_order)
-    # Hits travel as exponent vectors; their characters come from the scan.
-    member = dict(zip(result.points, result.hits))
-    hit_keys = set(member)
-    b = presentation_data(p)[0].free_rank
+    # Hits travel as exponent vectors, with a Character only for a grow
+    # seed, a component or a residual point.
+    vectors = result.vectors
+    hit_keys = {e for e, _ in vectors.pairs}
+    b = vectors.free_rank
     by_class = {}
-    for e in result.points:
+    for e, _ in vectors.pairs:
         by_class.setdefault(e[b:], []).append(e)
 
     candidates = {}
@@ -193,8 +199,8 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
         for seed in class_hits:
             if seed in covered:
                 continue
-            grown, points = _grow_candidate(seed, member[seed][0], class_hits,
-                                            hit_keys, max_order)
+            grown, points = _grow_candidate(seed, vectors.character(seed),
+                                            class_hits, hit_keys, max_order)
             if grown is None or grown.dim == 0:
                 continue
             grown = grown.canonical_translate(max_order)
@@ -232,19 +238,19 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
     components = keep + [c for c in components if c.status != "certified"]
 
     # Leftover hits: isolated certified points unless already residual.
-    for e in result.points:
+    for e, dims in vectors.pairs:
         if e in covered_keys or e in residual_keys:
             continue
-        chi, dims = member[e]
+        chi = vectors.character(e)
         components.append(Component(point_subtorus(chi), "certified",
                                     dims[degree],
                                     contains_trivial=chi.is_trivial))
         covered_keys.add(e)
 
     components.sort(key=lambda c: c.subtorus.sort_key())
-    residual = [member[e][0] for e in result.points
+    residual = [vectors.character(e) for e, _ in vectors.pairs
                 if e in residual_keys and e not in covered_keys]
-    return JumpLocusReport(degree, mult, max_order, result.hits,
+    return JumpLocusReport(degree, mult, max_order, vectors,
                            components, residual, result.scanned)
 
 

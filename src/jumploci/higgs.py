@@ -3,13 +3,13 @@ pair's cohomology, the Hodge-type splitting check, and the partition
 identity for multiplicity loci.
 
 A character of the lattice with log-rational moduli r_j = exp(q_j) and
-rational angles keeps everything exact: the holomorphic 1-form comes from
-a rational linear solve.  Both sides are read from whether something
-vanishes, since a Koszul complex with a nonzero entry has a contracting
-homotopy: the group-cohomology side from whether the character is
-trivial (the note is in lattice_cohomology_dims), and the pair's side
-from whether the flat part is trivial and theta = 0 (the note is in
-higgs_cohomology_dim).
+rational angles keeps everything exact: the holomorphic 1-form is the
+model's inverse period matrix times the log moduli.  Both sides are read
+from whether something vanishes, since a Koszul complex with a nonzero
+entry has a contracting homotopy: the group-cohomology side from whether
+the character is trivial (the note is in lattice_cohomology_dims), and
+the pair's side from whether the flat part is trivial and theta = 0 (the
+note is in higgs_cohomology_dim).
 """
 
 from __future__ import annotations
@@ -18,25 +18,27 @@ from fractions import Fraction
 from math import comb
 
 from .errors import Refusal
-from .linalg import rank_exact, solve
+from .linalg import inverse
 from .numutil import frac_mod1
 from .value import Value
 
 
 # Largest torus dimension a model may have.  The pair's cohomology is
 # read from whether theta vanishes, so no Koszul matrix grows with n; the
-# cost left is the rational 2n x 2n solve for theta, once per degree.
-# higgs verify-thm3 at its default 50 samples takes 0.5 s at n = 6,
-# 0.8 s at n = 7 and 1.1 s at n = 8 (Python 3.11, one core of a 2-core
-# x86-64 Xeon).  The limit stays at 6: the refusal is documented in the
-# README and tested.
+# cost left is one rational 2n x 2n inverse per model and a mat-vec
+# product per character.  higgs verify-thm3 at its default 50 samples
+# takes 0.19 s at n = 6, 0.25 s at n = 7 and 0.26 s at n = 8, imports
+# included (medians of 5; Python 3.11, one core of a 2-core x86-64
+# Xeon).  The limit stays at 6: the refusal is documented in the README
+# and tested.
 MAX_TORUS_DIMENSION = 6
 
 
 class ComplexTorusModel(Value):
     """C^n modulo a rank-2n lattice; periods[j] is the j-th lattice
     generator as a vector of (real, imag) rational pairs, so 2n entries,
-    each an n-tuple of (Fraction, Fraction)."""
+    each an n-tuple of (Fraction, Fraction).  period_inverse, the inverse
+    of real_period_matrix(), is kept out of comparison."""
 
     _fields = ("n", "periods")
 
@@ -53,8 +55,10 @@ class ComplexTorusModel(Value):
         self.__dict__.update(n=n, periods=tuple(
             tuple((Fraction(re), Fraction(im)) for re, im in row)
             for row in periods))
-        if rank_exact(self.real_period_matrix()) < 2 * self.n:
-            raise Refusal("lattice does not span")
+        try:
+            self.__dict__["period_inverse"] = inverse(self.real_period_matrix())
+        except ZeroDivisionError:
+            raise Refusal("lattice does not span") from None
 
     @staticmethod
     def standard(n):
@@ -153,7 +157,8 @@ def character_to_higgs(x: ComplexTorusModel, rho: LatticeCharacter):
     complex-linear functional with 2 Re theta(lambda_j) = log r_j."""
     if rho.rank != 2 * x.n:
         raise ValueError("character rank does not match the lattice")
-    sol = solve(x.real_period_matrix(), list(rho.log_moduli))
+    sol = [sum(a * q for a, q in zip(row, rho.log_moduli) if a and q)
+           for row in x.period_inverse]
     theta = tuple((sol[k], sol[x.n + k]) for k in range(x.n))
     return HiggsLineBundle(rho.angles, theta)
 

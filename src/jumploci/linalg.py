@@ -1,8 +1,8 @@
 """Exact linear algebra over a field, and Koszul differentials.
 
 Entries are Fractions (ints are accepted and promoted) for Q, or Cyc
-values for Q(zeta_n).  One forward-elimination routine serves the rank,
-the inverse and the solve of a square nonsingular system; fraction-free
+values for Q(zeta_n).  One forward-elimination routine serves the rank
+and the inverse of a square nonsingular matrix; fraction-free
 elimination over Laurent rings stays in `laurent`, and the sparse mod-p
 rank of the scan stays in `twisted`.
 
@@ -87,11 +87,6 @@ def inverse(a):
     """Inverse of a square nonsingular matrix, as a list of rows."""
     n = len(a)
     return _solve_rows(a, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def solve(a, b):
-    """The solution x of a x = b for square nonsingular a."""
-    return [row[0] for row in _solve_rows(a, [[v] for v in b])]
 
 
 def koszul_differential(ops, p, zero):

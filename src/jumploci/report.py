@@ -11,6 +11,7 @@ import json
 from itertools import islice
 
 from . import __version__
+from .characters import ExponentMembers
 
 
 def build_report(command, config, results):
@@ -24,15 +25,31 @@ def build_report(command, config, results):
 
 
 def dumps_canonical(report):
-    """json.dumps(report, sort_keys=True, indent=2) plus a newline.  The
-    encoder's chunks are joined 4,096 at a time, not all in one list,
-    which for a large report held as much memory again as its text."""
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline, with
+    an ExponentMembers written as its member list.  Dicts with string
+    keys are written here; any other value is encoded alone and indented
+    after each newline, which is exact since JSON text holds no raw
+    newline.  Its chunks are joined 4,096 at a time, not all in one list,
+    which for a large value held as much memory again as its text."""
     out = io.StringIO()
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-    while batch := "".join(islice(chunks, 4096)):
-        out.write(batch)
+    _write(out, report, "\n")
     out.write("\n")
     return out.getvalue()
+
+
+def _write(out, value, newline):
+    if isinstance(value, ExponentMembers):
+        value.write_json(out, newline)
+    elif (isinstance(value, dict) and value
+          and all(isinstance(key, str) for key in value)):
+        for i, key in enumerate(sorted(value)):
+            out.write(f"{',' if i else '{'}{newline}  {json.dumps(key)}: ")
+            _write(out, value[key], newline + "  ")
+        out.write(newline + "}")
+    else:
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(value)
+        while batch := "".join(islice(chunks, 4096)):
+            out.write(batch.replace("\n", newline))
 
 
 def write_report(report, path):

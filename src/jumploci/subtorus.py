@@ -97,8 +97,8 @@ class TranslatedSubtorus(Value):
         """Lazily yield the exponent vectors of the coset's torsion points
         of order <= max_order (see _points), so subset checks can fail on
         the first point outside a set.  Only such checks draw points
-        here, which is what bench/tracer.py counts; listings and the
-        canonical translate use _points."""
+        here, which is what bench/tracer.py counts; listings use
+        _points."""
         return self._points(max_order)
 
     def _points(self, max_order):
@@ -159,15 +159,35 @@ class TranslatedSubtorus(Value):
 
     def canonical_translate(self, max_order):
         """Reduce the translate to the lexicographically least torsion
-        point of order at most max_order of the coset (unitary case)."""
-        if not self.translate.is_unitary:
+        point of order at most max_order of the coset (unitary case).
+
+        Soundness: the first point _points yields is theta_0, of order q,
+        and the points killed by k are theta_0 + L_k mod n with L_k =
+        (n/k) B Z^d + n Z^b.  Those killed by k are killed by 2k, so only
+        the multiples k of q with 2k > max_order matter.  L_k holds n Z^b,
+        so its row HNF (intlinalg.hnf_rows) is upper triangular with
+        pivots h_ii dividing n.  The first coordinates of theta_0 + L_k
+        are theta_0,1 + h_11 Z, and the vectors of L_k with first
+        coordinate 0 are spanned by the later rows; the same holds at each
+        later coordinate.  So reducing theta_0 coordinate by coordinate
+        modulo the pivot rows gives the least point of theta_0 + L_k, in
+        [0, n)^b.  The torsion tail is fixed, so it is appended."""
+        first = next(self._points(max_order), None)
+        if first is None:
             return self
-        least = min(self._points(max_order), default=None)
-        if least is None:
-            return self
-        best = Character.from_exponents(self.free_rank, self.torsion, least,
-                                        torsion_modulus(max_order, self.torsion))
-        return TranslatedSubtorus(self.free_rank, self.torsion, self.annihilator, best)
+        b, n = self.free_rank, torsion_modulus(max_order, self.torsion)
+        q = n // gcd(n, *first)
+        wrap = [[n * x for x in row] for row in identity(b)]
+        least = []      # over the multiples k of q above max_order / 2:
+        for k in range(q * (max_order // (2 * q) + 1), max_order + 1, q):
+            x = first[:b]
+            for i, row in enumerate(hnf_rows([[n // k * y for y in col] for col
+                                              in zip(*self.directions)] + wrap)):
+                f = x[i] // row[i]
+                x = [a - f * r for a, r in zip(x, row)]
+            least.append(tuple(x) + first[b:])
+        best = Character.from_exponents(b, self.torsion, min(least), n)
+        return TranslatedSubtorus(b, self.torsion, self.annihilator, best)
 
     def sort_key(self):
         return (-self.dim, self.annihilator, self.translate.sort_key())

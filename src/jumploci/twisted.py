@@ -70,7 +70,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .characters import (Character, count_torsion_characters,
+from .characters import (Character, ExponentMembers,
+                         count_torsion_characters,
                          enumerate_torsion_characters, is_orbit_representative,
                          orbit_members, torsion_modulus)
 from .cyclotomic import Cyc
@@ -82,14 +83,14 @@ from .presentation import (FinitePresentation, abelianize, fox_matrix,
 
 
 # Largest torsion scan scan_sigma runs, in characters.  A scan holds one
-# exponent vector per character, and every member of a dense locus adds a
-# Character, coset-growth state and a report entry, so peak memory grows
-# with the count.  analyze surface3 --K 6 (66,312 characters, all members,
-# a 24 MB report) peaks at 309 MB RSS in 8 s (Python 3.11, one core of a
-# 2-core x86-64 host); at this limit, linearly, a dense scan peaks near
-# 470 MB.  Above it: thm4 square_comm --K 4 rescans 281,826 characters of
-# a Z^9 cover, which peaked at 823 MB writing a 74 MB report, and analyze
-# product23 --K 4 asks for 1,107,624.
+# exponent vector per character, and every member of a dense locus adds
+# coset-growth state and a report entry, so peak memory grows with the
+# count.  analyze surface3 --K 6 (66,312 characters, all members, a 24 MB
+# report) peaks at 83 MB RSS in 2.9 s (median of 3; Python 3.11, one core
+# of a 2-core x86-64 host); at this limit, linearly, a dense scan peaks
+# near 125 MB.  Above it: thm4 square_comm --K 4 rescans 281,826
+# characters of a Z^9 cover, which peaked at 823 MB writing a 74 MB
+# report, and analyze product23 --K 4 asks for 1,107,624.
 MAX_SCAN_CHARACTERS = 100_000
 
 
@@ -165,20 +166,25 @@ def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
 class ScanResult:
     """Hits of a scan, with the primes behind them (kept out of reports).
 
+    vectors holds the hits as ExponentMembers, and hits builds their
+    (Character, dims) pairs on each read, for library callers.
     filter_prime certified every rejection; certifying_prime gave the
     hits' dims.  Both are None when nothing was ranked mod p (degree 0,
     or no relators), and certifying_prime is None when the scan fell back
     to exact elimination."""
 
-    def __init__(self, hits, points, scanned, max_order, filter_prime=None,
+    def __init__(self, vectors, scanned, max_order, filter_prime=None,
                  certifying_prime=None, ranked=0):
-        self.hits = hits        # (Character, dims) pairs, canonical order
-        self.points = points    # the hits' exponent vectors, in that order
+        self.vectors = vectors
         self.scanned = scanned
         self.max_order = max_order
         self.filter_prime = filter_prime
         self.certifying_prime = certifying_prime
         self.ranked = ranked    # orbit representatives ranked mod p
+
+    @property
+    def hits(self):
+        return self.vectors.characters()
 
 
 class _ModularEvaluator:
@@ -331,7 +337,7 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     characters of order <= max_order.
 
     The scan walks exponent vectors, ranking one per Galois orbit (module
-    docstring); a Character is built only for a hit."""
+    docstring), and keeps its hits as vectors."""
     check_query(p, degree, mult)
     ab, _ = presentation_data(p)
     b, torsion = ab.free_rank, ab.torsion
@@ -383,10 +389,8 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
             if dims[degree] >= mult:
                 found.extend((member, dims) for member in orbit_members(e, n))
         found.sort()
-    hits = [(Character.from_exponents(b, torsion, e, n), dims)
-            for e, dims in found]
-    return ScanResult(hits, [e for e, _ in found], len(points), max_order,
-                      *primes, ranked=ranked)
+    return ScanResult(ExponentMembers(b, torsion, n, found), len(points),
+                      max_order, *primes, ranked=ranked)
 
 
 @lru_cache(maxsize=8)

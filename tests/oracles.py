@@ -132,3 +132,10 @@ def higgs_cohomology_dim_koszul(x, h, p, q):
              for k in range(n)]
     lost = sum(ranks[k] for k in (p - 1, p) if 0 <= k < n)
     return (comb(n, p) - lost) * comb(n, q)
+
+
+def least_torsion_point(sub, max_order):
+    """The least exponent vector among the listed torsion points of order
+    at most max_order of a coset, or None when it has none: the
+    reference for TranslatedSubtorus.canonical_translate."""
+    return min(sub._points(max_order), default=None)

@@ -4,12 +4,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, cli_env, within_seconds
 
+from jumploci.characters import ExponentMembers, torsion_modulus
+from jumploci.discovery import Component, JumpLocusReport
 from jumploci.higgs import MAX_TORUS_DIMENSION
 from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
                              check_schema, dumps_canonical)
+from jumploci.subtorus import point_subtorus
 
 RUN = [sys.executable, "-m", "jumploci"]
 SHIPPED_SCHEMA = REPO_ROOT / "schema" / "report.schema.json"
@@ -447,6 +452,44 @@ def test_dumps_canonical_is_json_dumps():
                           {"k": ["\u00fc", True, [], {}], "j": -2})
     assert dumps_canonical(report) == json.dumps(report, sort_keys=True,
                                                  indent=2) + "\n"
+
+
+@st.composite
+def analyze_reports(draw):
+    """A JumpLocusReport on a random torus: free rank 0-6, torsion or
+    none, up to 8 members (possibly none) with 2 or 3 dims, and some of
+    them again as point components and residual points."""
+    b = draw(st.integers(0, 6))
+    torsion = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)))
+    K = draw(st.integers(1, 7))
+    n = torsion_modulus(K, torsion)
+    vector = st.tuples(*[st.integers(0, n - 1)] * b,
+                       *[st.integers(0, d - 1).map(lambda x, d=d: x * n // d)
+                         for d in torsion])
+    width = draw(st.sampled_from([2, 3]))
+    pairs = sorted(draw(st.lists(st.tuples(
+        vector, st.tuples(*[st.integers(0, 12)] * width)),
+        max_size=8, unique_by=lambda pair: pair[0])))
+    vectors = ExponentMembers(b, torsion, n, pairs)
+    residual = [chi for chi, _ in vectors.characters()[:draw(st.integers(0, 2))]]
+    components = [Component(point_subtorus(chi), "certified", 1, chi.is_trivial)
+                  for chi in residual]
+    return JumpLocusReport(draw(st.integers(0, 2)), 1, K, vectors,
+                           components, residual, draw(st.integers(0, 10 ** 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(analyze_reports())
+def test_dumps_canonical_writes_vector_members_as_json_dumps(rep):
+    # The member list written from exponent vectors has the bytes of
+    # json.dumps on the members' dicts, at the depth a report puts it.
+    results = rep.serialize()
+    plain = results | {"members": [chi.serialize() | {"dims": list(d)}
+                                   for chi, d in rep.members]}
+    config = {"input": "x", "K": rep.max_order}
+    assert dumps_canonical(build_report("analyze", config, results)) == \
+        json.dumps(build_report("analyze", config, plain), sort_keys=True,
+                   indent=2) + "\n"
 
 
 def test_expected_report_fixtures_regression():

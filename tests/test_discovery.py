@@ -7,9 +7,10 @@ from jumploci import corpus
 from jumploci.characters import Character
 from jumploci.cyclotomic import rank_exact
 from jumploci.errors import Refusal
-from jumploci.discovery import (abelian_cover_certificate, certify_component,
-                                count_genus_components, discover_components,
-                                kill_cover, transport_character)
+from jumploci.discovery import (_discovery_cached, abelian_cover_certificate,
+                                certify_component, count_genus_components,
+                                discover_components, kill_cover,
+                                transport_character)
 from jumploci.numutil import frac_mod1
 from jumploci.subtorus import TranslatedSubtorus, point_subtorus
 from jumploci.twisted import presentation_data
@@ -27,6 +28,24 @@ def test_surface_single_full_torus_component():
     assert comp.dim == 4 and comp.subtorus.annihilator == ()
     assert comp.contains_trivial and comp.generic_h == 2
     assert rep.residual == []
+
+
+def test_dense_locus_builds_no_character_per_member(monkeypatch):
+    # surface3 at K = 3: all 792 characters are members of one component.
+    # Members stay exponent vectors, so the Characters built are the grow
+    # seed's and the canonical translate's, not one per member.
+    built = []
+    from_exponents = Character.from_exponents
+
+    def counted(*args):
+        built.append(args)
+        return from_exponents(*args)
+
+    monkeypatch.setattr(Character, "from_exponents", staticmethod(counted))
+    _discovery_cached.cache_clear()
+    rep = discover_components(corpus.get("surface3"), 1, 1, 3)
+    assert len(rep.vectors.pairs) == 792 and len(rep.components) == 1
+    assert len(built) <= 10
 
 
 def test_torus_single_point_component():

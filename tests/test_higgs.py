@@ -11,7 +11,7 @@ from jumploci.higgs import (ComplexTorusModel, HiggsLineBundle,
                             higgs_cohomology_dim, higgs_to_character,
                             lattice_cohomology_dims, partition_check,
                             splitting_check)
-from jumploci.linalg import rank_exact
+from jumploci.linalg import inverse
 
 from conftest import within_seconds
 from oracles import (higgs_cohomology_dim_koszul,
@@ -267,17 +267,18 @@ def test_locus_structure_degenerates_to_product_shape():
     assert all(t == (Fraction(0), Fraction(0)) for t in hits_theta)
 
 
-def test_verify_thm3_ranks_each_differential_once(monkeypatch, tmp_path):
-    # The pair's cohomology is read from whether theta vanishes, so at
-    # n = 6 with 3 samples the one rank_exact call is the model's span
-    # check.
+def test_verify_thm3_inverts_the_period_matrix_once(monkeypatch, tmp_path):
+    # The pair's cohomology is read from whether theta vanishes, so no
+    # Koszul matrix is ranked, and theta is the model's one inverse
+    # period matrix times the log moduli: at n = 6 with 3 samples (39
+    # degree checks) the one elimination is that 12 x 12 inverse.
     calls = []
 
     def counted(matrix):
         calls.append(len(matrix))
-        return rank_exact(matrix)
+        return inverse(matrix)
 
-    monkeypatch.setattr(higgs, "rank_exact", counted)
+    monkeypatch.setattr(higgs, "inverse", counted)
     argv = ["higgs", "verify-thm3", "--n", "6", "--samples", "3",
             "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0

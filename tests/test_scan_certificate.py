@@ -73,8 +73,8 @@ def _per_character_hits(p, degree, mult, max_order):
 def _assert_orbit_scan_equals_per_character_scan(p, degree, mult, K):
     res = scan_sigma(p, degree, mult, K)
     assert res.hits == _per_character_hits(p, degree, mult, K)
-    assert res.points == [_exponents(chi, torsion_modulus(K, chi.torsion))
-                          for chi, _ in res.hits]
+    assert [e for e, _ in res.vectors.pairs] == [
+        _exponents(chi, torsion_modulus(K, chi.torsion)) for chi, _ in res.hits]
     return res
 
 

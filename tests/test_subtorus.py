@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumploci.characters import (Character, enumerate_torsion_characters,
@@ -12,7 +12,7 @@ from jumploci.linalg import rank_exact
 from jumploci.subtorus import (TranslatedSubtorus, orbit_closure,
                                point_subtorus, subtorus_from_directions)
 
-from oracles import translate_root_of_unity_check
+from oracles import least_torsion_point, translate_root_of_unity_check
 
 
 def full_torus(free_rank):
@@ -151,6 +151,58 @@ def test_torsion_points_equal_filtered_enumeration(case):
         assert canon.annihilator == sub.annihilator
     else:
         assert canon is sub
+
+
+@st.composite
+def wide_cosets(draw):
+    """(b, torsion, coset, K) with b <= 5, K <= 7 and torsion orders in
+    {2, 3, 4}; translate denominators are mostly small, and 11 leaves a
+    coset with no point of order <= K unless the directions span it."""
+    b = draw(st.integers(1, 5))
+    torsion = tuple(draw(st.lists(st.sampled_from([2, 3, 4]), max_size=2)))
+    directions = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=b, max_size=b), max_size=b))
+    angles = tuple(Fraction(draw(st.integers(0, 11)),
+                            draw(st.sampled_from([1, 2, 3, 4, 6, 11])))
+                   for _ in range(b))
+    tail = tuple(Fraction(draw(st.integers(0, d - 1)), d) for d in torsion)
+    tau = Character.unitary(b, torsion, angles, tail)
+    return b, torsion, subtorus_from_directions(directions, tau), \
+        draw(st.integers(1, 7))
+
+
+_NO_POINT = Character.unitary(2, (3,), (Fraction(1, 11), Fraction(1, 2)),
+                              (Fraction(1, 3),))
+_POINT = Character.unitary(3, (2, 4), (Fraction(1, 2), Fraction(0),
+                                       Fraction(1, 4)),
+                           (Fraction(1, 2), Fraction(3, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cosets())
+@example((2, (3,), subtorus_from_directions([[0, 1]], _NO_POINT), 7))
+@example((3, (2, 4), point_subtorus(_POINT), 7))
+@example((3, (2, 4), point_subtorus(_POINT), 3))
+# theta_1 + 2 theta_2 = 1/2 and theta_1 + 3 theta_2 = 1/2 at K = 7: the
+# least points (0, 1/4) and (0, 1/6) are of order 4 and 6, so neither
+# maximal k (4 or 6) alone finds both.
+@example((2, (), subtorus_from_directions(
+    [[2, -1]], Character.unitary(2, (), (Fraction(1, 2), Fraction(0)))), 7))
+@example((2, (), subtorus_from_directions(
+    [[3, -1]], Character.unitary(2, (), (Fraction(1, 2), Fraction(0)))), 7))
+def test_canonical_translate_equals_least_listed_point(case):
+    # The Hermite reduction finds the least point that the listing finds,
+    # and keeps the coset when it has no point of order <= K.
+    b, torsion, sub, K = case
+    least = least_torsion_point(sub, K)
+    canon = sub.canonical_translate(K)
+    if least is None:
+        assert canon is sub
+    else:
+        n = torsion_modulus(K, torsion)
+        assert canon.translate == Character.from_exponents(b, torsion,
+                                                           least, n)
+        assert canon.annihilator == sub.annihilator
 
 
 @st.composite
