@@ -25,7 +25,7 @@ from .errors import InvariantError, Refusal
 from .intlinalg import identity, mat_mul, smith_form
 from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
 from .linalg import koszul_dims, rank_exact
-from .numutil import euler_phi, frac_mod1
+from .numutil import euler_phi
 from .presentation import FinitePresentation
 from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
 from .value import Value
@@ -382,8 +382,9 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     b = ab.free_rank
     if b == 0:
         raise Refusal("free rank zero input")
-    trivial = Character.trivial(b, ab.torsion)
-    weights = {trivial.sort_key(): trivial}   # H^0 contributes the trivial weight
+    # W^-1: the eigencharacters of the cover homology, whose inverses are
+    # the cohomology weights; H^0 contributes the trivial one.
+    inverse_weights = {Character.trivial(b, ab.torsion)}
     numeric = []
     finite_dim = "exact"
     detail = ""
@@ -396,11 +397,9 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
                 "cover homology is infinite-dimensional "
                 "(positive-dimensional jump locus expected instead)")
         if b == 1:
-            for omega, angle in module.eigen_angles:
-                # Homology eigenvalue angle -> cohomology weight = inverse.
-                chi = Character.unitary(1, ab.torsion, (frac_mod1(-angle),),
-                                        tuple(frac_mod1(-x) for x in omega))
-                weights[chi.sort_key()] = chi
+            inverse_weights.update(
+                Character.unitary(1, ab.torsion, (angle,), omega)
+                for omega, angle in module.eigen_angles)
             numeric = [1 / z for z in module.numeric_eigenvalues if z != 0]
         elif b == 2:
             ok_all = True
@@ -416,22 +415,18 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
                     if chi.is_trivial:
                         continue
                     if twisted_cohomology_dims(p, chi)[1] >= 1:
-                        inv = chi.inverse()
-                        weights[inv.sort_key()] = inv
+                        inverse_weights.add(chi)
             if not ok_all:
                 finite_dim = "scan-bounded"
         else:
             finite_dim = "scan-bounded"
     hits = _sigma_union_hits(p, degree_bound, max_order)
     if finite_dim == "scan-bounded":
-        for chi in hits:
-            inv = chi.inverse()
-            weights[inv.sort_key()] = inv
-    w_list = sorted(weights.values(), key=Character.sort_key)
-    w_inv = sorted((c.inverse() for c in w_list), key=Character.sort_key)
-    hit_keys = {c.sort_key() for c in hits}
-    winv_small = {c.sort_key() for c in w_inv if c.order() <= max_order}
-    identity = winv_small == hit_keys
+        inverse_weights.update(hits)
+    identity = ({c for c in inverse_weights if c.order() <= max_order}
+                == set(hits))
+    w_inv = sorted(inverse_weights, key=Character.sort_key)
+    w_list = sorted((c.inverse() for c in w_inv), key=Character.sort_key)
     return WeightsReport(w_list, w_inv, numeric, finite_dim, identity,
                          max_order, detail)
 

@@ -4,12 +4,13 @@ Commands: analyze, ng, certify, orbit, weights, thm4, cover, and
 higgs verify-thm3.  Reports are deterministic JSON (sorted keys,
 canonical array orders).  A report is a function of the arguments and
 the input alone: no environment variable changes its bytes, and its
-config records only options that change results.  Exit codes: 0
-success; 1 parse error, for input the CLI cannot read; 2 refusal
-(errors.Refusal, a limit in the README refusal table) or usage error;
-70 (EX_SOFTWARE) any other exception, with its traceback: a bug, such
-as a failed errors.InvariantError check, or an OS error such as an
-unwritable --out.
+config records every option of its command but --out (see COMMANDS),
+each of which can change results.  Exit codes: 0 success; 1 parse
+error, for input the CLI cannot read; 2 refusal (errors.Refusal, a
+limit in the README refusal table) or usage error; 70 (EX_SOFTWARE)
+any other exception, with its traceback: a bug, such as a failed
+errors.InvariantError check, or an OS error such as an unwritable
+--out.
 """
 
 from __future__ import annotations
@@ -101,182 +102,71 @@ def _load_input(source):
     raise ParseError(f"no such file or corpus group: {source}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="jumploci",
-        description="exact jump loci of finitely presented groups")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="scan and certify jump locus components")
-    pa.add_argument("input")
-    pa.add_argument("--i", type=int, default=1, dest="degree")
-    pa.add_argument("--m", type=int, default=1, dest="mult")
-    pa.add_argument("--K", type=int, default=6)
-    pa.add_argument("--numeric-fallback", action="store_true")
-    pa.add_argument("--samples", type=int, default=50)
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--out", default="-")
-
-    pn = sub.add_parser("ng", help="count genus components through 1")
-    pn.add_argument("input")
-    pn.add_argument("--g", type=int, required=True)
-    pn.add_argument("--K", type=int, default=6)
-    pn.add_argument("--out", default="-")
-
-    pc = sub.add_parser("certify", help="certify one translated subtorus")
-    pc.add_argument("input")
-    pc.add_argument("--component", required=True,
-                    help="JSON file with keys H (annihilator rows) and tau")
-    pc.add_argument("--i", type=int, default=1, dest="degree")
-    pc.add_argument("--m", type=int, default=1, dest="mult")
-    pc.add_argument("--out", default="-")
-
-    po = sub.add_parser("orbit", help="orbit closure of an exact character")
-    po.add_argument("--moduli", required=True)
-    po.add_argument("--angles", required=True)
-    po.add_argument("--variant", choices=["A", "B"], default="B")
-    po.add_argument("--out", default="-")
-
-    pw = sub.add_parser("weights", help="weights of the cover homology")
-    pw.add_argument("input")
-    pw.add_argument("--K", type=int, default=6)
-    pw.add_argument("--N", type=int, default=2)
-    pw.add_argument("--out", default="-")
-
-    pt = sub.add_parser("thm4", help="finite-locus cover check")
-    pt.add_argument("input")
-    pt.add_argument("--N", type=int, default=2)
-    pt.add_argument("--K", type=int, default=6)
-    pt.add_argument("--out", default="-")
-
-    pv = sub.add_parser("cover", help="abelian cover certificate")
-    pv.add_argument("input")
-    pv.add_argument("--K", type=int, default=6)
-    pv.add_argument("--out", default="-")
-
-    ph = sub.add_parser("higgs", help="Higgs-pair checks on torus models")
-    hsub = ph.add_subparsers(dest="higgs_command", required=True)
-    pht = hsub.add_parser("verify-thm3", help="degreewise splitting sweep")
-    pht.add_argument("--n", type=int, default=1)
-    pht.add_argument("--samples", type=int, default=50)
-    pht.add_argument("--seed", type=int, default=0)
-    pht.add_argument("--model", default=None,
-                     help="JSON model file {n: int, period: [[re, im]...]}")
-    pht.add_argument("--out", default="-")
-
-    args = parser.parse_args(argv)
-    try:
-        report = _dispatch(args)
-        check_schema(report, REPORT_SCHEMA)
-        write_report(report, args.out)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except Refusal as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        import traceback            # here only: it adds to start-up time
-        traceback.print_exc()
-        return EX_SOFTWARE
-    return 0
-
-
-def _dispatch(args):
-    cmd = args.command
-    if cmd == "analyze":
-        _check_samples(args.samples)
-        p = _load_input(args.input)
-        rep = discover_components(p, args.degree, args.mult, args.K)
-        results = rep.serialize()
-        if args.numeric_fallback:
-            results["numeric_candidates"] = numeric_unitary_scan(
-                p, args.degree, args.mult, args.samples, args.seed)
-        config = {"input": args.input, "i": args.degree, "m": args.mult,
-                  "K": args.K, "numeric_fallback": bool(args.numeric_fallback),
-                  "samples": args.samples, "seed": args.seed}
-        return build_report("analyze", config, results)
-    if cmd == "ng":
-        p = _load_input(args.input)
-        value = count_genus_components(p, args.g, args.K)
-        config = {"input": args.input, "g": args.g, "K": args.K}
-        return build_report("ng", config, {"N_g": value})
-    if cmd == "certify":
-        p = _load_input(args.input)
-        data = _read_json(args.component, _COMPONENT)
-        where, given = args.component, data["tau"]
-        ab, _ = presentation_data(p)
-        tau = Character(
-            ab.free_rank, ab.torsion,
-            _rationals(given.get("moduli", ["1"] * ab.free_rank), where),
-            _rationals(given["angles"], where),
-            _rationals(given.get("torsion", []), where))
-        sub = TranslatedSubtorus(ab.free_rank, ab.torsion,
-                                 tuple(tuple(r) for r in data["H"]), tau)
-        status, generic_h = certify_component(p, sub, args.degree, args.mult)
-        config = {"input": args.input, "component": args.component,
-                  "i": args.degree, "m": args.mult}
-        return build_report("certify", config, {
-            "certified": status == "certified", "status": status,
-            "generic_h1": generic_h, "K": None,
-            "component": sub.serialize()})
-    if cmd == "orbit":
-        moduli = _rationals(args.moduli, "--moduli")
-        angles = _rationals(args.angles, "--angles")
-        chi = Character(len(moduli), (), moduli, angles, ())
-        sub = orbit_closure(chi, args.variant)
-        config = {"moduli": args.moduli, "angles": args.angles,
-                  "variant": args.variant}
-        results = sub.serialize()
-        results["unitary_translate"] = sub.is_unitary_translate()
-        return build_report("orbit", config, results)
-    if cmd == "weights":
-        p = _load_input(args.input)
-        rep = weights_and_inverses(p, args.N, args.K)
-        config = {"input": args.input, "K": args.K, "N": args.N}
-        return build_report("weights", config, rep.serialize())
-    if cmd == "thm4":
-        p = _load_input(args.input)
-        rep = finite_locus_cover_check(p, args.N, args.K)
-        config = {"input": args.input, "N": args.N, "K": args.K}
-        return build_report("thm4", config, rep.serialize())
-    if cmd == "cover":
-        p = _load_input(args.input)
-        cert = abelian_cover_certificate(p, args.K)
-        config = {"input": args.input, "K": args.K}
-        results = cert.serialize() if cert else {"certificate": None}
-        return build_report("cover", config, results)
-    if cmd == "higgs":
-        if args.model:
-            data = _read_json(args.model, _MODEL)
-            if any(len(z) != 2 for row in data["period"] for z in row):
-                raise ParseError(f"{args.model}: a period entry must be "
-                                 f"a pair [re, im]")
-            model = ComplexTorusModel(data["n"], tuple(
-                tuple(_rationals(z, args.model) for z in row)
-                for row in data["period"]))
-        else:
-            model = ComplexTorusModel.standard(args.n)
-        results = _thm3_sweep(model, args.samples, args.seed)
-        config = {"n": model.n, "samples": args.samples, "seed": args.seed,
-                  "model": args.model}
-        return build_report("higgs verify-thm3", config, results)
-    raise AssertionError(f"unhandled command {cmd}")
-
-
 def _check_samples(samples):
     if samples < 0:
         raise Refusal("--samples must be at least 0")
 
 
-def _thm3_sweep(model, samples, seed):
-    _check_samples(samples)
+def _analyze(args):
+    _check_samples(args.samples)
+    p = _load_input(args.input)
+    results = discover_components(p, args.i, args.m, args.K).serialize()
+    if args.numeric_fallback:
+        results["numeric_candidates"] = numeric_unitary_scan(
+            p, args.i, args.m, args.samples, args.seed)
+    return results
+
+
+def _certify(args):
+    p = _load_input(args.input)
+    data = _read_json(args.component, _COMPONENT)
+    where, given = args.component, data["tau"]
+    ab, _ = presentation_data(p)
+    tau = Character(
+        ab.free_rank, ab.torsion,
+        _rationals(given.get("moduli", ["1"] * ab.free_rank), where),
+        _rationals(given["angles"], where),
+        _rationals(given.get("torsion", []), where))
+    sub = TranslatedSubtorus(ab.free_rank, ab.torsion,
+                             tuple(tuple(r) for r in data["H"]), tau)
+    status, generic_h = certify_component(p, sub, args.i, args.m)
+    return {"certified": status == "certified", "status": status,
+            "generic_h1": generic_h, "K": None, "component": sub.serialize()}
+
+
+def _orbit(args):
+    moduli = _rationals(args.moduli, "--moduli")
+    angles = _rationals(args.angles, "--angles")
+    sub = orbit_closure(Character(len(moduli), (), moduli, angles, ()),
+                        args.variant)
+    return sub.serialize() | {"unitary_translate": sub.is_unitary_translate()}
+
+
+def _cover(args):
+    cert = abelian_cover_certificate(_load_input(args.input), args.K)
+    return cert.serialize() if cert else {"certificate": None}
+
+
+def _higgs_thm3(args):
+    if args.model:
+        data = _read_json(args.model, _MODEL)
+        if any(len(z) != 2 for row in data["period"] for z in row):
+            raise ParseError(f"{args.model}: a period entry must be "
+                             f"a pair [re, im]")
+        model = ComplexTorusModel(data["n"], tuple(
+            tuple(_rationals(z, args.model) for z in row)
+            for row in data["period"]))
+        # The config records the dimension of the model that ran, not the
+        # default of --n, which a model file overrides.
+        args.n = model.n
+    else:
+        model = ComplexTorusModel.standard(args.n)
+    _check_samples(args.samples)
     import random as _random
-    rng = _random.Random(seed)
+    rng = _random.Random(args.seed)
     b = 2 * model.n
     failures = []
-    for idx in range(samples):
+    for idx in range(args.samples):
         # Strata by idx mod 3: trivial, general, unitary-free (angles 0).
         stratum = idx % 3
         logs = [rng.randint(-3, 3) for _ in range(b)] if stratum else [0] * b
@@ -291,8 +181,104 @@ def _thm3_sweep(model, samples, seed):
         ok, _, _ = partition_check(model, rho, 1, 1)
         if not ok:
             failures.append({"rho": rho.serialize(), "partition_check": False})
-    return {"samples": samples, "degree_checks": samples * (b + 1),
+    return {"samples": args.samples,
+            "degree_checks": args.samples * (b + 1),
             "failures": failures, "passed": not failures}
+
+
+# The add_argument keywords of every option, each stated once.
+OPTIONS = {
+    "input": {},
+    "--i": {"type": int, "default": 1, "metavar": "DEGREE"},
+    "--m": {"type": int, "default": 1, "metavar": "MULT"},
+    "--K": {"type": int, "default": 6},
+    "--N": {"type": int, "default": 2},
+    "--g": {"type": int, "required": True},
+    "--n": {"type": int, "default": 1},
+    "--numeric-fallback": {"action": "store_true"},
+    "--samples": {"type": int, "default": 50},
+    "--seed": {"type": int, "default": 0},
+    "--component": {"required": True, "help": "JSON file with keys H "
+                    "(annihilator rows) and tau"},
+    "--moduli": {"required": True},
+    "--angles": {"required": True},
+    "--variant": {"choices": ["A", "B"], "default": "B"},
+    "--model": {"default": None, "help": "JSON model file "
+                "{n: int, period: [[re, im]...]}"},
+    "--out": {"default": "-"},
+}
+
+# Report command -> (help, options, handler returning the report's
+# results).  Every command also takes --out, and its report's config holds
+# each of its other options, keyed by the option's name less its dashes
+# (_key).  A word before a space names a command group.  The handlers read
+# library functions as globals of this module when they run, so a wrapper
+# bound here (a tracer, a planted fault) sees the call.
+COMMANDS = {
+    "analyze": ("scan and certify jump locus components",
+                ("input", "--i", "--m", "--K", "--numeric-fallback",
+                 "--samples", "--seed"), _analyze),
+    "ng": ("count genus components through 1", ("input", "--g", "--K"),
+           lambda a: {"N_g": count_genus_components(_load_input(a.input),
+                                                    a.g, a.K)}),
+    "certify": ("certify one translated subtorus",
+                ("input", "--component", "--i", "--m"), _certify),
+    "orbit": ("orbit closure of an exact character",
+              ("--moduli", "--angles", "--variant"), _orbit),
+    "weights": ("weights of the cover homology", ("input", "--K", "--N"),
+                lambda a: weights_and_inverses(_load_input(a.input), a.N,
+                                               a.K).serialize()),
+    "thm4": ("finite-locus cover check", ("input", "--N", "--K"),
+             lambda a: finite_locus_cover_check(_load_input(a.input), a.N,
+                                                a.K).serialize()),
+    "cover": ("abelian cover certificate", ("input", "--K"), _cover),
+    "higgs verify-thm3": ("degreewise splitting sweep",
+                          ("--n", "--samples", "--seed", "--model"),
+                          _higgs_thm3),
+}
+GROUPS = {"higgs": "Higgs-pair checks on torus models"}
+
+
+def _key(option):
+    """An option's config key and argparse dest: --i is i."""
+    return option.lstrip("-").replace("-", "_")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="jumploci",
+        description="exact jump loci of finitely presented groups")
+    parser.add_argument("--version", action="version", version=__version__)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (text, options, _) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True)
+        command = groups[group].add_parser(leaf, help=text)
+        command.set_defaults(report=name)
+        for option in options + ("--out",):
+            command.add_argument(option, **OPTIONS[option])
+    args = parser.parse_args(argv)
+    _, options, handler = COMMANDS[args.report]
+    try:
+        results = handler(args)
+        config = {key: getattr(args, key) for key in map(_key, options)}
+        report = build_report(args.report, config, results)
+        check_schema(report, REPORT_SCHEMA)
+        write_report(report, args.out)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except Refusal as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        import traceback            # here only: it adds to start-up time
+        traceback.print_exc()
+        return EX_SOFTWARE
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def cyclotomic_polynomial(n):
 
 def _poly_div_exact(num, den):
     """num / den for integer lists, as ints; raises unless exact."""
-    q, r = _upoly_divmod([Fraction(c) for c in num], den)
+    q, r = upoly_divmod(list(map(Fraction, num)), list(map(Fraction, den)))
     if any(r) or any(c.denominator != 1 for c in q):
         raise InvariantError("inexact cyclotomic division")
     return [c.numerator for c in q]
@@ -184,7 +184,7 @@ class Cyc:
         r0, r1 = phi, list(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(c != 0 for c in r1):
-            q, r = _upoly_divmod(r0, r1)
+            q, r = upoly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _upoly_sub(s0, _upoly_mul(q, s1))
         # r0 is a nonzero constant gcd (Phi_n is irreducible over Q).
@@ -207,12 +207,10 @@ class Cyc:
         if k < 0:
             return self.inverse() ** (-k)
         out = Cyc.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for bit in bin(k)[2:]:      # square-and-multiply from the top bit
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __bool__(self):
@@ -257,23 +255,25 @@ class Cyc:
                 "coeffs": [str(c) for c in self.coeffs]}
 
 
-def _upoly_divmod(num, den):
+def upoly_divmod(num, den):
+    """(q, r) with num == q * den + r and r shorter than den, for
+    coefficient lists, lowest degree first, of Fractions or of Cycs;
+    trailing zeros are dropped first."""
     num = list(num)
-    while num and num[-1] == 0:
+    while num and not num[-1]:
         num.pop()
     d = list(den)
-    while d and d[-1] == 0:
+    while d and not d[-1]:
         d.pop()
-    if len(num) < len(d):
-        return [Fraction(0)], num
+    inv = d[-1] ** -1
     out = [Fraction(0)] * (len(num) - len(d) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = num[len(d) - 1 + k] / d[-1]
+        c = num[len(d) - 1 + k] * inv
         out[k] = c
         if c:
             for i, dc in enumerate(d):
                 num[i + k] -= c * dc
-    while num and num[-1] == 0:
+    while num and not num[-1]:
         num.pop()
     return out, num or [Fraction(0)]
 

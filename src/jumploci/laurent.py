@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, upoly_divmod
 from .errors import InvariantError
 
 
@@ -273,16 +273,9 @@ class LaurentPoly:
         b_low, b_cs = other.coefficients()
         if not b_cs:
             raise ZeroDivisionError("Laurent division by zero")
-        a_low, rem = self.coefficients()
-        q = [Cyc.zero()] * max(0, len(rem) - len(b_cs) + 1)
-        inv = b_cs[-1].inverse()
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[len(b_cs) - 1 + k] * inv
-            q[k] = c
-            if not c.is_zero():
-                for i, bc in enumerate(b_cs):
-                    rem[i + k] = rem[i + k] - c * bc
-        return _from_dense(a_low - b_low, q), _from_dense(a_low, rem)
+        a_low, a_cs = self.coefficients()
+        q, r = upoly_divmod(a_cs, b_cs)
+        return _from_dense(a_low - b_low, q), _from_dense(a_low, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -391,10 +384,13 @@ def univariate_view(poly, var):
 
 
 def resultant(p, q, var):
-    """Resultant of two torsion-free Laurent polynomials with respect to
-    one variable: a Laurent polynomial in the remaining variables, zero
-    exactly on the projection-relevant common locus (up to unit factors
-    absorbed by the exponent shifts)."""
+    """An eliminant of two torsion-free Laurent polynomials with respect
+    to one variable: a member of the ideal (p, q) free of var, so a
+    Laurent polynomial in the remaining variables that vanishes on the
+    projection of their common zeros.  If p (or q) is free of var, it is
+    p (or q) itself; otherwise it is their Sylvester resultant (up to unit
+    factors absorbed by the exponent shifts), zero when they share a
+    factor in var.  Zero when p or q is."""
     pv = univariate_view(p, var)
     qv = univariate_view(q, var)
     if not pv or not qv:
@@ -402,15 +398,9 @@ def resultant(p, q, var):
     dp, dq = max(pv), max(qv)
     rest = p.nvars - 1
     if dp == 0:
-        out = LaurentPoly.one(rest)
-        for _ in range(dq):
-            out = out * pv[0]
-        return out
+        return pv[0]
     if dq == 0:
-        out = LaurentPoly.one(rest)
-        for _ in range(dp):
-            out = out * qv[0]
-        return out
+        return qv[0]
     size = dp + dq
     zero = LaurentPoly.zero(rest)
     rows = []

@@ -18,6 +18,7 @@ from jumploci.intlinalg import transpose
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import inverse
 from jumploci.presentation import FinitePresentation
+from jumploci.presfile import parse_presentation
 from jumploci.twisted import presentation_data, twisted_cohomology_dims
 
 from oracles import fitting_chain_holds
@@ -254,6 +255,32 @@ def test_weights_and_identity_corpus():
         for w in rep.weights:
             for a in w.angles + w.tors_angles:
                 assert is_root_of_unity(Cyc.from_angle(a))[0]
+
+
+RANK_TWO_WEIGHTS = [
+    # H1 = Z^2 + Z/3.  At the torsion dual 1/3 two corank-1 minors are
+    # free of the second variable and share their zeros, so the
+    # eliminant of that pair must be a minor, not 1: (1/3, 0; 1/3) and
+    # (2/3, 0; 2/3) are jump points (h1 = 1) and so weights.
+    ('generators: [a, b, c, d]\nrelators: ["[a,b]", "a c a^-1 d^-1", '
+     '"a d a^-1 c d", "[b,c]", "[b,d]"]\n',
+     {("0", "0", "0"), ("1/3", "0", "0"), ("1/3", "0", "1/3"),
+      ("2/3", "0", "0"), ("2/3", "0", "2/3")}),
+    # H1 = Z^2 + Z/2, each with one nontrivial weight.
+    ('generators: [a, b, c]\nrelators: ["[a,b]", "a c a^-1 c", '
+     '"b c b^-1 c"]\n', {("0", "0", "0"), ("1/2", "1/2", "0")}),
+    ('generators: [a, b, c]\nrelators: ["[a,b]", "a c a^-1 c", '
+     '"b c b^-1 c^-1"]\n', {("0", "0", "0"), ("0", "1/2", "0")}),
+]
+
+
+@pytest.mark.parametrize("text,expected", RANK_TWO_WEIGHTS,
+                         ids=["shared_minors", "diagonal", "axis"])
+def test_rank_two_weights_are_exact(text, expected):
+    rep = weights_and_inverses(parse_presentation(text), 2, 6)
+    assert rep.finite_dim == "exact" and rep.identity_holds
+    assert {tuple(map(str, w.angles + w.tors_angles))
+            for w in rep.weights} == expected
 
 
 def test_weights_refusals():

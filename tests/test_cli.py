@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, cli_env, within_seconds
 
+from jumploci import cli
 from jumploci.characters import ExponentMembers, torsion_modulus
 from jumploci.discovery import Component, JumpLocusReport
 from jumploci.higgs import MAX_TORUS_DIMENSION
@@ -502,3 +504,49 @@ def test_expected_report_fixtures_regression():
         assert res.returncode == 0, (entry["args"], res.stderr)
         expected = (fixture_dir / entry["file"]).read_text()
         assert res.stdout == expected, entry["file"]
+
+
+def _readme_usage():
+    """{command: {option: (optional, shown value)}} from the README's CLI
+    block; INPUT stands for the positional option input."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for line in re.sub(r"\n\s+", " ", block).strip().splitlines():
+        words = line.split()
+        assert words[0] == "jumploci", line
+        n = 1
+        while not words[n].startswith(("-", "[")) and words[n] != "INPUT":
+            n += 1
+        rest = " ".join(words[n:])
+        options = {}
+        for m in re.finditer(r"\[(--[\w-]+)(?: ([^\]]+))?\]|(--[\w-]+) (\S+)"
+                             r"|(INPUT)", rest):
+            opt, shown, req, value, positional = m.groups()
+            if positional:
+                options["input"] = (False, None)
+            elif opt:
+                options[opt] = (True, shown)
+            else:
+                options[req] = (False, value)
+        usage[" ".join(words[1:n])] = options
+    return usage
+
+
+def test_readme_cli_block_matches_the_command_table():
+    usage = _readme_usage()
+    assert list(usage) == list(cli.COMMANDS)
+    for name, (_, options, _) in cli.COMMANDS.items():
+        shown = usage[name]
+        assert set(shown) == set(options) | {"--out"}, name
+        for option, (optional, value) in shown.items():
+            spec = cli.OPTIONS[option]
+            if option == "input" or spec.get("required"):
+                assert not optional, (name, option)
+            elif spec.get("action") == "store_true":
+                assert optional and value is None, (name, option)
+            elif spec["default"] is None:
+                assert optional and value.isupper(), (name, option)
+            else:
+                assert optional and value == str(spec["default"]), \
+                    (name, option)
