@@ -129,8 +129,7 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
              for e in row]
             for row in fox
         ]
-        rank = rank_generic(param_rows) if p.relator_count else 0
-        generic_h = dims_from_rank(p, False, rank)[degree]
+        generic_h = dims_from_rank(p, False, rank_generic(param_rows))[degree]
     return ("certified" if generic_h >= mult else "refuted"), generic_h
 
 
@@ -203,7 +202,10 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
                                             class_hits, hit_keys, max_order)
             if grown is None or grown.dim == 0:
                 continue
-            grown = grown.canonical_translate(max_order)
+            # Exponent vectors sort as their characters do, so the least
+            # covered point is the coset's least point of order <= K.
+            grown = TranslatedSubtorus(b, vectors.torsion, grown.annihilator,
+                                       vectors.character(min(points)))
             key = (grown.annihilator, grown.translate.sort_key())
             if key not in candidates:
                 candidates[key] = grown, points

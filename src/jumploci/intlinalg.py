@@ -1,5 +1,5 @@
-"""Exact integer matrix algebra: Smith and Hermite normal forms and
-saturated kernels.  The Smith form also serves any Euclidean domain
+"""Exact integer matrix algebra: Smith and Hermite normal forms and the
+saturated integer kernel.  The Smith form also serves any Euclidean domain
 (alexander uses it over Q(zeta)[T, T^-1], with LaurentPoly entries), and
 the Hermite form reuses its row transform.
 
@@ -35,12 +35,6 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += x * bt[j]
     return out
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def _find_pivot(d, k, size):
@@ -167,37 +161,6 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def snf_diagonal(a):
-    """Just the nonzero diagonal invariants d_1 | d_2 | ... of a."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
-
-
-def kernel_columns(a, ncols=None):
-    """Columns spanning {x in Z^cols : a @ x = 0}.
-
-    The integer kernel of a matrix is automatically saturated.  Returns a
-    cols x k matrix (list of rows), possibly with k = 0.  Pass ncols when
-    a may have no rows.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else (ncols or 0)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return identity(cols)
-    u, d, v = smith_normal_form(a)
-    n = min(rows, cols)
-    r = sum(1 for i in range(n) if d[i][i])
-    # Kernel is spanned by the last cols - r columns of v.
-    ker = [[v[i][j] for j in range(r, cols)] for i in range(cols)]
-    return ker
-
-
 def hnf_rows(a):
     """Canonical row Hermite normal form of the row span of a: per
     column, smith_form's extended-gcd row transform puts the gcd in the
@@ -225,15 +188,20 @@ def hnf_rows(a):
     return work[:cur]
 
 
-def kernel_rational_rows(rows_of_fractions, ncols):
-    """Integer kernel {u in Z^n : u . r = 0 for every rational row r}.
+def kernel_rows(rows, ncols):
+    """Rows of a basis of {u in Z^ncols : u . r = 0 for every row r},
+    for rows of integers or Fractions, possibly none.
 
-    Clears denominators row by row; the result is saturated.
-    """
+    Denominators are cleared row by row.  With U A V = D the Smith form
+    of the cleared rows and r its rank, the kernel is spanned by the last
+    ncols - r columns of the unimodular V, so it is saturated: the
+    integer kernel of a matrix always is."""
+    if not rows:
+        return identity(ncols)
     cleared = []
-    for row in rows_of_fractions:
+    for row in rows:
         den = lcm(*(x.denominator for x in row))
         cleared.append([int(x * den) for x in row])
-    if not cleared:
-        return identity(ncols)
-    return kernel_columns(cleared)
+    _, d, v = smith_normal_form(cleared)
+    r = sum(1 for i in range(min(len(d), ncols)) if d[i][i])
+    return [[row[j] for row in v] for j in range(r, ncols)]

@@ -14,7 +14,7 @@ from math import gcd
 
 from . import words
 from .errors import InvariantError, Refusal
-from .intlinalg import smith_normal_form, snf_diagonal
+from .intlinalg import smith_normal_form
 from .laurent import LaurentPoly
 from .linalg import inverse, rank_exact
 from .value import Value
@@ -237,8 +237,10 @@ def reidemeister_schreier(p: FinitePresentation, gen_targets, modulus):
     g = p.generator_count
     m = len(gen_targets[0]) if g else 0
     index = 1
-    for d in snf_diagonal(gen_targets) if m else ():
-        index *= modulus // gcd(d, modulus)
+    if m:
+        _, d, _ = smith_normal_form(gen_targets)
+        for i in range(min(g, m)):
+            index *= modulus // gcd(d[i][i], modulus)
     if index > MAX_COVER_INDEX:
         raise Refusal(f"cover of index {index} is above the limit "
                       f"{MAX_COVER_INDEX}")

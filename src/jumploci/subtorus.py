@@ -19,9 +19,8 @@ from math import gcd, lcm
 
 from .characters import Character, torsion_modulus
 from .errors import Refusal
-from .intlinalg import (hnf_rows, identity, kernel_columns,
-                        kernel_rational_rows, mat_mul, smith_normal_form,
-                        transpose)
+from .intlinalg import (hnf_rows, identity, kernel_rows, mat_mul,
+                        smith_normal_form)
 from .numutil import factorint, frac_mod1
 from .value import Value
 
@@ -91,20 +90,14 @@ class TranslatedSubtorus(Value):
         k <= max_order, as characters in canonical order."""
         n = torsion_modulus(max_order, self.torsion)
         return [Character.from_exponents(self.free_rank, self.torsion, e, n)
-                for e in sorted(set(self._points(max_order)))]
+                for e in sorted(set(self.iter_torsion_points(max_order)))]
 
     def iter_torsion_points(self, max_order):
-        """Lazily yield the exponent vectors of the coset's torsion points
-        of order <= max_order (see _points), so subset checks can fail on
-        the first point outside a set.  Only such checks draw points
-        here, which is what bench/tracer.py counts; listings use
-        _points."""
-        return self._points(max_order)
-
-    def _points(self, max_order):
-        """Exponent vectors modulo n = torsion_modulus(max_order, torsion)
-        of the coset's points, grouped by killing order k (duplicates
-        across orders possible).
+        """Lazily yield the exponent vectors modulo n =
+        torsion_modulus(max_order, torsion) of the coset's points of
+        order <= max_order, grouped by killing order k (duplicates across
+        orders possible), so subset checks can fail on the first point
+        outside a set.
 
         Soundness, with U H V = [I_m | 0], B = V[:, m:] and R = V[:, :m] U:
         - The coset is {theta : H theta = H tau (mod 1)} with the torsion
@@ -157,38 +150,6 @@ class TranslatedSubtorus(Value):
             return False
         return self.contains(other.translate)
 
-    def canonical_translate(self, max_order):
-        """Reduce the translate to the lexicographically least torsion
-        point of order at most max_order of the coset (unitary case).
-
-        Soundness: the first point _points yields is theta_0, of order q,
-        and the points killed by k are theta_0 + L_k mod n with L_k =
-        (n/k) B Z^d + n Z^b.  Those killed by k are killed by 2k, so only
-        the multiples k of q with 2k > max_order matter.  L_k holds n Z^b,
-        so its row HNF (intlinalg.hnf_rows) is upper triangular with
-        pivots h_ii dividing n.  The first coordinates of theta_0 + L_k
-        are theta_0,1 + h_11 Z, and the vectors of L_k with first
-        coordinate 0 are spanned by the later rows; the same holds at each
-        later coordinate.  So reducing theta_0 coordinate by coordinate
-        modulo the pivot rows gives the least point of theta_0 + L_k, in
-        [0, n)^b.  The torsion tail is fixed, so it is appended."""
-        first = next(self._points(max_order), None)
-        if first is None:
-            return self
-        b, n = self.free_rank, torsion_modulus(max_order, self.torsion)
-        q = n // gcd(n, *first)
-        wrap = [[n * x for x in row] for row in identity(b)]
-        least = []      # over the multiples k of q above max_order / 2:
-        for k in range(q * (max_order // (2 * q) + 1), max_order + 1, q):
-            x = first[:b]
-            for i, row in enumerate(hnf_rows([[n // k * y for y in col] for col
-                                              in zip(*self.directions)] + wrap)):
-                f = x[i] // row[i]
-                x = [a - f * r for a, r in zip(x, row)]
-            least.append(tuple(x) + first[b:])
-        best = Character.from_exponents(b, self.torsion, min(least), n)
-        return TranslatedSubtorus(b, self.torsion, self.annihilator, best)
-
     def sort_key(self):
         return (-self.dim, self.annihilator, self.translate.sort_key())
 
@@ -232,39 +193,34 @@ def point_subtorus(chi: Character):
 
 
 def subtorus_from_directions(direction_rows, translate: Character):
-    """Connected subtorus whose direction span is generated by rational
-    direction vectors (e.g. lifted differences of torsion points)."""
+    """Connected subtorus through translate whose direction span is
+    generated by rational direction vectors (e.g. lifted differences of
+    torsion points): the annihilator is their saturated integer kernel."""
     b = translate.free_rank
     return TranslatedSubtorus(b, translate.torsion,
-                              transpose(kernel_rational_rows(direction_rows, b)),
-                              translate)
+                              kernel_rows(direction_rows, b), translate)
 
 
 def orbit_closure(chi, variant="B"):
     """Zariski closure of the positive-real scaling orbit of an exact
     character, as a translated subtorus.
 
-    Variant B: the direction lattice is cut out by the multiplicative
-    relations of the moduli (kernel of the prime exponent matrix), and the
-    translate is the unitary part.  Variant A: closures are cut out by the
-    rational relations of the angle vector; the translate keeps the
-    moduli, so positive-real points are fixed and their closures are not
-    unitary translates, which is why variant B is the default.
+    Variant B: the directions are the prime-valuation rows of the moduli,
+    so the annihilator holds their multiplicative relations
+    {u : prod m_j^{u_j} = 1} (all of Z^b when every modulus is 1, and the
+    orbit is one point), and the translate is the unitary part.  Variant
+    A: the direction is the angle vector, so closures are cut out by its
+    rational relations; the translate keeps the moduli, so positive-real
+    points are fixed and their closures are not unitary translates, which
+    is why variant B is the default.
     """
     from .characters import NumericCharacter
     if isinstance(chi, NumericCharacter):
         raise ValueError("orbit closure requires exact data")
-    b = chi.free_rank
     if variant == "B":
-        primes = _primes(chi.moduli)
-        exp_rows = [[_valuation(m, p) for m in chi.moduli] for p in primes]
-        # relations = {u : prod m_j^{u_j} = 1}, the saturated integer
-        # kernel; when all moduli are 1 it is Z^b and the orbit one point.
-        relations = transpose(kernel_columns(exp_rows, ncols=b))
-        return TranslatedSubtorus(b, chi.torsion, relations,
-                                  chi.unitary_part())
+        return subtorus_from_directions(
+            [[_valuation(m, p) for m in chi.moduli]
+             for p in _primes(chi.moduli)], chi.unitary_part())
     if variant == "A":
-        # u with u . angles = 0 over Q (exact rational angle relations).
-        relations = transpose(kernel_rational_rows([list(chi.angles)], b))
-        return TranslatedSubtorus(b, chi.torsion, relations, chi)
+        return subtorus_from_directions([list(chi.angles)], chi)
     raise ValueError(f"unknown action variant {variant!r}")

@@ -137,8 +137,7 @@ def twisted_cohomology_dims(p: FinitePresentation, chi: Character):
     for row in d1:
         if sum((a * b for a, b in zip(row, d0)), Cyc.zero()):
             raise InvariantError("d1 after d0 does not vanish")
-    rank_d1 = rank_exact(d1) if p.relator_count else 0
-    return dims_from_rank(p, chi.is_trivial, rank_d1)
+    return dims_from_rank(p, chi.is_trivial, rank_exact(d1))
 
 
 def dims_from_rank(p: FinitePresentation, trivial, rank_d1):

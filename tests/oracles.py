@@ -84,16 +84,20 @@ def reports_agree_after_transport(p, report, variant, variant_report,
     their_members = {chi.sort_key() for chi, _dims in variant_report.members}
     if moved_members != their_members:
         return False
-    moved = []
-    for c in report.components:
-        sub = restrict_subtorus_to_cover(c.subtorus, ab, variant, gen_words)
-        sub = sub.canonical_translate(max_order)
-        moved.append((sub.annihilator, sub.translate.sort_key(), c.status))
-    theirs = []
-    for c in variant_report.components:
-        sub = c.subtorus.canonical_translate(max_order)
-        theirs.append((sub.annihilator, sub.translate.sort_key(), c.status))
-    return sorted(moved) == sorted(theirs)
+    moved = sorted(_coset_key(restrict_subtorus_to_cover(
+        c.subtorus, ab, variant, gen_words), c.status, max_order)
+        for c in report.components)
+    theirs = sorted(_coset_key(c.subtorus, c.status, max_order)
+                    for c in variant_report.components)
+    return moved == theirs
+
+
+def _coset_key(sub, status, max_order):
+    """A coset named by its annihilator and its least torsion point of
+    order <= max_order (its translate when it has none), with a status."""
+    points = sub.torsion_points(max_order)
+    least = points[0] if points else sub.translate
+    return sub.annihilator, least.sort_key(), status
 
 
 def lattice_cohomology_dims_bareiss(x, rho):
@@ -137,5 +141,5 @@ def higgs_cohomology_dim_koszul(x, h, p, q):
 def least_torsion_point(sub, max_order):
     """The least exponent vector among the listed torsion points of order
     at most max_order of a coset, or None when it has none: the
-    reference for TranslatedSubtorus.canonical_translate."""
-    return min(sub._points(max_order), default=None)
+    reference for the translate that discovery gives a component."""
+    return min(sub.iter_torsion_points(max_order), default=None)

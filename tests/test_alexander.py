@@ -14,7 +14,6 @@ from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
 from jumploci.characters import Character
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.errors import Refusal
-from jumploci.intlinalg import transpose
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import inverse
 from jumploci.presentation import FinitePresentation
@@ -26,7 +25,8 @@ from oracles import fitting_chain_holds
 
 def dual(action):
     """Contragredient action (inverse transpose)."""
-    return ModuleAction([transpose(inverse(m)) for m in action.matrices])
+    return ModuleAction([[list(col) for col in zip(*inverse(m))]
+                         for m in action.matrices])
 
 
 def test_fitting_examples():

@@ -2,9 +2,10 @@
 
 bench/tracer.py wraps program functions by name and bench/cold_pass.py
 probes result caches by name, so renaming one of them breaks the
-benchmark.  This test imports both the way a benchmark pass does, in a
+benchmark.  These tests import both the way a benchmark pass does, in a
 fresh interpreter, so such a rename fails here first.  The same start-up
-is checked for what it loads.
+is checked for what it loads, and the tracer's point count for what it
+counts.
 """
 
 import os
@@ -12,6 +13,17 @@ import subprocess
 import sys
 
 from conftest import REPO_ROOT, cli_env
+
+
+def _run_in_bench_pass(source):
+    """Run source in a fresh interpreter with bench/ and this checkout's
+    src on the path, as a benchmark pass imports them."""
+    env = cli_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "bench"),
+                                         env["PYTHONPATH"]])
+    return subprocess.run([sys.executable, "-c", source], capture_output=True,
+                          text=True, cwd=REPO_ROOT, env=env)
+
 
 PROBE = """
 import jumploci.cli
@@ -25,12 +37,31 @@ Tracer().install_jumploci()
 
 
 def test_tracer_and_cache_probes_bind():
-    env = cli_env()
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "bench"),
-                                         env["PYTHONPATH"]])
-    res = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
-                         text=True, cwd=REPO_ROOT, env=env)
+    res = _run_in_bench_pass(PROBE)
     assert res.returncode == 0, res.stderr
+
+
+POINTS = """
+import jumploci.cli
+from jumploci import corpus, discovery
+from tracer import Tracer
+tracer = Tracer()
+tracer.install_jumploci()
+rep = discovery.discover_components(corpus.get("surface3"), 1, 1, 3)
+checked = tracer.counts["subtorus.points_checked"]
+for c in rep.components:
+    c.subtorus.torsion_points(3)
+print(checked, tracer.counts["subtorus.points_checked"])
+"""
+
+
+def test_tracer_counts_growth_points_not_listings():
+    # The tracer counts the points coset growth draws lazily, and listing
+    # a coset draws through the same generator without adding to them.
+    res = _run_in_bench_pass(POINTS)
+    assert res.returncode == 0, res.stderr
+    checked, after = map(int, res.stdout.split())
+    assert checked > 0 and after == checked, res.stdout
 
 
 STARTUP = """
@@ -49,10 +80,6 @@ def test_startup_skips_dataclasses_and_loads_traced_modules():
     # building records with it costs more than the rest of the package's
     # import; and the tracer patches only modules that a benchmark pass
     # has already imported, so none of them may load lazily.
-    env = cli_env()
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "bench"),
-                                         env["PYTHONPATH"]])
-    res = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True,
-                         text=True, cwd=REPO_ROOT, env=env)
+    res = _run_in_bench_pass(STARTUP)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "[]"], res.stdout

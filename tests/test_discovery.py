@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from jumploci import corpus
-from jumploci.characters import Character
+from jumploci.characters import (Character, count_torsion_characters,
+                                 torsion_modulus)
 from jumploci.cyclotomic import rank_exact
 from jumploci.errors import Refusal
 from jumploci.discovery import (_discovery_cached, abelian_cover_certificate,
@@ -13,10 +14,10 @@ from jumploci.discovery import (_discovery_cached, abelian_cover_certificate,
                                 transport_character)
 from jumploci.numutil import frac_mod1
 from jumploci.subtorus import TranslatedSubtorus, point_subtorus
-from jumploci.twisted import presentation_data
+from jumploci.twisted import MAX_SCAN_CHARACTERS, presentation_data
 
-from oracles import (reports_agree_after_transport, tietze_transport,
-                     translate_root_of_unity_check)
+from oracles import (least_torsion_point, reports_agree_after_transport,
+                     tietze_transport, translate_root_of_unity_check)
 
 
 def test_surface_single_full_torus_component():
@@ -33,7 +34,7 @@ def test_surface_single_full_torus_component():
 def test_dense_locus_builds_no_character_per_member(monkeypatch):
     # surface3 at K = 3: all 792 characters are members of one component.
     # Members stay exponent vectors, so the Characters built are the grow
-    # seed's and the canonical translate's, not one per member.
+    # seed's and the least covered point's, not one per member.
     built = []
     from_exponents = Character.from_exponents
 
@@ -119,6 +120,28 @@ def test_every_hit_covered_or_residual():
             covered = any(c.subtorus.contains(chi)
                           for c in rep.certified_components())
             assert covered or chi.sort_key() in residual_keys
+
+
+def test_translates_are_least_listed_points():
+    # Each component is named by its least torsion point of order <= K:
+    # growth's covered points for a grown coset, the point itself for an
+    # isolated one.  Scans above the limit (product23 at K = 4) are
+    # refused, so they are left out.
+    for name in corpus.names():
+        p = corpus.get(name)
+        ab, _ = presentation_data(p)
+        for K in (3, 4):
+            if count_torsion_characters(ab.free_rank, ab.torsion,
+                                        K) > MAX_SCAN_CHARACTERS:
+                continue
+            for degree in (1, 2) if p.aspherical else (1,):
+                rep = discover_components(p, degree, 1, K)
+                for c in rep.components:
+                    sub = c.subtorus
+                    least = least_torsion_point(sub, K)
+                    n = torsion_modulus(K, sub.torsion)
+                    assert sub.translate == Character.from_exponents(
+                        sub.free_rank, sub.torsion, least, n), (name, K)
 
 
 def test_surface_times_torus_single_component():

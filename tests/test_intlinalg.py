@@ -1,6 +1,7 @@
 import random
+from fractions import Fraction
 
-from jumploci.intlinalg import (hnf_rows, kernel_columns, mat_mul,
+from jumploci.intlinalg import (hnf_rows, kernel_rows, mat_mul,
                                 smith_normal_form)
 from jumploci.linalg import inverse, rank_exact
 
@@ -37,18 +38,23 @@ def test_smith_normal_form_randomized():
             assert all(x.denominator == 1 for row in inverse(m) for x in row)
 
 
-def test_kernel_columns_annihilate():
+def test_kernel_rows_annihilate():
+    # Rational rows, some of them none: the kernel rows are integral,
+    # kill every row, number ncols - rank, and span a saturated lattice
+    # (every Smith invariant of the kernel rows is 1).
     rng = random.Random(12)
     for _ in range(100):
-        r, c = rng.randint(1, 4), rng.randint(1, 5)
-        a = rand_matrix(rng, r, c, 4)
-        ker = kernel_columns(a)
-        k = len(ker[0]) if ker and ker[0] else 0
-        assert k == c - rank_exact(a)
-        for t in range(k):
-            col = [ker[i][t] for i in range(c)]
-            assert all(sum(a[i][j] * col[j] for j in range(c)) == 0
-                       for i in range(r))
+        r, c = rng.randint(0, 4), rng.randint(1, 5)
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+              for _ in range(c)] for _ in range(r)]
+        ker = kernel_rows(a, c)
+        assert len(ker) == c - rank_exact(a)
+        for u in ker:
+            assert len(u) == c and all(isinstance(x, int) for x in u)
+            assert all(sum(x * y for x, y in zip(u, row)) == 0 for row in a)
+        if ker:
+            _, d, _ = smith_normal_form(ker)
+            assert all(d[i][i] == 1 for i in range(len(ker)))
 
 
 def test_hnf_rows_is_span_invariant():

@@ -107,13 +107,6 @@ def test_torsion_points_match_order_filter():
     assert keys == brute
 
 
-def test_canonical_translate_is_lex_least():
-    tau = Character.unitary(2, (), (Fraction(1, 2), Fraction(1, 2)))
-    T = subtorus_from_directions([[Fraction(1), Fraction(0)]], tau)
-    canon = T.canonical_translate(2)
-    assert canon.translate.angles == (Fraction(0), Fraction(1, 2))
-
-
 @st.composite
 def torsion_cosets(draw, shape=None):
     """(b, torsion, coset, K): the annihilator is the saturated integer
@@ -136,8 +129,7 @@ def torsion_cosets(draw, shape=None):
 @given(torsion_cosets())
 def test_torsion_points_equal_filtered_enumeration(case):
     # The integer coset walk lists exactly the enumerated characters the
-    # exact rational membership test accepts, and the canonical translate
-    # is the least of them.
+    # exact rational membership test accepts.
     b, torsion, sub, K = case
     n = torsion_modulus(K, torsion)
     expected = [chi for chi in (Character.from_exponents(b, torsion, e, n)
@@ -145,12 +137,6 @@ def test_torsion_points_equal_filtered_enumeration(case):
                                     b, torsion, K))
                 if sub.contains(chi)]
     assert sub.torsion_points(K) == expected
-    canon = sub.canonical_translate(K)
-    if expected:
-        assert canon.translate == expected[0]
-        assert canon.annihilator == sub.annihilator
-    else:
-        assert canon is sub
 
 
 @st.composite
@@ -190,19 +176,20 @@ _POINT = Character.unitary(3, (2, 4), (Fraction(1, 2), Fraction(0),
     [[2, -1]], Character.unitary(2, (), (Fraction(1, 2), Fraction(0)))), 7))
 @example((2, (), subtorus_from_directions(
     [[3, -1]], Character.unitary(2, (), (Fraction(1, 2), Fraction(0)))), 7))
-def test_canonical_translate_equals_least_listed_point(case):
-    # The Hermite reduction finds the least point that the listing finds,
-    # and keeps the coset when it has no point of order <= K.
+def test_least_listed_point_is_least_enumerated_member(case):
+    # The least point the coset walk lists, which discovery takes as a
+    # component's translate, is the first enumerated character the exact
+    # rational membership test accepts; a coset with no point of order
+    # <= K lists none.  Enumeration runs in canonical order, and a member
+    # shares the translate's torsion coordinates.
     b, torsion, sub, K = case
-    least = least_torsion_point(sub, K)
-    canon = sub.canonical_translate(K)
-    if least is None:
-        assert canon is sub
-    else:
-        n = torsion_modulus(K, torsion)
-        assert canon.translate == Character.from_exponents(b, torsion,
-                                                           least, n)
-        assert canon.annihilator == sub.annihilator
+    n = torsion_modulus(K, torsion)
+    tail = tuple(a.numerator * (n // a.denominator)
+                 for a in sub.translate.tors_angles)
+    first = next((e for e in enumerate_torsion_characters(b, torsion, K)
+                  if e[b:] == tail and sub.contains(
+                      Character.from_exponents(b, torsion, e, n))), None)
+    assert least_torsion_point(sub, K) == first
 
 
 @st.composite
