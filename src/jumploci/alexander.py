@@ -432,12 +432,12 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
 
 
 def _sigma_union_hits(p, degree_bound, max_order):
-    out = {}
+    """V^0_1 and V^1_1 hits in order, merged as vectors of one modulus."""
+    union = set()
     for degree in range(min(degree_bound, 2)):
-        res = scan_sigma(p, degree, 1, max_order)
-        for chi, _dims in res.hits:
-            out[chi.sort_key()] = chi
-    return [out[k] for k in sorted(out)]
+        vectors = scan_sigma(p, degree, 1, max_order).vectors
+        union.update(e for e, _ in vectors.pairs)
+    return [vectors.character(e) for e in sorted(union)]
 
 
 def _cover_module_is_torsion(p, ab):

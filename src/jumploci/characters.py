@@ -24,8 +24,8 @@ u raises chi to the u-th power, which is the Galois automorphism
 zeta_n -> zeta_n^u applied to chi's values.  A point of order k is
 (n/k).f with f in (Z/k)^(b+t) and gcd(f, k) = 1, and u.e = e only for
 u = 1 (mod k), so its orbit has exactly phi(k) members, all of order k.
-An orbit is represented by its least vector (is_orbit_representative);
-orbit_members lists all of it.
+An orbit is represented by its least vector (is_orbit_representative,
+orbit_representatives); orbit_members lists all of it.
 
 Numeric characters (complex values per generator) exist only for the
 flagged fallback paths.
@@ -289,19 +289,35 @@ def is_orbit_representative(e, n):
     exactly for u = 1 (mod k/c), and only those units can give a smaller
     vector; every other unit gives a larger first nonzero coordinate."""
     k = n // gcd(n, *e)
-    for x in e:
-        if x:
-            break
-    else:
+    if k == 1:
         return True         # the trivial point is its own orbit
-    c = x * k // n
-    if c == 1:
-        return True         # only u = 1 keeps the first coordinate at 1
+    c = next(x for x in e if x) * k // n
     if k % c:
         return False
     step = k // c
     return not any(gcd(u, k) == 1 and tuple(u * x % n for x in e) < e
                    for u in range(1 + step, k, step))
+
+
+def orbit_representatives(free_rank, torsion, max_order):
+    """The least vector of each orbit, order by order, listing no other
+    point: (n/k).f of order k is least if its first nonzero f_j is 1, never
+    if f_j does not divide k, and otherwise as is_orbit_representative says."""
+    if max_order < 1:
+        raise Refusal("max order must be at least 1")
+    n = torsion_modulus(max_order, torsion)
+    yield (0,) * (free_rank + len(torsion))
+    for k in range(2, max_order + 1):
+        m = n // k      # f_j runs over the multiples of steps[j] in Z/k
+        steps = [1] * free_rank + [k // gcd(d, k) for d in torsion]
+        for j, s in enumerate(steps):
+            for c in [c for c in divisors(k)[:-1] if c % s == 0]:
+                head = (0,) * j + (c * m,)
+                tails = (range(0, n, m * t) for t in steps[j + 1:])
+                for e in map(head.__add__, product(*tails)):
+                    if c == 1 or (gcd(n, *e) == m
+                                  and is_orbit_representative(e, n)):
+                        yield e
 
 
 def orbit_members(e, n):

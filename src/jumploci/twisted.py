@@ -57,11 +57,15 @@ exact rank, hence every member's, above the threshold.  The Hadamard
 bound above depends on the character only through its order k, which
 every member shares, so the certifying-prime rank of the representative
 is its exact rank and the orbit's.  The fallback through
-twisted_cohomology_dims is exact at the representative anyway.
+twisted_cohomology_dims is exact at the representative anyway.  After
+counting every character to refuse above MAX_SCAN_CHARACTERS, a scan
+walks the representatives alone (characters.orbit_representatives).
 
-Before enumerating, a scan counts its characters exactly
-(characters.count_torsion_characters) and refuses above
-MAX_SCAN_CHARACTERS.
+A filter rejection of a nontrivial representative ends at threshold + 1
+pivots, bounding a block of d1 of full rank mod P, on which the next
+representative is ranked first.  A submatrix's mod-P rank is at most
+d1's, so a block rank above the threshold certifies non-membership as
+the filter does; only the other representatives take the full path.
 """
 
 from __future__ import annotations
@@ -71,9 +75,8 @@ from functools import lru_cache
 from math import isqrt
 
 from .characters import (Character, ExponentMembers,
-                         count_torsion_characters,
-                         enumerate_torsion_characters, is_orbit_representative,
-                         orbit_members, torsion_modulus)
+                         count_torsion_characters, orbit_members,
+                         orbit_representatives, torsion_modulus)
 from .cyclotomic import Cyc
 from .errors import InvariantError, Refusal
 from .linalg import rank_exact
@@ -82,15 +85,14 @@ from .presentation import (FinitePresentation, abelianize, fox_matrix,
                            fox_row_identity_holds)
 
 
-# Largest torsion scan scan_sigma runs, in characters.  A scan holds one
-# exponent vector per character, and every member of a dense locus adds
-# coset-growth state and a report entry, so peak memory grows with the
-# count.  analyze surface3 --K 6 (66,312 characters, all members, a 24 MB
-# report) peaks at 83 MB RSS in 2.9 s (median of 3; Python 3.11, one core
-# of a 2-core x86-64 host); at this limit, linearly, a dense scan peaks
-# near 125 MB.  Above it: thm4 square_comm --K 4 rescans 281,826
-# characters of a Z^9 cover, which peaked at 823 MB writing a 74 MB
-# report, and analyze product23 --K 4 asks for 1,107,624.
+# Largest torsion scan scan_sigma runs, in characters.  Each member of a
+# dense locus keeps an exponent vector, coset-growth state and a report
+# entry, so peak memory grows with the count: analyze surface3 --K 6
+# (66,312 characters, all members, a 24 MB report) peaks at 78 MB RSS in
+# 2.1 s (median of 3; Python 3.11, one core of a 2-core x86-64 host); at
+# this limit, linearly, near 118 MB.  Above it: thm4 square_comm --K 4
+# rescans 281,826 characters of a Z^9 cover, which peaked at 823 MB
+# writing a 74 MB report, and analyze product23 --K 4 asks for 1,107,624.
 MAX_SCAN_CHARACTERS = 100_000
 
 
@@ -173,13 +175,14 @@ class ScanResult:
     to exact elimination."""
 
     def __init__(self, vectors, scanned, max_order, filter_prime=None,
-                 certifying_prime=None, ranked=0):
+                 certifying_prime=None, ranked=0, block_rejects=0):
         self.vectors = vectors
         self.scanned = scanned
         self.max_order = max_order
         self.filter_prime = filter_prime
         self.certifying_prime = certifying_prime
         self.ranked = ranked    # orbit representatives ranked mod p
+        self.block_rejects = block_rejects  # of them, rejected by a block
 
     @property
     def hits(self):
@@ -257,6 +260,17 @@ class _ModularEvaluator:
             rows.append(row)
         return rows
 
+    def block(self, pivots):
+        """This evaluator on the rows and columns of the pairs pivots."""
+        cols, used = {col for _, col in pivots}, {}
+        block = object.__new__(_ModularEvaluator)
+        block.__dict__.update(self.__dict__, rows_struct=[
+            [(col, [(c, used.setdefault(m, len(used))) for c, m in terms])
+             for col, terms in self.rows_struct[i] if col in cols]
+            for i, _ in pivots])
+        block.monomials = [self.monomials[m] for m in used]
+        return block
+
 
 def _certifying_prime(n, norms_sq, size, max_order, filter_prime):
     """Smallest prime p = 1 (mod n) with p^2 > (H^2)^phimax, preferring
@@ -297,21 +311,21 @@ def _root_powers(prime, n):
     return powers
 
 
-def _rank_mod_p(rows, prime, stop_at=None):
+def _rank_mod_p(rows, prime, stop_at=None, pivots=None):
     """Rank of sparse rows over F_p, stopping early at stop_at pivots.
 
     Rows are consumed smallest first, which keeps the elimination cheap on
-    the mostly sparse Fox matrices of product presentations.
-    """
-    pivots = {}
+    the mostly sparse Fox matrices of product presentations.  Each pivot's
+    (row index, column) is appended to the list pivots, if one is given."""
+    reduced = {}
     rank = 0
-    for row in sorted(rows, key=len):
-        row = dict(row)
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = dict(rows[i])
         while row:
             col = min(row)
-            if col in pivots:
+            if col in reduced:
                 factor = row.pop(col)
-                for c, v in pivots[col].items():
+                for c, v in reduced[col].items():
                     if c in row:
                         nv = (row[c] - factor * v) % prime
                         if nv:
@@ -321,13 +335,14 @@ def _rank_mod_p(rows, prime, stop_at=None):
                     else:
                         row[c] = (-factor * v) % prime
             else:
-                inv = pow(row[col], -1, prime)
-                del row[col]
-                pivots[col] = {c: v * inv % prime for c, v in row.items()}
                 rank += 1
+                if pivots is not None:
+                    pivots.append((i, col))
                 if stop_at is not None and rank >= stop_at:
                     return rank
-                row = {}
+                inv = pow(row.pop(col), -1, prime)
+                reduced[col] = {c: v * inv % prime for c, v in row.items()}
+                break
     return rank
 
 
@@ -344,39 +359,47 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     if count > MAX_SCAN_CHARACTERS:
         raise Refusal(f"scan of {count} characters is above the "
                       f"limit {MAX_SCAN_CHARACTERS}")
-    points = enumerate_torsion_characters(b, torsion, max_order)
     n = torsion_modulus(max_order, torsion)
     found = []          # (exponent vector, dims)
     primes = ()
-    ranked = 0
+    ranked = block_rejects = 0
     if degree == 0:
         # h0 = [chi = 1] whatever the rank, and mult >= 1.
         if mult == 1:
             trivial = Character.trivial(b, torsion)
-            found.append((points[0], twisted_cohomology_dims(p, trivial)))
+            found.append(((0,) * (b + len(torsion)),
+                          twisted_cohomology_dims(p, trivial)))
     elif not p.relator_count:
         # Free groups: d1 is empty, so every dim follows from rank 0.
-        for e in points:
+        for e in orbit_representatives(b, torsion, max_order):
             dims = dims_from_rank(p, not any(e), 0)
             if dims[degree] >= mult:
-                found.append((e, dims))
+                found.extend((member, dims) for member in orbit_members(e, n))
     else:
         evaluator = _modular_evaluator_cached(p, max_order)
         prime, cert = primes = (evaluator.prime, evaluator.certifying_prime)
         # h^degree falls by one per unit of rank d1: a point is a member
         # iff its rank is at most its h^degree at rank 0, minus mult.
-        # points[0] is the trivial character and no later point is.
+        # Only the first representative is trivial.
         thresholds = {trivial: dims_from_rank(p, trivial, 0)[degree] - mult
-                      for trivial in {not any(e) for e in points[:2]}}
-        for e in points:
+                      for trivial in (True, False)[:count]}
+        block = None    # the last rejection's pivot block (module docstring)
+        for e in orbit_representatives(b, torsion, max_order):
             trivial = not any(e)
             threshold = thresholds[trivial]
-            if threshold < 0 or not is_orbit_representative(e, n):
+            if threshold < 0:
                 continue
             ranked += 1
+            if block and _rank_mod_p(block.matrix_rows(e, prime), prime,
+                                     stop_at=threshold + 1) > threshold:
+                block_rejects += 1
+                continue
+            pivots = []
             rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
-                               stop_at=threshold + 1)
+                               stop_at=threshold + 1, pivots=pivots)
             if rank > threshold:
+                if not trivial:
+                    block = evaluator.block(pivots)
                 continue  # exact non-membership certificate
             if cert is None:
                 chi = Character.from_exponents(b, torsion, e, n)
@@ -387,9 +410,10 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
                 dims = dims_from_rank(p, trivial, rank)
             if dims[degree] >= mult:
                 found.extend((member, dims) for member in orbit_members(e, n))
-        found.sort()
-    return ScanResult(ExponentMembers(b, torsion, n, found), len(points),
-                      max_order, *primes, ranked=ranked)
+    found.sort()
+    return ScanResult(ExponentMembers(b, torsion, n, found), count,
+                      max_order, *primes, ranked=ranked,
+                      block_rejects=block_rejects)
 
 
 @lru_cache(maxsize=8)

@@ -11,7 +11,8 @@ from jumploci.characters import (Character, NumericCharacter,
                                  count_killed_by, count_torsion_characters,
                                  enumerate_torsion_characters,
                                  is_orbit_representative, orbit_members,
-                                 rplus_act, torsion_modulus)
+                                 orbit_representatives, rplus_act,
+                                 torsion_modulus)
 from jumploci.cyclotomic import Cyc
 from jumploci.errors import Refusal
 
@@ -98,6 +99,30 @@ def test_galois_orbits_partition_the_enumeration(b, torsion, K):
             assert e != min(orbit)
     # Each orbit has one representative, and the orbits cover the points.
     assert sorted(covered) == points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(2, 6), max_size=2),
+       st.integers(1, 8))
+def test_orbit_walk_equals_filtered_enumeration(b, torsion, K):
+    # The direct walk yields exactly the enumerated points that pass the
+    # orbit test, each once, and no other point.
+    torsion = tuple(torsion)
+    n = torsion_modulus(K, torsion)
+    walked = list(orbit_representatives(b, torsion, K))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == {e for e in enumerate_torsion_characters(
+        b, torsion, K) if is_orbit_representative(e, n)}
+    assert walked[0] == (0,) * (b + len(torsion))
+
+
+@pytest.mark.parametrize("b,K,orbits", [
+    (4, 8, 2292),          # z4, the scan-sparse workload: 8,400 points
+    (10, 2, 1024),         # product23: every point of order 2 is its orbit
+])
+def test_orbit_walk_examples(b, K, orbits):
+    walked = list(orbit_representatives(b, (), K))
+    assert len(walked) == len(set(walked)) == orbits
 
 
 @pytest.mark.parametrize("b,K,count", [

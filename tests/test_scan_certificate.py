@@ -91,10 +91,19 @@ def test_orbit_scan_equals_per_character_scan_on_corpus(name, K):
         assert (res.scanned, res.ranked) == (8400, 2292)
 
 
+@pytest.mark.parametrize("name,K", [("z4", 8), ("product23", 2)])
+def test_scan_takes_both_block_and_full_rejections(name, K):
+    # Most representatives are rejected on the last rejection's pivot
+    # block, and the rest take the full rank: both paths run.
+    res = scan_sigma(corpus.get(name), 1, 1, K)
+    assert 0 < res.block_rejects < res.ranked
+
+
 @st.composite
 def presentations(draw):
-    """A presentation on 1 to 3 generators with 1 to 3 random relators."""
-    g = draw(st.integers(1, 3))
+    """A presentation on 1 to 4 generators with 1 to 3 random relators,
+    so that some have torsion in H1."""
+    g = draw(st.integers(1, 4))
     letter = st.tuples(st.integers(0, g - 1), st.sampled_from((-1, 1)))
     rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8),
                          min_size=1, max_size=3))
