@@ -23,11 +23,12 @@ from .cyclotomic import Cyc
 from .discovery import kill_cover
 from .errors import InvariantError, Refusal
 from .intlinalg import identity, mat_mul, smith_form
-from .laurent import LaurentPoly, det_bareiss, rank_generic, resultant
+from .laurent import LaurentPoly, det_bareiss, resultant
 from .linalg import koszul_dims, rank_exact
 from .numutil import euler_phi
 from .presentation import FinitePresentation
-from .twisted import presentation_data, scan_sigma, twisted_cohomology_dims
+from .twisted import (coset_dims, fox_on_coset, presentation_data,
+                      scan_sigma, twisted_cohomology_dims)
 from .value import Value
 
 
@@ -193,14 +194,18 @@ class CoverModule:
         self.detail = detail
 
 
+def _dual_torus(ab, omega):
+    """(directions, translate) of the full torus through the torsion-dual
+    character omega: 1 on the free part, omega on the torsion."""
+    b = ab.free_rank
+    return identity(b), Character.unitary(b, ab.torsion, (0,) * b, omega)
+
+
 def _specialized_fox(p, omega_tors_angles):
     """Fox matrix rows specialized at a torsion-dual character: Laurent
     polynomials in the free variables."""
-    ab, fox = presentation_data(p)
-    b = ab.free_rank
-    tors_vals = [Cyc.from_angle(a) for a in omega_tors_angles]
-    return [[e.substitute_monomials(identity(b), (), b, tors_vals)
-             for e in row] for row in fox]
+    ab, _ = presentation_data(p)
+    return fox_on_coset(p, *_dual_torus(ab, omega_tors_angles))
 
 
 def cover_homology_rank_one(p: FinitePresentation):
@@ -432,23 +437,20 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
 
 
 def _sigma_union_hits(p, degree_bound, max_order):
-    """V^0_1 and V^1_1 hits in order, merged as vectors of one modulus."""
-    union = set()
-    for degree in range(min(degree_bound, 2)):
-        vectors = scan_sigma(p, degree, 1, max_order).vectors
-        union.update(e for e, _ in vectors.pairs)
-    return [vectors.character(e) for e in sorted(union)]
+    """Hits of the union of V^d_1 over d < degree_bound, in order, from
+    one scan: V^0_1 = {1}, and 1 lies in V^1_1 as h1(1) = b >= 1, since
+    weights refuses b = 0 and by transfer a finite-index cover, as
+    finite_locus_cover_check rescans, has b_cover >= b."""
+    vectors = scan_sigma(p, degree_bound - 1, 1, max_order).vectors
+    return [vectors.character(e) for e, _ in vectors.pairs]
 
 
 def _cover_module_is_torsion(p, ab):
     """Generic-rank test, used at free rank b >= 2: the cover homology is
-    a torsion module iff the Fox matrix has generic rank g - 1 after every
-    torsion-dual specialization.  At b >= 1, d1 is nonzero at every one,
-    so ker d1 has rank g - 1 (the augmentation line)."""
-    g, r = p.generator_count, p.relator_count
-    if r == 0:
-        return g - 1 <= 0
-    return all(rank_generic(_specialized_fox(p, omega)) >= g - 1
+    a torsion module iff the Fox matrix has generic rank g - 1, that is
+    h1 = 0, at the generic point of the full torus through each torsion
+    dual (a nontrivial point, as b >= 1)."""
+    return all(coset_dims(p, *_dual_torus(ab, omega))[1] == 0
                for omega in _all_torsion_duals(ab.torsion))
 
 

@@ -18,13 +18,11 @@ from math import lcm
 
 from .characters import Character, torsion_modulus
 from .errors import InvariantError, Refusal
-from .laurent import rank_generic
 from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
-from .twisted import (check_query, dims_from_rank, presentation_data,
-                      scan_sigma, twisted_cohomology_dims)
+from .twisted import check_query, coset_dims, presentation_data, scan_sigma
 from .value import Value
 
 
@@ -102,15 +100,11 @@ MAX_CERTIFY_CONDUCTOR = 10_000
 
 def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
                       degree, mult):
-    """("certified" | "refuted", generic h^degree on the coset).
-
-    Positive-dimensional cosets are certified by substituting the monomial
-    parametrization z_j = tau_j * prod_k s_k^(B_jk) into the Fox matrix
-    and computing generic rank; at a generic point of a positive
-    dimensional coset the character is nontrivial.  Refuses a translate
-    whose conductor exceeds MAX_CERTIFY_CONDUCTOR, before evaluating it.
-    """
-    ab, fox = presentation_data(p)
+    """("certified" | "refuted", generic h^degree on the coset), from
+    twisted.coset_dims along the coset's direction basis.  Refuses a
+    translate whose conductor exceeds MAX_CERTIFY_CONDUCTOR, before
+    evaluating it."""
+    ab, _ = presentation_data(p)
     if sub.free_rank != ab.free_rank or sub.torsion != ab.torsion:
         raise ValueError("subtorus lives on a different character torus")
     check_query(p, degree, mult)
@@ -119,17 +113,7 @@ def certify_component(p: FinitePresentation, sub: TranslatedSubtorus,
     if conductor > MAX_CERTIFY_CONDUCTOR:
         raise Refusal(f"translate of conductor {conductor} is above the "
                       f"limit {MAX_CERTIFY_CONDUCTOR}")
-    if sub.dim == 0:
-        generic_h = twisted_cohomology_dims(p, tau)[degree]
-    else:
-        free_vals, tors_vals = tau.free_values(), tau.torsion_values()
-        param_rows = [
-            [e.substitute_monomials(sub.directions, free_vals, sub.dim,
-                                    tors_vals)
-             for e in row]
-            for row in fox
-        ]
-        generic_h = dims_from_rank(p, False, rank_generic(param_rows))[degree]
+    generic_h = coset_dims(p, sub.directions, tau)[degree]
     return ("certified" if generic_h >= mult else "refuted"), generic_h
 
 
@@ -365,10 +349,8 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
         raise InvariantError("certificate requires a torsion translate")
     ab, _ = presentation_data(p)
     tau = sub.translate
-    if tau.is_trivial:
-        status, gh = certify_component(p, sub, 1, 1)
-        comp = Component(sub, status, gh, contains_trivial=True)
-        return CoverCertificate(p, tuple(), comp, base, trivial_cover=True)
+    if tau.is_trivial:      # discovery certified base at degree 1, mult 1
+        return CoverCertificate(p, tuple(), base, base, trivial_cover=True)
     cover, schreier, _ = kill_cover(p, [tau])
     pulled = restrict_subtorus_to_cover(sub, ab, cover, schreier)
     if not pulled.translate.is_trivial:

@@ -102,21 +102,14 @@ class AbelianizationData(Value):
 
 
 def abelianize(p: FinitePresentation) -> AbelianizationData:
-    """Smith-normal-form invariants of the relator exponent matrix.
-
-    An empty relator list gives the free abelianization Z^g.
-    """
+    """Smith-normal-form invariants of the relator exponent matrix; with
+    no relators, of the g x 0 matrix, whose u = I gives Z^g."""
     g = p.generator_count
     e = p.exponent_matrix()
-    if not e:
-        gen_images = tuple((tuple(1 if k == j else 0 for k in range(g)), ())
-                           for j in range(g))
-        lifts = tuple(tuple(1 if k == j else 0 for k in range(g)) for j in range(g))
-        return AbelianizationData(g, (), gen_images, lifts, ())
     # Relator images are columns of e^T; H1 = Z^g / column span.
     a = [[e[i][j] for i in range(len(e))] for j in range(g)]
     u, d, v = smith_normal_form(a)
-    n = min(len(a), len(a[0]))
+    n = min(g, len(e))
     diag = [d[i][i] for i in range(n)]
     rank = sum(1 for x in diag if x)
     torsion_pos = [i for i in range(rank) if diag[i] >= 2]

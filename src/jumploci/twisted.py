@@ -42,14 +42,11 @@ cyclotomic elimination (twisted_cohomology_dims) instead.  The Fox
 identity behind d1 d0 = 0 is checked once per presentation, in the
 group ring, by presentation_data.
 
-A scan walks the exponent vectors of the characters module, whose
-modulus is the evaluator's n: the value zeta_n^(e . h) of the character
-e at h in H1 maps to w^(e . h).
-
-The mod-p scan ranks one point per orbit of (Z/n)^x on those vectors,
-the orbit's least vector, and gives its dims to the whole orbit.  One
-representative is enough.  The Fox entries have integer coefficients,
-so d1 at u.e is sigma_u(d1 at e) for the automorphism sigma_u: zeta_n ->
+A scan walks exponent vectors modulo the evaluator's n: the value
+zeta_n^(e . h) of the character e at h in H1 maps to w^(e . h).  It
+ranks one vector per orbit of (Z/n)^x, the orbit's least, and gives its
+dims to the whole orbit.  The Fox entries have integer coefficients, so
+d1 at u.e is sigma_u(d1 at e) for the automorphism sigma_u: zeta_n ->
 zeta_n^u of Q(zeta_n); sigma_u preserves rank, and u.e is trivial iff e
 is, so the exact dims are constant on the orbit.  The filter is one
 sided: its rejection of the representative proves the representative's
@@ -61,17 +58,34 @@ twisted_cohomology_dims is exact at the representative anyway.  After
 counting every character to refuse above MAX_SCAN_CHARACTERS, a scan
 walks the representatives alone (characters.orbit_representatives).
 
+Every scan takes this walk, in every degree and on free groups, whose
+empty d1 has rank 0 and H^2 = 1, so that the filter prime certifies.  A
+point's threshold is the largest rank of d1 at which h^degree >= mult:
+h^degree at rank 0 minus mult in degrees 1 and 2; in degree 0, where h0
+does not depend on the rank, min(r, g) if h0 >= mult and -1 otherwise.
+When the nontrivial threshold is negative, the walk stops after the
+trivial point.  A character of order k reads w^e only at multiples e of
+n/k, so each prime stores w^e there alone: at most K(K+1)/2 powers.
+
 A filter rejection of a nontrivial representative ends at threshold + 1
 pivots, bounding a block of d1 of full rank mod P, on which the next
 representative is ranked first.  A submatrix's mod-P rank is at most
 d1's, so a block rank above the threshold certifies non-membership as
 the filter does; only the other representatives take the full path.
+
+Along a coset tau * T with direction basis B (b x d), fox_on_coset
+substitutes z_j -> tau(z_j) * prod_k s_k^(B_jk) into the Fox matrix, and
+coset_dims reads dims_from_rank off its rank over the Laurent ring in
+the s_k: the dims at the coset's generic point, the least on the coset
+by semicontinuity.  That point is trivial only for the 0-dimensional
+coset through 1; a coset of dimension >= 1 has a nontrivial one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 
 from .characters import (Character, ExponentMembers,
@@ -79,6 +93,7 @@ from .characters import (Character, ExponentMembers,
                          orbit_representatives, torsion_modulus)
 from .cyclotomic import Cyc
 from .errors import InvariantError, Refusal
+from .laurent import rank_generic
 from .linalg import rank_exact
 from .numutil import euler_phi, factorint, first_prime_congruent_one
 from .presentation import (FinitePresentation, abelianize, fox_matrix,
@@ -154,6 +169,24 @@ def dims_from_rank(p: FinitePresentation, trivial, rank_d1):
     return (h0, h1)
 
 
+def fox_on_coset(p: FinitePresentation, directions, translate: Character):
+    """The Fox matrix of p along the coset translate * T of direction
+    basis B = directions (module docstring), over Z[s_1^+-1..s_d^+-1]."""
+    _, fox = presentation_data(p)
+    dim = len(directions[0]) if directions else 0
+    free_vals, tors_vals = translate.free_values(), translate.torsion_values()
+    return [[e.substitute_monomials(directions, free_vals, dim, tors_vals)
+             for e in row] for row in fox]
+
+
+def coset_dims(p: FinitePresentation, directions, translate: Character):
+    """twisted_cohomology_dims at the coset's generic point, from the
+    generic rank of fox_on_coset (module docstring)."""
+    point = not any(directions)     # every row empty: no direction
+    return dims_from_rank(p, point and translate.is_trivial, rank_generic(
+        fox_on_coset(p, directions, translate)))
+
+
 def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
     """Whether dim H^degree(chi) >= mult."""
     check_query(p, degree, mult)
@@ -169,13 +202,12 @@ class ScanResult:
 
     vectors holds the hits as ExponentMembers, and hits builds their
     (Character, dims) pairs on each read, for library callers.
-    filter_prime certified every rejection; certifying_prime gave the
-    hits' dims.  Both are None when nothing was ranked mod p (degree 0,
-    or no relators), and certifying_prime is None when the scan fell back
-    to exact elimination."""
+    filter_prime, always set, certified every rejection; certifying_prime
+    gave the hits' dims, and is None only when the scan fell back to
+    exact elimination."""
 
-    def __init__(self, vectors, scanned, max_order, filter_prime=None,
-                 certifying_prime=None, ranked=0, block_rejects=0):
+    def __init__(self, vectors, scanned, max_order, filter_prime,
+                 certifying_prime, ranked=0, block_rejects=0):
         self.vectors = vectors
         self.scanned = scanned
         self.max_order = max_order
@@ -198,7 +230,7 @@ class _ModularEvaluator:
     nonzero entries are visited.  The evaluator carries the filter prime
     and the certifying prime of the module docstring (None when that
     prime would be past the deterministic primality range), with the
-    powers of an order-n root of unity mod each.
+    powers of an order-n root of unity mod each that a scan reads.
     """
 
     def __init__(self, fox, free_rank, torsion, max_order):
@@ -232,7 +264,7 @@ class _ModularEvaluator:
         size = min(len(fox), len(fox[0])) if fox else 0
         self.certifying_prime = _certifying_prime(
             self.n, norms_sq, size, max_order, self.prime)
-        self.root_powers = {q: _root_powers(q, self.n)
+        self.root_powers = {q: _root_powers(q, self.n, max_order)
                             for q in {self.prime, self.certifying_prime}
                             if q is not None}
 
@@ -291,8 +323,9 @@ def _certifying_prime(n, norms_sq, size, max_order, filter_prime):
         return None
 
 
-def _root_powers(prime, n):
-    """[w^0, ..., w^(n-1)] for an element w of order exactly n mod prime.
+def _root_powers(prime, n, max_order):
+    """{e: w^e} for an element w of order exactly n mod prime, at the
+    multiples e of n/k for k <= max_order, which a scan reads.
 
     w = a^((prime-1)/n) has order dividing n, and exactly n unless
     w^(n/q) = 1 for a prime q | n, so only n is factored, never prime - 1.
@@ -305,10 +338,8 @@ def _root_powers(prime, n):
         if all(pow(w, n // q, prime) != 1 for q in qs):
             break
         a += 1
-    powers = [1] * n
-    for e in range(1, n):
-        powers[e] = powers[e - 1] * w % prime
-    return powers
+    return {e: pow(w, e, prime)
+            for k in range(1, max_order + 1) for e in range(0, n, n // k)}
 
 
 def _rank_mod_p(rows, prime, stop_at=None, pivots=None):
@@ -359,60 +390,51 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     if count > MAX_SCAN_CHARACTERS:
         raise Refusal(f"scan of {count} characters is above the "
                       f"limit {MAX_SCAN_CHARACTERS}")
-    n = torsion_modulus(max_order, torsion)
+    evaluator = _modular_evaluator_cached(p, max_order)
+    n, prime, cert = evaluator.n, evaluator.prime, evaluator.certifying_prime
+    # A point is a member iff rank d1 is at most its threshold (module
+    # docstring).  Only the first representative is trivial.
+    thresholds = {}
+    for trivial in (True, False)[:count]:
+        h = dims_from_rank(p, trivial, 0)[degree]
+        # In degree 0, h0 does not depend on the rank: all ranks or none.
+        thresholds[trivial] = (h - mult if degree else -1 if h < mult
+                               else min(p.relator_count, p.generator_count))
+    representatives = orbit_representatives(b, torsion, max_order)
+    if thresholds.get(False, -1) < 0:   # only 1 can be a member
+        representatives = islice(representatives, 1)
     found = []          # (exponent vector, dims)
-    primes = ()
     ranked = block_rejects = 0
-    if degree == 0:
-        # h0 = [chi = 1] whatever the rank, and mult >= 1.
-        if mult == 1:
-            trivial = Character.trivial(b, torsion)
-            found.append(((0,) * (b + len(torsion)),
-                          twisted_cohomology_dims(p, trivial)))
-    elif not p.relator_count:
-        # Free groups: d1 is empty, so every dim follows from rank 0.
-        for e in orbit_representatives(b, torsion, max_order):
-            dims = dims_from_rank(p, not any(e), 0)
-            if dims[degree] >= mult:
-                found.extend((member, dims) for member in orbit_members(e, n))
-    else:
-        evaluator = _modular_evaluator_cached(p, max_order)
-        prime, cert = primes = (evaluator.prime, evaluator.certifying_prime)
-        # h^degree falls by one per unit of rank d1: a point is a member
-        # iff its rank is at most its h^degree at rank 0, minus mult.
-        # Only the first representative is trivial.
-        thresholds = {trivial: dims_from_rank(p, trivial, 0)[degree] - mult
-                      for trivial in (True, False)[:count]}
-        block = None    # the last rejection's pivot block (module docstring)
-        for e in orbit_representatives(b, torsion, max_order):
-            trivial = not any(e)
-            threshold = thresholds[trivial]
-            if threshold < 0:
-                continue
-            ranked += 1
-            if block and _rank_mod_p(block.matrix_rows(e, prime), prime,
-                                     stop_at=threshold + 1) > threshold:
-                block_rejects += 1
-                continue
-            pivots = []
-            rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
-                               stop_at=threshold + 1, pivots=pivots)
-            if rank > threshold:
-                if not trivial:
-                    block = evaluator.block(pivots)
-                continue  # exact non-membership certificate
-            if cert is None:
-                chi = Character.from_exponents(b, torsion, e, n)
-                dims = twisted_cohomology_dims(p, chi)
-            else:
-                if cert != prime:
-                    rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
-                dims = dims_from_rank(p, trivial, rank)
-            if dims[degree] >= mult:
-                found.extend((member, dims) for member in orbit_members(e, n))
+    block = None        # the last rejection's pivot block (module docstring)
+    for e in representatives:
+        trivial = not any(e)
+        threshold = thresholds[trivial]
+        if threshold < 0:
+            continue
+        ranked += 1
+        if block and _rank_mod_p(block.matrix_rows(e, prime), prime,
+                                 stop_at=threshold + 1) > threshold:
+            block_rejects += 1
+            continue
+        pivots = []
+        rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
+                           stop_at=threshold + 1, pivots=pivots)
+        if rank > threshold:
+            if not trivial:
+                block = evaluator.block(pivots)
+            continue  # exact non-membership certificate
+        if cert is None:
+            chi = Character.from_exponents(b, torsion, e, n)
+            dims = twisted_cohomology_dims(p, chi)
+        else:
+            if cert != prime:
+                rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
+            dims = dims_from_rank(p, trivial, rank)
+        if dims[degree] >= mult:
+            found.extend((member, dims) for member in orbit_members(e, n))
     found.sort()
     return ScanResult(ExponentMembers(b, torsion, n, found), count,
-                      max_order, *primes, ranked=ranked,
+                      max_order, prime, cert, ranked=ranked,
                       block_rejects=block_rejects)
 
 

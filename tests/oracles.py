@@ -12,10 +12,11 @@ import jumploci.alexander as alexander
 from jumploci import words
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.discovery import restrict_subtorus_to_cover, transport_character
+from jumploci.intlinalg import identity
 from jumploci.laurent import LaurentPoly, rank_generic
 from jumploci.linalg import koszul_differential, koszul_dims, rank_exact
 from jumploci.presentation import permuted_inverted
-from jumploci.twisted import presentation_data
+from jumploci.twisted import presentation_data, scan_sigma
 
 
 def fitting_chain_holds(p, k):
@@ -143,3 +144,32 @@ def least_torsion_point(sub, max_order):
     at most max_order of a coset, or None when it has none: the
     reference for the translate that discovery gives a component."""
     return min(sub.iter_torsion_points(max_order), default=None)
+
+
+def cover_module_is_torsion_by_rank(p):
+    """The generic-rank test of the cover homology written out: the Fox
+    matrix, with its torsion twist specialized at each torsion-dual
+    character, has generic rank g - 1 over the free variables.  With no
+    relators the rank is 0."""
+    ab, fox = presentation_data(p)
+    b, g = ab.free_rank, p.generator_count
+    if not fox:
+        return g - 1 <= 0
+    for omega in alexander._all_torsion_duals(ab.torsion):
+        tors_vals = [Cyc.from_angle(a) for a in omega]
+        rows = [[e.substitute_monomials(identity(b), (), b, tors_vals)
+                 for e in row] for row in fox]
+        if rank_generic(rows) < g - 1:
+            return False
+    return True
+
+
+def sigma_union_hits_merged(p, degree_bound, max_order):
+    """The union of the V^degree_1 hits for degree < degree_bound, one
+    scan per degree, merged as exponent vectors of one modulus and
+    returned as characters in order."""
+    union = set()
+    for degree in range(degree_bound):
+        vectors = scan_sigma(p, degree, 1, max_order).vectors
+        union.update(e for e, _ in vectors.pairs)
+    return [vectors.character(e) for e in sorted(union)]

@@ -7,7 +7,8 @@ import pytest
 
 from jumploci import corpus
 from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
-                                cover_homology_rank_one, cyclotomic_roots,
+                                _sigma_union_hits, cover_homology_rank_one,
+                                cyclotomic_roots,
                                 finite_locus_cover_check, fitting_generators,
                                 is_weight, koszul_cohomology, vanishing_check,
                                 weights_and_inverses)
@@ -20,7 +21,8 @@ from jumploci.presentation import FinitePresentation
 from jumploci.presfile import parse_presentation
 from jumploci.twisted import presentation_data, twisted_cohomology_dims
 
-from oracles import fitting_chain_holds
+from oracles import (cover_module_is_torsion_by_rank, fitting_chain_holds,
+                     sigma_union_hits_merged)
 
 
 def dual(action):
@@ -303,6 +305,35 @@ def test_rank_one_weights_refuse_from_the_module_itself():
     assert not _cover_module_is_torsion(p, ab)
     with pytest.raises(Refusal, match="infinite-dimensional"):
         weights_and_inverses(p, 2, 3)
+
+
+def test_cover_module_test_equals_generic_rank_oracle():
+    # h1 = 0 at the generic point of each full torus through a torsion
+    # dual says exactly that the Fox matrix has generic rank g - 1 there.
+    # product23 is left out: each side spends about 30 s in one Bareiss
+    # elimination of its 26 x 10 Fox matrix over ten Laurent variables.
+    checked = 0
+    for name in corpus.names():
+        p = corpus.get(name)
+        ab, _ = presentation_data(p)
+        if ab.free_rank >= 2 and name != "product23":
+            assert (_cover_module_is_torsion(p, ab)
+                    == cover_module_is_torsion_by_rank(p)), name
+            checked += 1
+    assert checked == 10
+
+
+def test_sigma_union_is_one_scan():
+    # V^0_1 = {1} lies in V^1_1 whenever b >= 1, so one scan gives the
+    # union that a scan per degree merges.
+    for name in corpus.names():
+        p = corpus.get(name)
+        if presentation_data(p)[0].free_rank == 0:
+            continue
+        K = 2 if name == "product23" else 3
+        for bound in (1, 2):
+            assert (_sigma_union_hits(p, bound, K)
+                    == sigma_union_hits_merged(p, bound, K)), (name, bound)
 
 
 def _companion_action(module):

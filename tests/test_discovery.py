@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci import corpus
+from jumploci import corpus, discovery
 from jumploci.characters import (Character, count_torsion_characters,
                                  torsion_modulus)
 from jumploci.cyclotomic import rank_exact
 from jumploci.errors import Refusal
-from jumploci.discovery import (_discovery_cached, abelian_cover_certificate,
+from jumploci.discovery import (Component, _discovery_cached,
+                                abelian_cover_certificate,
                                 certify_component, count_genus_components,
                                 discover_components, kill_cover,
                                 transport_character)
@@ -225,6 +226,25 @@ def test_abelian_cover_certificates():
     assert cert2.component.status == "certified"
     assert cert2.component.contains_trivial
     assert cert2.component.dim == cert2.base_component.dim
+
+
+def test_trivial_translate_cover_certificate_is_discoverys_component(
+        monkeypatch):
+    # Discovery already certified the component through 1 at degree 1,
+    # mult 1, so the certificate reuses it and certifies nothing again.
+    s2 = corpus.get("surface2")
+    discover_components(s2, 1, 1, 3)
+    calls = []
+    monkeypatch.setattr(discovery, "certify_component",
+                        lambda *args: calls.append(args))
+    cert = abelian_cover_certificate(s2, 3)
+    assert calls == []
+    assert cert.trivial_cover and cert.component is cert.base_component
+    # The same bytes as certifying the base component again.
+    sub = cert.base_component.subtorus
+    again = Component(sub, *certify_component(s2, sub, 1, 1),
+                      contains_trivial=True)
+    assert cert.serialize()["component"] == again.serialize()
 
 
 # The corpus groups that are fundamental groups of compact Kaehler

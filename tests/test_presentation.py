@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from jumploci import corpus, words
+from jumploci import corpus, presentation, words
 from jumploci.errors import InvariantError, Refusal
 from jumploci.laurent import LaurentPoly
+from jumploci.presfile import parse_presentation
 from jumploci.presentation import (MAX_COVER_INDEX, AbelianizationData,
                                    FinitePresentation, _check_accounting,
                                    abelianize, fox_matrix,
@@ -26,6 +27,25 @@ def test_abelianize_examples():
     assert ab3.free_rank == 0 and ab3.torsion == (3,)
     free = FinitePresentation(3, ())
     assert abelianize(free).free_rank == 3
+
+
+@pytest.mark.parametrize("p", [parse_presentation("generators: []\n"),
+                               corpus.get("free2"), corpus.get("free3")],
+                         ids=["trivial", "free2", "free3"])
+def test_abelianize_free_groups_through_the_smith_form(p, monkeypatch):
+    # No relators: the g x 0 exponent matrix has the Smith form u = I, so
+    # every generator is its own basis vector, and the accounting runs.
+    g = p.generator_count
+    checked = []
+    real = presentation._check_accounting
+    monkeypatch.setattr(presentation, "_check_accounting",
+                        lambda p_, data: checked.append(p_) or real(p_, data))
+    ab = abelianize(p)
+    unit = [tuple(int(i == j) for i in range(g)) for j in range(g)]
+    assert (ab.free_rank, ab.torsion, ab.torsion_lifts) == (g, (), ())
+    assert ab.gen_images == tuple((u, ()) for u in unit)
+    assert ab.basis_lifts == tuple(unit)
+    assert checked == [p]
 
 
 def test_abelianize_kills_relators_and_counts():

@@ -1,7 +1,8 @@
 """Differential tests of the bounded-prime scan against exact cyclotomic
 elimination: corpus scans, random Fox-like matrices, the large-exponent
 fallback, and the once-per-presentation Fox identity check; and of the
-Galois-orbit scan against a scan that ranks every character."""
+Galois-orbit scan against a scan that ranks every character, in every
+degree and on free groups."""
 
 import math
 from fractions import Fraction
@@ -78,11 +79,10 @@ def _assert_orbit_scan_equals_per_character_scan(p, degree, mult, K):
     return res
 
 
-@pytest.mark.parametrize("name,K", [(name, K) for name, K in CORPUS_SCANS
-                                    if corpus.get(name).relator_count])
+@pytest.mark.parametrize("name,K", CORPUS_SCANS)
 def test_orbit_scan_equals_per_character_scan_on_corpus(name, K):
     p = corpus.get(name)
-    for degree in ((1, 2) if p.aspherical else (1,)):
+    for degree in ((0, 1, 2) if p.aspherical else (0, 1)):
         for mult in (1, 2):
             res = _assert_orbit_scan_equals_per_character_scan(
                 p, degree, mult, K)
@@ -101,20 +101,24 @@ def test_scan_takes_both_block_and_full_rejections(name, K):
 
 @st.composite
 def presentations(draw):
-    """A presentation on 1 to 4 generators with 1 to 3 random relators,
-    so that some have torsion in H1."""
+    """A presentation on 1 to 4 generators with 0 to 3 random relators,
+    so that some are free and some have torsion in H1."""
     g = draw(st.integers(1, 4))
     letter = st.tuples(st.integers(0, g - 1), st.sampled_from((-1, 1)))
     rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8),
-                         min_size=1, max_size=3))
+                         max_size=3))
     return FinitePresentation(g, tuple(tuple(r) for r in rels))
 
 
 @settings(max_examples=40, deadline=None)
-@given(presentations(), st.integers(1, 6), st.integers(1, 2))
-def test_orbit_scan_equals_per_character_scan_on_random_input(p, K, mult):
-    if p.relator_count:
-        _assert_orbit_scan_equals_per_character_scan(p, 1, mult, K)
+@given(presentations(), st.integers(1, 6), st.integers(0, 1), st.data())
+def test_orbit_scan_equals_per_character_scan_on_random_input(p, K, degree,
+                                                              data):
+    # Multiplicities run to one above h^degree at 1 with rank 0, the
+    # largest h^degree any point has, so some scans have no members.
+    top = tw.dims_from_rank(p, True, 0)[degree]
+    mult = data.draw(st.integers(1, top + 1))
+    _assert_orbit_scan_equals_per_character_scan(p, degree, mult, K)
 
 
 @pytest.mark.parametrize("name,K", CORPUS_SCANS)
@@ -122,13 +126,8 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
     p = corpus.get(name)
     for degree in ((1, 2) if p.aspherical else (1,)):
         res = scan_sigma(p, degree, 1, K)
-        if not p.relator_count:
-            # No Fox matrix: every dim follows from rank 0, no prime.
-            assert res.certifying_prime is None
-            assert res.filter_prime is None
-        else:
-            assert res.certifying_prime is not None
-            assert res.filter_prime is not None
+        assert res.certifying_prime is not None
+        assert res.filter_prime is not None
         for chi, dims in res.hits:
             assert dims == twisted_cohomology_dims(p, chi), (name, chi)
         if res.scanned <= 400:     # small enough to rank every character
@@ -137,7 +136,7 @@ def test_corpus_scan_dims_equal_exact_dims(name, K):
     # is certified by the filter prime itself.
     if (name, K) == ("z4", 8):
         assert res.certifying_prime.bit_length() == 37
-    elif p.relator_count:
+    else:
         assert res.certifying_prime == res.filter_prime
 
 
@@ -170,13 +169,56 @@ def test_large_exponents_fall_back_to_exact_elimination():
     assert [chi.is_trivial for chi, _ in hits] == [True]
 
 
-def test_degree_zero_and_free_groups_need_no_prime():
-    res = scan_sigma(corpus.get("surface2"), 0, 1, 3)
-    assert (res.certifying_prime, res.filter_prime) == (None, None)
-    res = scan_sigma(corpus.get("free2"), 1, 1, 3)
-    assert (res.certifying_prime, res.filter_prime) == (None, None)
-    # free2 is aspherical, so its hits carry h2 like twisted_cohomology_dims.
-    assert res.hits[0] == (Character.trivial(2), (1, 2, 0))
+def test_degree_zero_and_free_groups_are_certified_by_the_filter_prime():
+    # Degree 0 and free groups take the one walk: a free group's Fox
+    # matrix is empty, so H^2 = 1 and the filter prime certifies.
+    for name, degree in (("surface2", 0), ("free2", 0), ("free2", 1),
+                         ("free2", 2), ("free3", 1)):
+        p = corpus.get(name)
+        res = scan_sigma(p, degree, 1, 3)
+        assert res.filter_prime is not None
+        assert res.filter_prime == res.certifying_prime
+        assert res.hits == _exact_hits(p, degree, 1, 3)
+        if name == "free2":
+            # free2 is aspherical, so its hits carry h2 = 0, as
+            # twisted_cohomology_dims gives them, and V^2_1 is empty.
+            assert all(dims[2] == 0 for _, dims in res.hits)
+            assert bool(res.hits) == (degree < 2)
+        if degree == 0:
+            assert [chi for chi, _ in res.hits] == [Character.trivial(
+                p.generator_count)]
+
+
+def test_trivial_group_scan():
+    # <|>: no generators, one character; h0 = 1 and h1 = 0 at it.
+    res = scan_sigma(FinitePresentation(0, ()), 0, 1, 4)
+    assert (res.scanned, res.ranked) == (1, 1)
+    assert res.hits == [(Character.trivial(0), (1, 0))]
+
+
+@pytest.mark.parametrize("mult,ranked", [(4, 1), (9, 0)])
+def test_negative_nontrivial_threshold_ranks_only_the_trivial_point(
+        mult, ranked):
+    # Z^4: h1 is 4 at 1 and at most 3 elsewhere, so at mult 4 only 1 can
+    # be a member, and at mult 9 nothing can; the walk stops after 1.
+    res = scan_sigma(corpus.get("z4"), 1, mult, 12)
+    assert (res.scanned, res.ranked) == (58080, ranked)
+    assert [chi.is_trivial for chi, _ in res.hits] == [True] * ranked
+
+
+def test_root_powers_are_stored_only_where_a_scan_reads_them():
+    # At K = 20 the modulus n = lcm(1..20) is 232,792,560; a character of
+    # order k reads w^e only at the k multiples of n/k.
+    K = 20
+    z2 = corpus.get("z2")
+    res = scan_sigma(z2, 1, 1, K)
+    assert [chi.is_trivial for chi, _ in res.hits] == [True]
+    ev = tw._modular_evaluator_cached(z2, K)
+    assert ev.n == 232792560 and ev.root_powers
+    for q, powers in ev.root_powers.items():
+        assert len(powers) <= K * (K + 1) // 2
+        for k in range(1, K + 1):
+            assert all(e in powers for e in range(0, ev.n, ev.n // k))
 
 
 @st.composite
@@ -264,10 +306,16 @@ def test_modular_values_are_images_of_cyc_values():
     chi = Character.unitary(2, (), (Fraction(1, 4), Fraction(1, 2)))
     _, d1 = tw.coboundary_matrices(p, chi)
     q = ev.prime
-    w = ev.root_powers[q][1]
-    assert [e for e in range(1, ev.n + 1) if pow(w, e, q) == 1] == [ev.n]
+    powers = ev.root_powers[q]
+    # w^(n/k) has order exactly k for every k <= K, as w of order n does.
+    for k in range(2, 5):
+        w_k = powers[ev.n // k]
+        assert [e for e in range(1, k + 1) if pow(w_k, e, q) == 1] == [k]
+    # An entry of conductor c | 4 is a polynomial in zeta_c = zeta_n^(n/c),
+    # whose image w^(n/c) is stored with its powers.
     for row, mod_row in zip(d1, ev.matrix_rows(_exponents(chi, ev.n), q)):
         for col, entry in enumerate(row):
-            coeffs = entry.lift_coeffs(ev.n) if entry else ()
-            image = sum(int(c) * pow(w, i, q) for i, c in enumerate(coeffs))
+            step = ev.n // entry.n
+            image = sum(int(c) * powers[i * step]
+                        for i, c in enumerate(entry.coeffs))
             assert image % q == mod_row.get(col, 0)

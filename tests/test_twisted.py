@@ -9,9 +9,10 @@ from jumploci.discovery import discover_components
 import jumploci.twisted as tw
 from jumploci.errors import InvariantError, Refusal
 from jumploci.presentation import FinitePresentation
-from jumploci.twisted import (coboundary_matrices, numeric_unitary_scan,
-                              scan_sigma, sigma_membership,
-                              twisted_cohomology_dims)
+from jumploci.subtorus import point_subtorus
+from jumploci.twisted import (coboundary_matrices, coset_dims,
+                              numeric_unitary_scan, scan_sigma,
+                              sigma_membership, twisted_cohomology_dims)
 
 
 def _characters(ab, K):
@@ -169,3 +170,23 @@ def test_dims_at_trivial_characters():
     tb = corpus.get("torus_bundle3")
     assert not tb.aspherical
     assert twisted_cohomology_dims(tb, Character.trivial(1, (3,))) == (1, 1)
+
+
+def test_point_coset_dims_equal_twisted_cohomology_dims():
+    # A 0-dimensional coset is one point, where the generic rank of the
+    # constant Fox matrix is its exact rank: at 1, at scan hits, and at
+    # the non-unitary points t -> 2 and t -> 1/2 of bs12.
+    for name in corpus.names():
+        p = corpus.get(name)
+        ab, _ = tw.presentation_data(p)
+        hits = [chi for chi, _ in scan_sigma(p, 1, 1, 2).hits]
+        points = [Character.trivial(ab.free_rank, ab.torsion)]
+        points += hits[::max(1, len(hits) // 12)]
+        for chi in points:
+            assert (coset_dims(p, point_subtorus(chi).directions, chi)
+                    == twisted_cohomology_dims(p, chi)), (name, chi)
+    bs = corpus.get("bs12")
+    for modulus, dims in ((2, (0, 1)), (Fraction(1, 2), (0, 0))):
+        chi = Character(1, (), (modulus,), (0,), ())
+        assert coset_dims(bs, ((),), chi) == dims
+        assert twisted_cohomology_dims(bs, chi) == dims
