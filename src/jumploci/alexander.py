@@ -152,11 +152,6 @@ class VanishingVerdict:
         self.h_dims = h_dims
         self.consistent = consistent
 
-    def serialize(self):
-        return {"inverse_is_weight": self.inverse_is_weight,
-                "koszul_dims": list(self.h_dims),
-                "consistent": self.consistent}
-
 
 def vanishing_check(action: ModuleAction, chi_values):
     """Dichotomy: H^0(A, V (x) C_chi) is nonzero exactly when chi^(-1)
@@ -182,16 +177,14 @@ class CoverModule:
     split along the finite dual: per torsion character, the invariant
     factors of the module over Q(zeta)[T, T^-1]."""
 
-    def __init__(self, finite_dimensional, dim_over_field, eigen_angles,
-                 numeric_eigenvalues, invariant_factors=None, detail=""):
+    def __init__(self, finite_dimensional, eigen_angles, numeric_eigenvalues,
+                 invariant_factors):
         self.finite_dimensional = finite_dimensional
-        self.dim_over_field = dim_over_field
         # (torsion character angles, angle) exact pairs
         self.eigen_angles = eigen_angles
         self.numeric_eigenvalues = numeric_eigenvalues
         # (torsion character angles, monic LaurentPoly in T) pairs
         self.invariant_factors = invariant_factors
-        self.detail = detail
 
 
 def _dual_torus(ab, omega):
@@ -225,26 +218,23 @@ def cover_homology_rank_one(p: FinitePresentation):
     eigen = []
     numeric = []
     factors = []
-    total_dim = 0
     for omega in _all_torsion_duals(ab.torsion):
         invariants = smith_invariants(_specialized_fox(p, omega))
         free = p.generator_count - len(invariants) - 1
         if free < 0:
             raise InvariantError("Fox matrix rank exceeds g - 1")
         if free > 0:
-            return CoverModule(False, -1, [], [], [],
-                               detail="cover homology has positive rank")
+            return CoverModule(False, [], [], [])
         for f in invariants:
             if f.span == 0:                 # c T^k is a unit of R
                 continue
             factors.append((tuple(omega), f))
             angles, residual = cyclotomic_roots(f)
-            total_dim += f.span
             for a in angles:
                 eigen.append((tuple(omega), a))
             if residual.span >= 1:
                 numeric.extend(numeric_roots(residual))
-    return CoverModule(True, total_dim, sorted(eigen), numeric, factors)
+    return CoverModule(True, sorted(eigen), numeric, factors)
 
 
 def smith_invariants(mat):
@@ -294,8 +284,6 @@ def numeric_roots(poly: LaurentPoly):
     embedding, flagged non-exact by callers."""
     import numpy as np
     cs = [complex(c.value()) for c in poly.coefficients()[1]]
-    if len(cs) <= 1:
-        return []
     return [complex(z) for z in np.roots(cs[::-1])]
 
 
@@ -347,9 +335,8 @@ def _candidate_points_rank_two(p: FinitePresentation, omega):
 
 
 class WeightsReport:
-    def __init__(self, weights, inverse_weights, numeric_weights, finite_dim,
+    def __init__(self, inverse_weights, numeric_weights, finite_dim,
                  identity_holds, max_order, detail=""):
-        self.weights = weights                  # exact Characters
         self.inverse_weights = inverse_weights  # W^{-1}, exact Characters
         # flagged, principal-embedding complex values
         self.numeric_weights = numeric_weights
@@ -357,6 +344,13 @@ class WeightsReport:
         self.identity_holds = identity_holds
         self.max_order = max_order
         self.detail = detail
+
+    @property
+    def weights(self):
+        """W, the exact Characters: the inverses of inverse_weights, in
+        sort_key order, as inverting is a bijection."""
+        return sorted((c.inverse() for c in self.inverse_weights),
+                      key=Character.sort_key)
 
     def serialize(self):
         return {
@@ -430,10 +424,8 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
         inverse_weights.update(hits)
     identity = ({c for c in inverse_weights if c.order() <= max_order}
                 == set(hits))
-    w_inv = sorted(inverse_weights, key=Character.sort_key)
-    w_list = sorted((c.inverse() for c in w_inv), key=Character.sort_key)
-    return WeightsReport(w_list, w_inv, numeric, finite_dim, identity,
-                         max_order, detail)
+    return WeightsReport(sorted(inverse_weights, key=Character.sort_key),
+                         numeric, finite_dim, identity, max_order, detail)
 
 
 def _sigma_union_hits(p, degree_bound, max_order):
@@ -459,15 +451,23 @@ def _cover_module_is_torsion(p, ab):
 
 
 class CoverCheckReport:
-    def __init__(self, trivial_cover, cover_generators, cover_index,
-                 surviving, passed, max_order):
-        self.trivial_cover = trivial_cover
+    def __init__(self, cover_generators, cover_index, surviving, max_order):
         self.cover_generators = cover_generators
         self.cover_index = cover_index
         # nontrivial torsion characters in the cover loci
         self.surviving = surviving
-        self.passed = passed
         self.max_order = max_order
+
+    @property
+    def trivial_cover(self):
+        """Whether nothing was killed: a nontrivial character has an image
+        of order >= 2, so the cover killing it has index >= 2."""
+        return self.cover_index == 1
+
+    @property
+    def passed(self):
+        """Whether only the trivial character survives in the cover."""
+        return not self.surviving
 
     def serialize(self):
         return {
@@ -493,11 +493,9 @@ def finite_locus_cover_check(p: FinitePresentation, degree_bound=2,
     if report.numeric_weights:
         raise Refusal("numeric weights present; exact cover kill "
                       "set unavailable")
-    trivial_cover = not kill
-    cover, _, index = (p, (), 1) if trivial_cover else kill_cover(p, kill)
+    cover, _, index = kill_cover(p, kill) if kill else (p, (), 1)
     surviving = [chi for chi in _sigma_union_hits(cover, degree_bound,
                                                   max_order)
                  if not chi.is_trivial]
-    return CoverCheckReport(trivial_cover, cover.generator_count, index,
-                            surviving, passed=not surviving,
-                            max_order=max_order)
+    return CoverCheckReport(cover.generator_count, index, surviving,
+                            max_order)

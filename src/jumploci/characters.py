@@ -184,16 +184,6 @@ class NumericCharacter(Value):
         self.__dict__.update(free_rank=free_rank, torsion=torsion,
                              values=values, tors_angles=tors_angles, flag=flag)
 
-    def value(self, free_vec, tors_vec=()):
-        out = complex(1.0)
-        for v, e in zip(self.values, free_vec):
-            if e:
-                out *= v ** e
-        for a, e in zip(self.tors_angles, tors_vec):
-            if e:
-                out *= complex(Cyc.from_angle(Fraction(a)).value()) ** e
-        return out
-
 
 class ExponentMembers:
     """Members of a jump locus as (exponent vector, dims) pairs modulo n,

@@ -238,8 +238,7 @@ class Cyc:
         a, b, _ = self._pair(other)
         return a == b
 
-    # Equal elements may be stored at different conductors, so no __hash__;
-    # use serialize() strings as dictionary keys where needed.
+    # Equal elements may be stored at different conductors, so no __hash__.
     __hash__ = None
 
     def value(self):
@@ -249,10 +248,6 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc(n={self.n}, {list(self.coeffs)})"
-
-    def serialize(self):
-        return {"conductor": self.n,
-                "coeffs": [str(c) for c in self.coeffs]}
 
 
 def upoly_divmod(num, den):

@@ -27,23 +27,33 @@ from .value import Value
 
 
 class Component(Value):
-    """A translated subtorus with its status: "certified", "refuted" or
-    "candidate"."""
+    """A translated subtorus with its status, "certified" or "refuted",
+    and the generic h^degree along it."""
 
-    _fields = ("subtorus", "status", "generic_h", "contains_trivial",
-               "insufficient_sampling")
+    _fields = ("subtorus", "status", "generic_h")
 
     def __init__(self, subtorus: TranslatedSubtorus, status: str,
-                 generic_h: int, contains_trivial: bool,
-                 insufficient_sampling: bool = False):
+                 generic_h: int):
         self.__dict__.update(subtorus=subtorus, status=status,
-                             generic_h=generic_h,
-                             contains_trivial=contains_trivial,
-                             insufficient_sampling=insufficient_sampling)
+                             generic_h=generic_h)
 
     @property
     def dim(self):
         return self.subtorus.dim
+
+    @property
+    def contains_trivial(self):
+        """Whether the component is certified and passes through 1: a
+        refuted candidate claims no point, so it contains none."""
+        return self.status == "certified" and self.subtorus.contains(
+            Character.trivial(self.subtorus.free_rank, self.subtorus.torsion))
+
+    @property
+    def insufficient_sampling(self):
+        """Whether the component is a refuted candidate: every scanned
+        point of it was a hit, yet its generic h^degree is below mult, so
+        the scan order was too low to tell its true components apart."""
+        return self.status == "refuted"
 
     def serialize(self):
         out = self.subtorus.serialize()
@@ -163,7 +173,8 @@ def discover_components(p: FinitePresentation, degree=1, mult=1, max_order=6):
     return _discovery_cached(p, degree, mult, max_order)
 
 
-def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
+@lru_cache(maxsize=32)
+def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
     if max_order < 2:
         raise Refusal("scan order must be at least 2")
     result = scan_sigma(p, degree, mult, max_order)
@@ -184,7 +195,7 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
                 continue
             grown, points = _grow_candidate(seed, vectors.character(seed),
                                             class_hits, hit_keys, max_order)
-            if grown is None or grown.dim == 0:
+            if grown is None:
                 continue
             # Exponent vectors sort as their characters do, so the least
             # covered point is the coset's least point of order <= K.
@@ -202,16 +213,10 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
         sub, pts = candidates[key]
         status, generic_h = certify_component(p, sub, degree, mult)
         if status == "certified":
-            components.append(Component(
-                sub, status, generic_h,
-                contains_trivial=sub.contains(Character.trivial(
-                    sub.free_rank, sub.torsion))))
             covered_keys |= pts
         else:
-            components.append(Component(
-                sub, "refuted", generic_h, contains_trivial=False,
-                insufficient_sampling=True))
             residual_keys |= pts & hit_keys
+        components.append(Component(sub, status, generic_h))
 
     # Maximality among certified components.
     certified = [c for c in components if c.status == "certified"]
@@ -229,8 +234,7 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
             continue
         chi = vectors.character(e)
         components.append(Component(point_subtorus(chi), "certified",
-                                    dims[degree],
-                                    contains_trivial=chi.is_trivial))
+                                    dims[degree]))
         covered_keys.add(e)
 
     components.sort(key=lambda c: c.subtorus.sort_key())
@@ -238,11 +242,6 @@ def _discover_components_impl(p: FinitePresentation, degree, mult, max_order):
                 if e in residual_keys and e not in covered_keys]
     return JumpLocusReport(degree, mult, max_order, vectors,
                            components, residual, result.scanned)
-
-
-@lru_cache(maxsize=32)
-def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
-    return _discover_components_impl(p, degree, mult, max_order)
 
 
 def count_genus_components(p: FinitePresentation, genus, max_order=6):
@@ -271,13 +270,19 @@ def kill_cover(p: FinitePresentation, characters):
 
 class CoverCertificate:
     def __init__(self, cover: FinitePresentation, schreier_words: tuple,
-                 component: Component, base_component: Component,
-                 trivial_cover: bool):
+                 component: Component, base_component: Component):
         self.cover = cover
         self.schreier_words = schreier_words
         self.component = component
         self.base_component = base_component
-        self.trivial_cover = trivial_cover
+
+    @property
+    def trivial_cover(self):
+        """Whether the cover is the group itself: a cover of index N >= 2
+        has N(g - 1) + 1 >= 1 Schreier generators, as g >= b >= 1 on a
+        positive-dimensional component, so only the trivial cover has
+        none."""
+        return not self.schreier_words
 
     def serialize(self):
         return {
@@ -350,7 +355,7 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
     ab, _ = presentation_data(p)
     tau = sub.translate
     if tau.is_trivial:      # discovery certified base at degree 1, mult 1
-        return CoverCertificate(p, tuple(), base, base, trivial_cover=True)
+        return CoverCertificate(p, tuple(), base, base)
     cover, schreier, _ = kill_cover(p, [tau])
     pulled = restrict_subtorus_to_cover(sub, ab, cover, schreier)
     if not pulled.translate.is_trivial:
@@ -358,5 +363,5 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
     status, gh = certify_component(cover, pulled, 1, 1)
     if status != "certified":
         raise InvariantError("pulled-back component failed certification")
-    comp = Component(pulled, status, gh, contains_trivial=True)
-    return CoverCertificate(cover, schreier, comp, base, trivial_cover=False)
+    return CoverCertificate(cover, schreier, Component(pulled, status, gh),
+                            base)

@@ -146,11 +146,6 @@ class HiggsLineBundle(Value):
             tuple((r1 + r2, i1 + i2) for (r1, i1), (r2, i2)
                   in zip(self.theta, other.theta)))
 
-    def serialize(self):
-        return {"angles": [str(a) for a in self.angles],
-                "theta": [[str(re), str(im)] for re, im in self.theta],
-                "torsion_class": self.torsion_class}
-
 
 def character_to_higgs(x: ComplexTorusModel, rho: LatticeCharacter):
     """The pair (flat part, 1-form) of a character: theta is the unique

@@ -107,20 +107,14 @@ class LaurentPoly:
             c0 = _coerce(other)
             p = LaurentPoly(self.nvars, self.torsion)
             if not c0.is_zero():
-                for k, c in self.terms.items():
-                    v = c * c0
-                    if not v.is_zero():
-                        p.terms[k] = v
+                p.terms = {k: c * c0 for k, c in self.terms.items()}
             return p
         out = LaurentPoly(self.nvars, self.torsion)
         for (v1, w1), c1 in self.terms.items():
             for (v2, w2), c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
                 key = (tuple(a + b for a, b in zip(v1, v2)),
                        tuple((a + b) % d for a, b, d in zip(w1, w2, self.torsion)))
-                cur = out.terms.get(key, Cyc.zero()) + c
+                cur = out.terms.get(key, Cyc.zero()) + c1 * c2
                 if cur.is_zero():
                     out.terms.pop(key, None)
                 else:
@@ -159,8 +153,6 @@ class LaurentPoly:
             for x, e in zip(torsion_values, w):
                 if e:
                     val = val * (x ** e)
-            if val.is_zero():
-                continue
             exps = tuple(sum(lattice_cols[j][k] * v[j] for j in range(self.nvars))
                          for k in range(new_nvars))
             key = (exps, ())
@@ -185,25 +177,19 @@ class LaurentPoly:
         return p
 
     def content_normalize(self):
-        """Canonical ideal generator: exponents shifted to zero minimum,
-        rational content divided out, leading coefficient made positive.
-        Only meaningful for rational-coefficient elements (Fox minors)."""
+        """Canonical ideal generator of a rational-coefficient element (a
+        Fox minor): exponents shifted to zero minimum, rational content
+        divided out, leading coefficient made positive.  A coefficient
+        outside Q raises ValueError."""
         p = self.shift_normalize()
         if not p.terms:
             return p
-        rational = all(c.is_rational() for c in p.terms.values())
-        if rational:
-            qs = [c.rational_value() for c in p.terms.values()]
-            num_gcd = gcd(*(q.numerator for q in qs))
-            den_lcm = lcm(*(q.denominator for q in qs))
-            scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
-            p = p * scale
-            _, lead = p.leading()
-            if lead.rational_value() < 0:
-                p = p * Fraction(-1)
-        else:
-            _, lead = p.leading()
-            p = p * lead.inverse()
+        qs = [c.rational_value() for c in p.terms.values()]
+        p = p * Fraction(lcm(*(q.denominator for q in qs)),
+                         gcd(*(q.numerator for q in qs)))
+        _, lead = p.leading()
+        if lead.rational_value() < 0:
+            p = p * Fraction(-1)
         return p
 
     def exact_div(self, other):
@@ -297,12 +283,6 @@ class LaurentPoly:
         for (v, w), c in self.sorted_terms():
             bits.append(f"{c!r}*z^{list(v)}" + (f"*s^{list(w)}" if w else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-    def serialize(self):
-        return [
-            {"exps": list(v), "tors": list(w), "coeff": c.serialize()}
-            for (v, w), c in self.sorted_terms()
-        ]
 
 
 def _from_dense(low, coeffs):

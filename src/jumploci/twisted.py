@@ -206,11 +206,10 @@ class ScanResult:
     gave the hits' dims, and is None only when the scan fell back to
     exact elimination."""
 
-    def __init__(self, vectors, scanned, max_order, filter_prime,
-                 certifying_prime, ranked=0, block_rejects=0):
+    def __init__(self, vectors, scanned, filter_prime, certifying_prime,
+                 ranked, block_rejects):
         self.vectors = vectors
         self.scanned = scanned
-        self.max_order = max_order
         self.filter_prime = filter_prime
         self.certifying_prime = certifying_prime
         self.ranked = ranked    # orbit representatives ranked mod p
@@ -433,9 +432,8 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
         if dims[degree] >= mult:
             found.extend((member, dims) for member in orbit_members(e, n))
     found.sort()
-    return ScanResult(ExponentMembers(b, torsion, n, found), count,
-                      max_order, prime, cert, ranked=ranked,
-                      block_rejects=block_rejects)
+    return ScanResult(ExponentMembers(b, torsion, n, found), count, prime,
+                      cert, ranked, block_rejects)
 
 
 @lru_cache(maxsize=8)

@@ -1,21 +1,21 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from jumploci import corpus
 from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
-                                _sigma_union_hits, cover_homology_rank_one,
-                                cyclotomic_roots,
+                                _poly_key, _sigma_union_hits,
+                                cover_homology_rank_one, cyclotomic_roots,
                                 finite_locus_cover_check, fitting_generators,
                                 is_weight, koszul_cohomology, vanishing_check,
                                 weights_and_inverses)
 from jumploci.characters import Character
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.errors import Refusal
-from jumploci.laurent import LaurentPoly
+from jumploci.laurent import LaurentPoly, det_bareiss
 from jumploci.linalg import inverse
 from jumploci.presentation import FinitePresentation
 from jumploci.presfile import parse_presentation
@@ -43,6 +43,24 @@ def test_fitting_examples():
     t = LaurentPoly.monomial(((1,), ()), 1)
     one = LaurentPoly.one(1)
     assert poly == t * t - t + one               # classic degree-2 row
+
+
+@pytest.mark.parametrize("name,k", [("z3", 1), ("z4", 1), ("z4", 2)])
+def test_fitting_minors_past_size_one_equal_bareiss_minors(name, k):
+    # Minors of size 2 and 3 run the first-column expansion; on a
+    # torsion-free group the Fox matrix lies in a domain, where Bareiss
+    # gives the same determinants.
+    p = corpus.get(name)
+    _, fox = presentation_data(p)
+    size = p.generator_count - k
+    bareiss = set()
+    for rows in combinations(range(p.relator_count), size):
+        for cols in combinations(range(p.generator_count), size):
+            d = det_bareiss([[fox[i][j] for j in cols] for i in rows])
+            if not d.is_zero():
+                bareiss.add(_poly_key(d.content_normalize()))
+    assert bareiss
+    assert [_poly_key(f) for f in fitting_generators(p, k)] == sorted(bareiss)
 
 
 def test_fitting_chain():
@@ -181,18 +199,24 @@ def test_vanishing_against_brute_force_search():
             assert verdict.consistent
 
 
+def _dim_over_field(mod):
+    """Dimension of the cover homology over the field: the sum of the
+    spans of its invariant factors."""
+    return sum(f.span for _, f in mod.invariant_factors)
+
+
 def test_cover_homology_examples():
     tre = corpus.get("trefoil")
     mod = cover_homology_rank_one(tre)
-    assert mod.finite_dimensional and mod.dim_over_field == 2
+    assert mod.finite_dimensional and _dim_over_field(mod) == 2
     assert [a for _, a in mod.eigen_angles] == [Fraction(1, 6), Fraction(5, 6)]
     bs = corpus.get("bs12")
     modb = cover_homology_rank_one(bs)
-    assert modb.finite_dimensional and modb.dim_over_field == 1
+    assert modb.finite_dimensional and _dim_over_field(modb) == 1
     assert modb.eigen_angles == [] and abs(modb.numeric_eigenvalues[0] - 2) < 1e-9
     z1 = FinitePresentation(1, ())
     modz = cover_homology_rank_one(z1)
-    assert modz.finite_dimensional and modz.dim_over_field == 0
+    assert modz.finite_dimensional and _dim_over_field(modz) == 0
 
 
 def test_cover_homology_drops_unit_factors():
@@ -202,7 +226,7 @@ def test_cover_homology_drops_unit_factors():
     # ring, not homology.
     p = FinitePresentation(3, (((1, -1),), ((2, -1), (1, -1), (0, -1))))
     mod = cover_homology_rank_one(p)
-    assert mod.finite_dimensional and mod.dim_over_field == 0
+    assert mod.finite_dimensional and _dim_over_field(mod) == 0
     assert mod.invariant_factors == [] and mod.numeric_eigenvalues == []
 
 

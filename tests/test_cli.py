@@ -288,6 +288,15 @@ def test_degree_above_two_is_refused():
     assert "refused" in res.stderr
 
 
+# Documented limits and the refusal each gives.
+REFUSALS = {
+    ("analyze", "z2", "--K", "1"): "scan order must be at least 2",
+    ("ng", "surface2", "--g", "2", "--K", "1"): "scan order must be at least 2",
+    ("cover", "surface2", "--K", "1"): "scan order must be at least 2",
+    ("thm4", "bs12"): "numeric weights present",
+}
+
+
 @pytest.mark.parametrize("args", [
     ("analyze", "z2", "--m", "0", "--K", "2"),
     ("analyze", "z2", "--m", "-1", "--K", "2"),
@@ -297,11 +306,23 @@ def test_degree_above_two_is_refused():
     ("higgs", "verify-thm3", "--samples", "-3"),
     ("analyze", "z2", "--K", "3", "--numeric-fallback", "--samples", "-3"),
     ("orbit", "--moduli", "4,2", "--angles", "0"),
+    *REFUSALS,
 ])
 def test_out_of_range_arguments_are_refused(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
     assert "refused" in res.stderr
+    assert REFUSALS.get(args, "") in res.stderr
+
+
+def test_numeric_fallback_scans_a_group_without_relators():
+    # free2's Fox matrix has no rows, so every sample has rank 0 and
+    # h1 = 1 off the trivial character: each is a flagged candidate.
+    res = run_cli("analyze", "free2", "--K", "3", "--numeric-fallback",
+                  "--samples", "3")
+    assert res.returncode == 0, res.stderr
+    found = json.loads(res.stdout)["results"]["numeric_candidates"]
+    assert len(found) == 3 and all(c["flag"] == "numeric" for c in found)
 
 
 @pytest.mark.parametrize("group,component", [
@@ -474,7 +495,7 @@ def analyze_reports(draw):
         max_size=8, unique_by=lambda pair: pair[0])))
     vectors = ExponentMembers(b, torsion, n, pairs)
     residual = [chi for chi, _ in vectors.characters()[:draw(st.integers(0, 2))]]
-    components = [Component(point_subtorus(chi), "certified", 1, chi.is_trivial)
+    components = [Component(point_subtorus(chi), "certified", 1)
                   for chi in residual]
     return JumpLocusReport(draw(st.integers(0, 2)), 1, K, vectors,
                            components, residual, draw(st.integers(0, 10 ** 5)))

@@ -242,8 +242,7 @@ def test_trivial_translate_cover_certificate_is_discoverys_component(
     assert cert.trivial_cover and cert.component is cert.base_component
     # The same bytes as certifying the base component again.
     sub = cert.base_component.subtorus
-    again = Component(sub, *certify_component(s2, sub, 1, 1),
-                      contains_trivial=True)
+    again = Component(sub, *certify_component(s2, sub, 1, 1))
     assert cert.serialize()["component"] == again.serialize()
 
 

@@ -49,6 +49,12 @@ def test_parse_word_errors_carry_location():
         parse_word("a^", NAMES)
     with pytest.raises(ParseError):
         parse_word("(a", NAMES)
+    with pytest.raises(ParseError, match="commutator needs two entries"):
+        parse_word("[a", NAMES)
+    with pytest.raises(ParseError, match="unbalanced commutator bracket"):
+        parse_word("[a,b", NAMES)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_word("a$", NAMES)
 
 
 @pytest.mark.parametrize("word", ["a^-", "a^\u00b2", "a^1\u00b2"])
@@ -70,6 +76,9 @@ def test_parse_presentation():
     assert p.relator_count == 2
     assert not p.aspherical
     assert p.names == ("a", "b")
+    # An unquoted item may hold commas inside its own brackets.
+    nested = parse_presentation("generators: [a, b]\nrelators: [[a,b], a^2]")
+    assert nested.relators == (letters("[a,b]"), letters("a^2"))
 
 
 def test_parse_presentation_errors():
@@ -89,6 +98,10 @@ def test_parse_presentation_errors():
                        match="repeated key 'relators'.* at line 3"):
         parse_presentation('generators: [a, b]\nrelators: ["a"]\n'
                            'relators: ["b"]')
+    with pytest.raises(ParseError, match="unterminated quote at line 2"):
+        parse_presentation('generators: [a]\nrelators: ["a]')
+    with pytest.raises(ParseError, match="expected 'key: value' at line 2"):
+        parse_presentation("generators: [a]\nrelators")
 
 
 def test_long_words_parse_in_linear_time():

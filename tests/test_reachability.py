@@ -7,7 +7,8 @@ counts as reached when its name is read somewhere in src/jumploci outside
 its own body (as a name or an attribute), anywhere in bench/*.py (also
 as a string, since bench/tracer.py wraps functions by their names), or
 is listed in ``jumploci.__all__``.  Dunder methods are exempt: the
-interpreter calls them.
+interpreter calls them.  The package also holds no assert statement,
+which python -O would strip.
 """
 
 import ast
@@ -71,3 +72,15 @@ def test_every_definition_is_reached():
     assert not offenders, ("definitions that only tests reach (move them "
                            "into tests/ or delete them):\n  "
                            + "\n  ".join(offenders))
+
+
+def test_no_assert_statements_in_the_package():
+    # An assert vanishes under python -O, so invariants are checked with
+    # explicit errors (InvariantError) instead.
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(
+                     encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+    assert not offenders, "assert statements in src/jumploci: " + ", ".join(
+        offenders)

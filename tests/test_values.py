@@ -65,10 +65,8 @@ def _cases():
          3, Character.trivial(sub.free_rank),
          ("free_rank", "torsion", "annihilator", "translate")),
         (Component,
-         (sub, comp.status, comp.generic_h, comp.contains_trivial,
-          comp.insufficient_sampling),
-         1, "refuted", ("subtorus", "status", "generic_h", "contains_trivial",
-                        "insufficient_sampling")),
+         (sub, comp.status, comp.generic_h),
+         1, "refuted", ("subtorus", "status", "generic_h")),
         (ModuleAction, ((_companion(alexander_poly),),),
          0, (((1, 0), (0, 1)),), ("matrices",)),
         (ComplexTorusModel, (model.n, model.periods),
