@@ -177,12 +177,13 @@ class NumericCharacter(Value):
     """Flagged numeric character used by fallback paths only; values
     holds one complex number per free generator."""
 
-    _fields = ("free_rank", "torsion", "values", "tors_angles", "flag")
+    _fields = ("free_rank", "torsion", "values", "tors_angles")
+    flag = "numeric"
 
     def __init__(self, free_rank: int, torsion: tuple, values: tuple,
-                 tors_angles: tuple, flag: str = "numeric"):
+                 tors_angles: tuple):
         self.__dict__.update(free_rank=free_rank, torsion=torsion,
-                             values=values, tors_angles=tors_angles, flag=flag)
+                             values=values, tors_angles=tors_angles)
 
 
 class ExponentMembers:

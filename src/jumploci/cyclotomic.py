@@ -164,13 +164,7 @@ class Cyc:
             c = other.coeffs[0]
             return Cyc(self.n, tuple(x * c for x in self.coeffs), reduce=False)
         a, b, m = self._pair(other)
-        out = [_ZERO] * (2 * len(a))
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return Cyc(m, out)
+        return Cyc(m, _upoly_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -193,13 +187,6 @@ class Cyc:
             raise InvariantError("cyclotomic inverse failed")
         inv = [x / c for x in s0]
         return Cyc(self.n, inv)
-
-    def exact_div(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.n, tuple(c / Fraction(other) for c in self.coeffs), reduce=False)
-        return self * other.inverse()
-
-    __truediv__ = exact_div
 
     def __pow__(self, k):
         if self.n == 1:
@@ -252,8 +239,8 @@ class Cyc:
 
 def upoly_divmod(num, den):
     """(q, r) with num == q * den + r and r shorter than den, for
-    coefficient lists, lowest degree first, of Fractions or of Cycs;
-    trailing zeros are dropped first."""
+    Fraction coefficient lists, lowest degree first; trailing zeros are
+    dropped first."""
     num = list(num)
     while num and not num[-1]:
         num.pop()
@@ -274,11 +261,12 @@ def upoly_divmod(num, den):
 
 
 def _upoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [_ZERO] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return out
 
 

@@ -187,7 +187,9 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
     for e, _ in vectors.pairs:
         by_class.setdefault(e[b:], []).append(e)
 
-    candidates = {}
+    # A seed not yet covered lies outside every earlier coset of its
+    # class, so no coset is grown twice and the sort keys are distinct.
+    candidates = []
     for tors_class, class_hits in sorted(by_class.items()):
         covered = set()
         for seed in class_hits:
@@ -201,21 +203,19 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
             # covered point is the coset's least point of order <= K.
             grown = TranslatedSubtorus(b, vectors.torsion, grown.annihilator,
                                        vectors.character(min(points)))
-            key = (grown.annihilator, grown.translate.sort_key())
-            if key not in candidates:
-                candidates[key] = grown, points
+            candidates.append((grown, points))
             covered |= points
 
     components = []
     residual_keys = set()
     covered_keys = set()
-    for key in sorted(candidates):
-        sub, pts = candidates[key]
+    for sub, pts in sorted(candidates, key=lambda c: (
+            c[0].annihilator, c[0].translate.sort_key())):
         status, generic_h = certify_component(p, sub, degree, mult)
         if status == "certified":
             covered_keys |= pts
         else:
-            residual_keys |= pts & hit_keys
+            residual_keys |= pts
         components.append(Component(sub, status, generic_h))
 
     # Maximality among certified components.
@@ -235,7 +235,6 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
         chi = vectors.character(e)
         components.append(Component(point_subtorus(chi), "certified",
                                     dims[degree]))
-        covered_keys.add(e)
 
     components.sort(key=lambda c: c.subtorus.sort_key())
     residual = [vectors.character(e) for e, _ in vectors.pairs

@@ -121,20 +121,17 @@ class LatticeCharacter(Value):
 
 
 class HiggsLineBundle(Value):
-    """Unitary character of the lattice (the flat line bundle), torsion
-    first Chern class (always trivial on a torus model, kept as data),
-    and the 1-form coefficient vector theta as n pairs of rational
+    """Unitary character of the lattice (the flat line bundle; its first
+    Chern class is trivial on a complex torus, which has no torsion) and
+    the 1-form coefficient vector theta as n pairs of rational
     (real, imag) parts."""
 
-    _fields = ("angles", "theta", "torsion_class")
+    _fields = ("angles", "theta")
 
-    def __init__(self, angles: tuple, theta: tuple, torsion_class: int = 0):
+    def __init__(self, angles: tuple, theta: tuple):
         self.__dict__.update(
             angles=tuple(frac_mod1(Fraction(a)) for a in angles),
-            theta=tuple((Fraction(re), Fraction(im)) for re, im in theta),
-            torsion_class=torsion_class)
-        if torsion_class != 0:
-            raise ValueError("complex tori have no torsion classes")
+            theta=tuple((Fraction(re), Fraction(im)) for re, im in theta))
 
     @property
     def flat_is_trivial(self):

@@ -10,7 +10,7 @@ minimal nonzero entry, never randomly.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 
 def mat_copy(a):

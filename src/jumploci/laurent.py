@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyc, upoly_divmod
+from .cyclotomic import Cyc
 from .errors import InvariantError
 
 
@@ -24,6 +24,16 @@ def _coerce(c):
     if isinstance(c, Cyc):
         return c
     return Cyc.rational(c)
+
+
+def _accumulate(terms, key, c):
+    """terms[key] += c for a nonzero c, dropping the key if the sum is 0."""
+    if key in terms:
+        c = terms[key] + c
+        if c.is_zero():
+            del terms[key]
+            return
+    terms[key] = c
 
 
 class LaurentPoly:
@@ -62,11 +72,6 @@ class LaurentPoly:
             p.terms[p._norm_key(key)] = c
         return p
 
-    def copy(self):
-        p = LaurentPoly(self.nvars, self.torsion)
-        p.terms = dict(self.terms)
-        return p
-
     def is_zero(self):
         return not self.terms
 
@@ -85,13 +90,10 @@ class LaurentPoly:
     __hash__ = None
 
     def __add__(self, other):
-        out = self.copy()
+        out = LaurentPoly(self.nvars, self.torsion)
+        out.terms = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.terms.get(key, Cyc.zero()) + c
-            if cur.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = cur
+            _accumulate(out.terms, key, c)
         return out
 
     def __neg__(self):
@@ -114,11 +116,7 @@ class LaurentPoly:
             for (v2, w2), c2 in other.terms.items():
                 key = (tuple(a + b for a, b in zip(v1, v2)),
                        tuple((a + b) % d for a, b, d in zip(w1, w2, self.torsion)))
-                cur = out.terms.get(key, Cyc.zero()) + c1 * c2
-                if cur.is_zero():
-                    out.terms.pop(key, None)
-                else:
-                    out.terms[key] = cur
+                _accumulate(out.terms, key, c1 * c2)
         return out
 
     __rmul__ = __mul__
@@ -155,26 +153,27 @@ class LaurentPoly:
                     val = val * (x ** e)
             exps = tuple(sum(lattice_cols[j][k] * v[j] for j in range(self.nvars))
                          for k in range(new_nvars))
-            key = (exps, ())
-            cur = out.terms.get(key, Cyc.zero()) + val
-            if cur.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = cur
+            _accumulate(out.terms, (exps, ()), val)
         return out
+
+    def _mins(self):
+        """The least exponent of each free variable; self is nonzero."""
+        return [min(k[0][j] for k in self.terms) for j in range(self.nvars)]
+
+    def _shifted(self, shift):
+        """self times the unit monomial with free exponents shift."""
+        p = LaurentPoly(self.nvars, self.torsion)
+        p.terms = {(tuple(a + s for a, s in zip(v, shift)), w): c
+                   for (v, w), c in self.terms.items()}
+        return p
 
     def shift_normalize(self):
         """Multiply by the unit monomial making all exponents >= 0 with a
         zero minimum per variable."""
         if not self.terms:
             return self
-        mins = [min(k[0][j] for k in self.terms) for j in range(self.nvars)]
-        if all(m == 0 for m in mins):
-            return self
-        p = LaurentPoly(self.nvars, self.torsion)
-        for (v, w), c in self.terms.items():
-            p.terms[(tuple(a - m for a, m in zip(v, mins)), w)] = c
-        return p
+        mins = self._mins()
+        return self._shifted([-m for m in mins]) if any(mins) else self
 
     def content_normalize(self):
         """Canonical ideal generator of a rational-coefficient element (a
@@ -192,47 +191,57 @@ class LaurentPoly:
             p = p * Fraction(-1)
         return p
 
-    def exact_div(self, other):
-        """Exact division by another torsion-free Laurent polynomial.
-
-        Both operands are shifted to nonnegative exponents first; in an
-        exact multivariate division every intermediate remainder keeps a
-        leading term divisible by the divisor's, so a failed monomial
-        divisibility check proves inexactness (and guarantees termination,
-        which plain Laurent leading-term division would not).
-        """
+    def _divide(self, other):
+        """(q, r) with self == q * other + r for torsion-free operands in
+        any number of variables.  With both shifted to exponents >= 0 and
+        zero minima, T^a A and T^b B, the multiple of B matching the
+        leading term of the remainder R is taken off while there is one
+        (each step lowers that term, so the loop ends): A = Q B + R, and
+        q = T^(a-b) Q, r = T^a R.  In one variable the loop ends just when
+        R is zero or of lower degree than B: Euclidean division."""
         if self.torsion or other.torsion:
-            raise InvariantError("exact division needs torsion-free operands")
-        if other.is_zero():
+            raise InvariantError("division needs torsion-free operands")
+        if not other.terms:
             raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return self
-        mins_f = [min(k[0][j] for k in self.terms) for j in range(self.nvars)]
-        mins_g = [min(k[0][j] for k in other.terms) for j in range(self.nvars)]
-        rem = self.shift_normalize()
-        g = other.shift_normalize()
-        out = LaurentPoly(self.nvars)
-        lk, lc = g.leading()
+        if not self.terms:
+            return self, self
+        a, b = self._mins(), other._mins()
+        rem = self._shifted([-x for x in a])
+        div = other._shifted([-x for x in b])
+        (lead, _), lc = div.leading()
         lc_inv = lc.inverse()
+        quot = LaurentPoly(self.nvars)
         while rem.terms:
-            rk, rc = rem.leading()
-            if any(a < b for a, b in zip(rk[0], lk[0])):
-                raise InvariantError("inexact Laurent division")
-            qkey = (tuple(a - b for a, b in zip(rk[0], lk[0])), ())
-            q = LaurentPoly.monomial(qkey, self.nvars, coeff=rc * lc_inv)
-            out = out + q
-            rem = rem - q * g
-        shift = tuple(a - b for a, b in zip(mins_f, mins_g))
-        if any(shift):
-            out = out * LaurentPoly.monomial((shift, ()), self.nvars)
-        return out
+            (v, _), c = rem.leading()
+            if any(x < y for x, y in zip(v, lead)):
+                break
+            qv = tuple(x - y for x, y in zip(v, lead))
+            c = c * lc_inv
+            quot.terms[(qv, ())] = c
+            for (u, _), d in div.terms.items():
+                _accumulate(rem.terms, (tuple(x + y for x, y in zip(qv, u)), ()),
+                            -(c * d))
+        return quot._shifted([x - y for x, y in zip(a, b)]), rem._shifted(a)
+
+    def exact_div(self, other):
+        """self / other for torsion-free operands, which must divide:
+        a nonzero remainder raises InvariantError.  This is sound as every
+        remainder of an exact division lies in the ideal (other), so its
+        leading term is a multiple of other's and _divide goes on."""
+        q, r = self._divide(other)
+        if r.terms:
+            raise InvariantError("inexact Laurent division")
+        return q
+
+    def _euclidean(self):
+        if self.nvars != 1 or self.torsion:
+            raise InvariantError("Euclidean operations need one free "
+                                 "variable and no torsion")
 
     def coefficients(self):
         """(lowest exponent, coefficients from there up) of a polynomial in
         one free variable with no torsion; (0, []) for zero."""
-        if self.nvars != 1 or self.torsion:
-            raise InvariantError("Euclidean operations need one free "
-                                 "variable and no torsion")
+        self._euclidean()
         if not self.terms:
             return 0, []
         low = min(self.terms)[0][0]
@@ -245,23 +254,17 @@ class LaurentPoly:
     def span(self):
         """Highest minus lowest exponent, -1 for zero: the Euclidean size
         of Q(zeta)[T, T^-1], whose units c T^k have span 0."""
-        return len(self.coefficients()[1]) - 1
+        self._euclidean()
+        return max(self.terms)[0][0] - min(self.terms)[0][0] if self else -1
 
     def divmod(self, other):
         """(q, r) with self == q * other + r and r zero or r.span below
         other.span, for one free variable and no torsion; any other shape
-        raises InvariantError.
-
-        Both operands are shifted to polynomials with a nonzero constant
-        term, T^a A and T^b B, those are divided, A = Q B + R, and the
-        shifts are put back: q = T^(a-b) Q and r = T^a R, so r.span is at
-        most deg R < deg B = other.span."""
-        b_low, b_cs = other.coefficients()
-        if not b_cs:
-            raise ZeroDivisionError("Laurent division by zero")
-        a_low, a_cs = self.coefficients()
-        q, r = upoly_divmod(a_cs, b_cs)
-        return _from_dense(a_low - b_low, q), _from_dense(a_low, r)
+        raises InvariantError.  It is _divide: r = T^a R with
+        deg R < deg B = other.span."""
+        self._euclidean()
+        other._euclidean()
+        return self._divide(other)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -270,11 +273,11 @@ class LaurentPoly:
         return self.divmod(other)[1]
 
     def monic(self):
-        """The associate with a nonzero constant term and leading
-        coefficient 1: shift to T^0, then divide by the leading
-        coefficient.  Zero stays zero."""
-        _, cs = self.coefficients()
-        return _from_dense(0, cs) * cs[-1].inverse() if cs else self
+        """The associate of a one-variable polynomial with a nonzero
+        constant term and leading coefficient 1: shift to T^0, then
+        divide by the leading coefficient.  Zero stays zero."""
+        p = self.shift_normalize()
+        return p * p.leading()[1].inverse() if p else p
 
     def __repr__(self):
         if not self.terms:
@@ -283,12 +286,6 @@ class LaurentPoly:
         for (v, w), c in self.sorted_terms():
             bits.append(f"{c!r}*z^{list(v)}" + (f"*s^{list(w)}" if w else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
-def _from_dense(low, coeffs):
-    """sum coeffs[i] T^(low + i), a one-variable torsion-free polynomial."""
-    return LaurentPoly(1, (), {((low + i,), ()): c
-                               for i, c in enumerate(coeffs)})
 
 
 def _bareiss(matrix):
@@ -342,39 +339,30 @@ def rank_generic(matrix):
 
 def univariate_view(poly, var):
     """Coefficient dict {degree: LaurentPoly in the remaining variables}
-    of a torsion-free poly seen in one variable, exponents shifted to be
-    nonnegative (a unit shift, harmless for root sets on the torus)."""
+    of a nonzero torsion-free poly seen in one variable, exponents shifted
+    to be nonnegative (a unit shift, harmless for root sets on the torus).
+    Distinct terms go to distinct (degree, remaining exponents) pairs, so
+    no two terms add and no coefficient is zero."""
     if poly.torsion:
         raise InvariantError("univariate view needs a torsion-free polynomial")
-    if poly.is_zero():
-        return {}
     shift = min(k[0][var] for k in poly.terms)
     out = {}
-    rest = poly.nvars - 1
     for (v, _), c in poly.terms.items():
-        deg = v[var] - shift
         key = (tuple(x for j, x in enumerate(v) if j != var), ())
-        cur = out.setdefault(deg, LaurentPoly(rest))
-        prev = cur.terms.get(key, Cyc.zero()) + c
-        if prev.is_zero():
-            cur.terms.pop(key, None)
-        else:
-            cur.terms[key] = prev
-    return {d: p for d, p in out.items() if not p.is_zero()}
+        out.setdefault(v[var] - shift, LaurentPoly(poly.nvars - 1)).terms[key] = c
+    return out
 
 
 def resultant(p, q, var):
-    """An eliminant of two torsion-free Laurent polynomials with respect
-    to one variable: a member of the ideal (p, q) free of var, so a
-    Laurent polynomial in the remaining variables that vanishes on the
+    """An eliminant of two nonzero torsion-free Laurent polynomials with
+    respect to one variable: a member of the ideal (p, q) free of var, so
+    a Laurent polynomial in the remaining variables that vanishes on the
     projection of their common zeros.  If p (or q) is free of var, it is
     p (or q) itself; otherwise it is their Sylvester resultant (up to unit
     factors absorbed by the exponent shifts), zero when they share a
-    factor in var.  Zero when p or q is."""
+    factor in var."""
     pv = univariate_view(p, var)
     qv = univariate_view(q, var)
-    if not pv or not qv:
-        return LaurentPoly.zero(p.nvars - 1)
     dp, dq = max(pv), max(qv)
     rest = p.nvars - 1
     if dp == 0:
@@ -398,9 +386,7 @@ def resultant(p, q, var):
 
 
 def det_bareiss(matrix):
-    """Determinant of a square torsion-free LaurentPoly matrix."""
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one(0)
+    """Determinant of a square torsion-free LaurentPoly matrix of size at
+    least 1."""
     rank, last = _bareiss(matrix)
-    return last if rank == n else LaurentPoly.zero(matrix[0][0].nvars)
+    return last if rank == len(matrix) else LaurentPoly.zero(matrix[0][0].nvars)

@@ -177,11 +177,10 @@ def fox_row_identity_holds(row, ab: AbelianizationData):
     """The fundamental identity sum_j row[j] (x_j - 1) == 0 in Z[H1] for
     an already built Fox row."""
     b, torsion = ab.free_rank, ab.torsion
-    one = LaurentPoly.one(b, torsion)
     total = LaurentPoly.zero(b, torsion)
     for d, image in zip(row, ab.gen_images):
         if not d.is_zero():
-            total = total + d * (LaurentPoly.monomial(image, b, torsion) - one)
+            total = total + d * LaurentPoly.monomial(image, b, torsion) - d
     return total.is_zero()
 
 

@@ -117,10 +117,7 @@ def parse_word(text, name_index, line=None, used=0):
 
     if text.strip() in ("", "1"):
         return (), 0
-    result = parse_sequence(set())
-    if pos[0] != len(tokens):
-        raise ParseError("trailing tokens in word", line)
-    return result
+    return parse_sequence(set())
 
 
 def _tokenize(text, line=None):

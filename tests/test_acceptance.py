@@ -243,8 +243,8 @@ def test_criterion_7_kronecker():
         for k in range(2, n):
             if gcd(k, n) != 1 or rejected >= 20:
                 continue
-            unit = (Cyc.one() - Cyc.root_of_unity(n, k)).exact_div(
-                Cyc.one() - Cyc.root_of_unity(n))
+            unit = ((Cyc.one() - Cyc.root_of_unity(n, k))
+                    * (Cyc.one() - Cyc.root_of_unity(n)).inverse())
             if any(abs(abs(z) - 1.0) < 1e-12 for z in embeddings(unit)):
                 continue  # keep only units that are non-unitary somewhere
             flag, order = is_root_of_unity(unit)

@@ -6,8 +6,9 @@ from itertools import combinations, product
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction, _cover_module_is_torsion,
-                                _poly_key, _sigma_union_hits,
+from jumploci.alexander import (ModuleAction, _candidate_points_rank_two,
+                                _cover_module_is_torsion, _poly_key,
+                                _sigma_union_hits,
                                 cover_homology_rank_one, cyclotomic_roots,
                                 finite_locus_cover_check, fitting_generators,
                                 is_weight, koszul_cohomology, vanishing_check,
@@ -307,6 +308,29 @@ def test_rank_two_weights_are_exact(text, expected):
     assert rep.finite_dim == "exact" and rep.identity_holds
     assert {tuple(map(str, w.angles + w.tors_angles))
             for w in rep.weights} == expected
+
+
+def test_rank_two_weights_drop_non_cyclotomic_candidates_undecided():
+    # Pins a known gap.  H1 = Z^2 (c dies; b is the first coordinate, a the
+    # second), and the first-coordinate eliminant is (x - 1)(x + 2).  At
+    # free rank 1 a root such as -2 becomes a numeric weight and thm4
+    # refuses; at free rank 2 it only sets detail, and the report still
+    # says "exact".  Nothing is missed here: h1 = 0 at the dropped point
+    # b -> -2, a -> 1 and at its inverse.
+    p = parse_presentation(
+        'generators: [a, b, c]\nrelators: ["a^-1 b^-1 a b", '
+        '"c^-1 c^-1 b c^-1 b^-1", "b c c b^-1 c^-1"]\n')
+    assert _candidate_points_rank_two(p, ()) == ([(0, 0)], True, True)
+    rep = weights_and_inverses(p, 2, 3)
+    assert rep.finite_dim == "exact" and rep.identity_holds
+    assert rep.detail == "non-cyclotomic eliminant factors ignored (flagged)"
+    assert rep.inverse_weights == [Character.trivial(2)]
+    assert rep.numeric_weights == []
+    dropped = Character(2, (), (2, 1), ("1/2", "0"), ())
+    for chi in (dropped, dropped.inverse()):
+        assert twisted_cohomology_dims(p, chi)[1] == 0
+    check = finite_locus_cover_check(p, 2, 3)
+    assert check.passed and check.trivial_cover
 
 
 def test_weights_refusals():

@@ -262,6 +262,16 @@ def test_malformed_rationals_are_parse_errors(args):
     assert "Traceback" not in res.stderr
 
 
+def test_period_entry_must_be_a_pair(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 1, "period": [[["1", "0", "0"]],
+                                                   [["0", "1"]]]}))
+    res = run_cli("higgs", "verify-thm3", "--samples", "1", "--model",
+                  str(path))
+    assert res.returncode == 1, res.stderr
+    assert "a period entry must be a pair [re, im]" in res.stderr
+
+
 def test_well_formed_input_files_still_run(tmp_path):
     for option, content, args in (
             ("--component", COMPONENT, ("certify", "z2")),
@@ -294,6 +304,8 @@ REFUSALS = {
     ("ng", "surface2", "--g", "2", "--K", "1"): "scan order must be at least 2",
     ("cover", "surface2", "--K", "1"): "scan order must be at least 2",
     ("thm4", "bs12"): "numeric weights present",
+    ("weights", "trefoil", "--K", "0"): "max order must be at least 1",
+    ("thm4", "trefoil", "--K", "0"): "max order must be at least 1",
 }
 
 

@@ -149,3 +149,63 @@ def test_divmod_is_euclidean_in_one_variable():
     s = LaurentPoly.monomial(((1,), (1,)), 1, (2,))
     with pytest.raises(InvariantError):
         s.divmod(LaurentPoly.one(1, (2,)))
+
+
+def test_shared_division_is_exact_on_products_and_refuses_the_rest():
+    # Multivariate leading-term division, with negative exponents and
+    # Q(zeta_3) coefficients: a product divides back exactly, and a product
+    # plus a monomial does not, as a divisor of two or more terms divides
+    # no unit.
+    rng = random.Random(24)
+    zeta3 = Cyc.root_of_unity(3)
+
+    def rand_poly3(terms):
+        return LaurentPoly(3, (), {
+            (tuple(rng.randint(-2, 2) for _ in range(3)), ()):
+            Cyc.rational(rng.randint(-3, 3)) + zeta3 * rng.randint(-2, 2)
+            for _ in range(terms)})
+    checked = 0
+    for _ in range(60):
+        a, b = rand_poly3(rng.randint(1, 4)), rand_poly3(rng.randint(2, 4))
+        if a.is_zero() or len(b.terms) < 2:
+            continue
+        assert (a * b).exact_div(b) == a
+        unit = LaurentPoly.monomial(
+            (tuple(rng.randint(-3, 3) for _ in range(3)), ()), 3,
+            coeff=zeta3)
+        with pytest.raises(InvariantError):
+            (a * b + unit).exact_div(b)
+        checked += 1
+    assert checked >= 30
+
+
+def dense_divmod(num, den):
+    """Schoolbook division of coefficient lists, lowest degree first, with
+    nonzero leading coefficients: (quotient, remainder padded to len(num))."""
+    num, q = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = num[k + len(den) - 1] / den[-1]
+        for i, d in enumerate(den):
+            num[k + i] -= q[k] * d
+    return q, num
+
+
+def test_divmod_matches_dense_division_over_q():
+    # In one variable with rational coefficients the shared division gives
+    # the dense Euclidean quotient and remainder of the shifted operands.
+    rng = random.Random(25)
+    for _ in range(60):
+        lows = rng.randint(-3, 3), rng.randint(-3, 3)
+        dense = [[Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+                 for _ in range(2)]
+        for cs in dense:
+            cs[0] = cs[0] or Fraction(1)
+            cs[-1] = cs[-1] or Fraction(1)
+        a, b = (LaurentPoly(1, (), {((low + i,), ()): c
+                                    for i, c in enumerate(cs)})
+                for low, cs in zip(lows, dense))
+        q, r = dense_divmod(*dense)
+        assert a // b == LaurentPoly(1, (), {((lows[0] - lows[1] + i,), ()): c
+                                             for i, c in enumerate(q)})
+        assert a % b == LaurentPoly(1, (), {((lows[0] + i,), ()): c
+                                            for i, c in enumerate(r)})

@@ -57,6 +57,14 @@ def test_parse_word_errors_carry_location():
         parse_word("a$", NAMES)
 
 
+@pytest.mark.parametrize("word", ["a )", "a ]", "a ,", "a^2^3"])
+def test_a_token_that_cannot_start_a_factor_is_unexpected(word):
+    # The top-level sequence stops only when the tokens run out, so a
+    # stray closer, comma or second exponent is refused as the next factor.
+    with pytest.raises(ParseError, match="unexpected token"):
+        parse_word(word, NAMES)
+
+
 @pytest.mark.parametrize("word", ["a^-", "a^\u00b2", "a^1\u00b2"])
 def test_bad_integer_is_a_parse_error(word):
     # "-" alone and digits int() does not read (superscript two).

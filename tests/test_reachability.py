@@ -8,7 +8,8 @@ its own body (as a name or an attribute), anywhere in bench/*.py (also
 as a string, since bench/tracer.py wraps functions by their names), or
 is listed in ``jumploci.__all__``.  Dunder methods are exempt: the
 interpreter calls them.  The package also holds no assert statement,
-which python -O would strip.
+which python -O would strip, and no module-level import that its module
+never reads.
 """
 
 import ast
@@ -84,3 +85,34 @@ def test_no_assert_statements_in_the_package():
                  if isinstance(node, ast.Assert)]
     assert not offenders, "assert statements in src/jumploci: " + ", ".join(
         offenders)
+
+
+def unused_imports():
+    """module:line name of every name a module-level import binds in
+    src/jumploci that the module never reads as a name.  __init__.py
+    re-exports, and lines marked ``# noqa: F401`` are kept on purpose."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line
+                           in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    return offenders
+
+
+def test_every_module_level_import_is_read():
+    offenders = unused_imports()
+    assert not offenders, "unused imports: " + ", ".join(offenders)

@@ -58,8 +58,8 @@ def _cases():
                        "tors_angles")),
         (type(numeric),
          (numeric.free_rank, numeric.torsion, numeric.values,
-          numeric.tors_angles, numeric.flag),
-         4, "other", ("free_rank", "torsion", "values", "tors_angles", "flag")),
+          numeric.tors_angles),
+         2, (0j,), ("free_rank", "torsion", "values", "tors_angles")),
         (TranslatedSubtorus,
          (sub.free_rank, sub.torsion, sub.annihilator, sub.translate),
          3, Character.trivial(sub.free_rank),
@@ -73,8 +73,8 @@ def _cases():
          1, model.periods[::-1], ("n", "periods")),
         (LatticeCharacter, (rho.log_moduli, rho.angles),
          1, (0,) * 4, ("log_moduli", "angles")),
-        (type(h), (h.angles, h.theta, h.torsion_class),
-         1, ((1, 0), (0, 0)), ("angles", "theta", "torsion_class")),
+        (type(h), (h.angles, h.theta),
+         1, ((1, 0), (0, 0)), ("angles", "theta")),
     ]
 
 
