@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .characters import Character
 from .cyclotomic import Cyc
@@ -287,8 +287,21 @@ def numeric_roots(poly: LaurentPoly):
     return [complex(z) for z in np.roots(cs[::-1])]
 
 
+# Largest torsion dual (the characters of Z/d_1 + ... + Z/d_t, d_1 ...
+# d_t of them) whose members weights_and_inverses specializes the Fox
+# matrix at, one by one: weights --K 2 on Z/120 + Z takes 3.8-5.6 s, on
+# Z/128 + Z 7.3-12.4 s and on (Z/2)^7 + Z 2.8-3.7 s; above it, Z/240 + Z
+# took 28 s and (Z/2)^8 + Z 10 s (Python 3.11, one core of a 2-core
+# x86-64 host).
+MAX_TORSION_DUALS = 128
+
+
 def _all_torsion_duals(torsion):
-    """Angle tuples of every character of Z/d_1 + ... + Z/d_t, sorted."""
+    """Angle tuples of every character of Z/d_1 + ... + Z/d_t, sorted;
+    refuses more than MAX_TORSION_DUALS of them before listing any."""
+    if prod(torsion) > MAX_TORSION_DUALS:
+        raise Refusal(f"a torsion dual of {prod(torsion)} characters is "
+                      f"above the limit {MAX_TORSION_DUALS}")
     return [tuple(Fraction(c, d) for c, d in zip(cs, torsion))
             for cs in product(*(range(d) for d in torsion))]
 

@@ -34,8 +34,10 @@ flagged fallback paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import Cyc
 from .errors import Refusal
@@ -112,32 +114,31 @@ class Character(Value):
             raise ValueError("non-unitary characters have infinite order")
         return lcm(*(a.denominator for a in self.angles + self.tors_angles))
 
+    @cached_property
+    def _numerators(self):
+        """(N, the free and the torsion angles' numerators over their least
+        common denominator N, (j, m_j) for each modulus m_j != 1)."""
+        angles = self.angles + self.tors_angles
+        n = lcm(*(a.denominator for a in angles))
+        nums = [a.numerator * (n // a.denominator) for a in angles]
+        return (n, nums[:self.free_rank], nums[self.free_rank:],
+                [(j, m) for j, m in enumerate(self.moduli) if m != 1])
+
     def value_parts(self, free_vec, tors_vec=()):
-        """(modulus, angle) of the value on an H1 element."""
+        """(modulus, angle in [0, 1)) of the value on the H1 element with
+        coordinates (free_vec, tors_vec); the one place where moduli and
+        angles turn into a value on H1."""
+        n, free, tors, moduli = self._numerators
+        num = sum(map(mul, free, free_vec)) + sum(map(mul, tors, tors_vec))
         mod = Fraction(1)
-        ang = Fraction(0)
-        for m, a, e in zip(self.moduli, self.angles, free_vec):
-            if e:
-                mod *= m ** e
-                ang += a * e
-        for a, e in zip(self.tors_angles, tors_vec):
-            if e:
-                ang += a * e
-        return mod, frac_mod1(ang)
+        for j, m in moduli:
+            mod *= m ** free_vec[j]
+        return mod, Fraction(num % n, n)
 
     def value(self, free_vec, tors_vec=()) -> Cyc:
         mod, ang = self.value_parts(free_vec, tors_vec)
-        out = Cyc.from_angle(ang)
-        if mod != 1:
-            out = out * mod
-        return out
-
-    def free_values(self):
-        """Cyc value per free coordinate: modulus times root of unity."""
-        return [Cyc.from_angle(a) * m for a, m in zip(self.angles, self.moduli)]
-
-    def torsion_values(self):
-        return [Cyc.from_angle(a) for a in self.tors_angles]
+        out = Cyc.root_of_unity(ang.denominator, ang.numerator)
+        return out if mod == 1 else out * mod
 
     def unitary_part(self):
         return Character(self.free_rank, self.torsion,

@@ -139,7 +139,7 @@ def _orbit(args):
     angles = _rationals(args.angles, "--angles")
     sub = orbit_closure(Character(len(moduli), (), moduli, angles, ()),
                         args.variant)
-    return sub.serialize() | {"unitary_translate": sub.is_unitary_translate()}
+    return sub.serialize() | {"unitary_translate": sub.translate.is_unitary}
 
 
 def _cover(args):

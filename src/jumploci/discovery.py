@@ -12,18 +12,17 @@ then gives membership on the whole coset, not just generically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .characters import Character, torsion_modulus
 from .errors import InvariantError, Refusal
-from .numutil import frac_mod1
 from .presentation import FinitePresentation, reidemeister_schreier
 from .subtorus import (TranslatedSubtorus, point_subtorus,
                        subtorus_from_directions)
 from .twisted import check_query, coset_dims, presentation_data, scan_sigma
 from .value import Value
+from .words import exponent_sums
 
 
 class Component(Value):
@@ -293,24 +292,24 @@ class CoverCertificate:
         }
 
 
+def _lift_images(base_ab, lifts, gen_words):
+    """Images in H1(base) of lifts, exponent vectors in the generators of
+    a target whose generator j is gen_words[j]: a lift l has the exponent
+    sums sum_j l_j exponent_sums(gen_words[j])."""
+    sums = [exponent_sums(w, base_ab.generator_count) for w in gen_words]
+    return [base_ab.project_vector([sum(x * y for x, y in zip(lift, col))
+                                    for col in zip(*sums)]) for lift in lifts]
+
+
 def restrict_subtorus_to_cover(sub: TranslatedSubtorus, base_ab, cover_p,
                                schreier_words):
     """Image of a translated subtorus under restriction of characters to
-    a finite-index subgroup presented by Schreier words."""
+    a finite-index subgroup presented by Schreier words: a direction v
+    moves to (f . v) over the free parts f of the basis lifts' images."""
     cover_ab, _ = presentation_data(cover_p)
-    # H1(base) image of each Schreier generator.
-    images = [base_ab.project_word(w) for w in schreier_words]
-    # Direction transport: base angle direction v -> angles on cover gens
-    # -> coordinates on the cover's free H1 basis via basis lifts.
-    new_dirs = []
-    for col in zip(*sub.directions):
-        v = [Fraction(x) for x in col]
-        gen_angles = [sum(Fraction(fi) * vi for fi, vi in zip(img[0], v))
-                      for img in images]
-        coord = []
-        for lift in cover_ab.basis_lifts:
-            coord.append(sum(Fraction(l) * a for l, a in zip(lift, gen_angles)))
-        new_dirs.append(coord)
+    images = _lift_images(base_ab, cover_ab.basis_lifts, schreier_words)
+    new_dirs = [[sum(x * y for x, y in zip(f, col)) for f, _ in images]
+                for col in zip(*sub.directions)]
     translate = transport_character(sub.translate, base_ab, cover_p,
                                     schreier_words)
     return subtorus_from_directions(new_dirs, translate)
@@ -318,23 +317,15 @@ def restrict_subtorus_to_cover(sub: TranslatedSubtorus, base_ab, cover_p,
 
 def transport_character(chi: Character, base_ab, target_p, gen_words):
     """Character on the target presentation whose generator values match
-    chi on the given words."""
+    chi on the given words: chi read at the images of its lifts."""
     target_ab, _ = presentation_data(target_p)
-    images = [base_ab.project_word(w) for w in gen_words]
-    vals = [chi.value_parts(f, t) for f, t in images]
-    angles = [frac_mod1(sum(Fraction(l) * vals[i][1] for i, l in enumerate(lift)))
-              for lift in target_ab.basis_lifts]
-    tors = [frac_mod1(sum(Fraction(l) * vals[i][1] for i, l in enumerate(lift)))
-            for lift in target_ab.torsion_lifts]
-    moduli = []
-    for lift in target_ab.basis_lifts:
-        m = Fraction(1)
-        for i, l in enumerate(lift):
-            if l:
-                m *= vals[i][0] ** l
-        moduli.append(m)
+    free = [chi.value_parts(*h) for h in _lift_images(
+        base_ab, target_ab.basis_lifts, gen_words)]
+    tors = [chi.value_parts(*h)[1] for h in _lift_images(
+        base_ab, target_ab.torsion_lifts, gen_words)]
     return Character(target_ab.free_rank, target_ab.torsion,
-                     tuple(moduli), tuple(angles), tuple(tors))
+                     tuple(m for m, _ in free), tuple(a for _, a in free),
+                     tuple(tors))
 
 
 def abelian_cover_certificate(p: FinitePresentation, max_order=6):
@@ -349,7 +340,7 @@ def abelian_cover_certificate(p: FinitePresentation, max_order=6):
         return None
     base = positive[0]
     sub = base.subtorus
-    if not sub.is_unitary_translate():
+    if not sub.translate.is_unitary:
         raise InvariantError("certificate requires a torsion translate")
     ab, _ = presentation_data(p)
     tau = sub.translate

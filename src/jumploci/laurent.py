@@ -129,31 +129,22 @@ class LaurentPoly:
         key = max(self.terms)
         return key, self.terms[key]
 
-    def evaluate(self, free_values, torsion_values=()):
-        """Plug Cyc values into the variables; negative exponents invert.
-        The new_nvars = 0 case of substitute_monomials."""
-        out = self.substitute_monomials((), free_values, 0, torsion_values)
+    def evaluate(self, value):
+        """The Cyc self takes when each monomial z^v s^w takes the Cyc
+        value(v, w): the new_nvars = 0 case of substitute_monomials."""
+        out = self.substitute_monomials((), value, 0)
         return out.terms.get(((), ()), Cyc.zero())
 
-    def substitute_monomials(self, lattice_cols, values, new_nvars,
-                             torsion_values=()):
-        """z_j -> values[j] * prod_k s_k^B[j][k] with B given by columns,
-        and the torsion twist evaluated at torsion_values (roots of unity);
-        a missing value counts as 1.  Returns a torsion-free Laurent
-        polynomial in new_nvars variables.  Identity columns and no values
-        only fix the torsion twist."""
+    def substitute_monomials(self, lattice_cols, value, new_nvars):
+        """z^v s^w -> value(v, w) * t^(v B): value(v, w) is the nonzero
+        Cyc the monomial takes (a character's value on the H1 element
+        (v, w)), and row j of B, lattice_cols[j], is z_j's exponent vector
+        in the new_nvars torsion-free variables t."""
         out = LaurentPoly(new_nvars, ())
         for (v, w), c in self.terms.items():
-            val = c
-            for x, e in zip(values, v):
-                if e:
-                    val = val * (x ** e)
-            for x, e in zip(torsion_values, w):
-                if e:
-                    val = val * (x ** e)
             exps = tuple(sum(lattice_cols[j][k] * v[j] for j in range(self.nvars))
                          for k in range(new_nvars))
-            _accumulate(out.terms, (exps, ()), val)
+            _accumulate(out.terms, (exps, ()), c * value(v, w))
         return out
 
     def _mins(self):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from .characters import Character, torsion_modulus
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_rows, mat_mul,
                         smith_normal_form)
-from .numutil import factorint, frac_mod1
+from .numutil import factorint
 from .value import Value
 
 
@@ -41,7 +41,7 @@ class TranslatedSubtorus(Value):
         if any(len(r) != free_rank for r in annihilator):
             raise Refusal("annihilator rows need one entry per free "
                           "generator")
-        if translate.free_rank != free_rank:
+        if translate.free_rank != free_rank or translate.torsion != torsion:
             raise Refusal("translate lives on a different torus")
         ann = hnf_rows([list(r) for r in annihilator])
         m = len(ann)
@@ -65,25 +65,14 @@ class TranslatedSubtorus(Value):
     def dim(self):
         return self.free_rank - len(self.annihilator)
 
-    def is_unitary_translate(self):
-        return self.translate.is_unitary
-
     def contains(self, chi: Character):
+        """Whether chi lies in the coset: d = chi tau^-1 has no torsion
+        angle and d(u) = 1 on every annihilator row u."""
         if chi.free_rank != self.free_rank or chi.torsion != self.torsion:
             raise ValueError("dimension mismatch")
-        if chi.tors_angles != self.translate.tors_angles:
-            return False
-        for u in self.annihilator:
-            mod = Fraction(1)
-            ang = Fraction(0)
-            for m, tm, a, ta, e in zip(chi.moduli, self.translate.moduli,
-                                       chi.angles, self.translate.angles, u):
-                if e:
-                    mod *= (m / tm) ** e
-                    ang += (a - ta) * e
-            if mod != 1 or frac_mod1(ang) != 0:
-                return False
-        return True
+        d = chi * self.translate.inverse()
+        return not any(d.tors_angles) and all(
+            d.value_parts(u) == (1, 0) for u in self.annihilator)
 
     def torsion_points(self, max_order):
         """All points of the coset whose character order divides some
@@ -113,24 +102,21 @@ class TranslatedSubtorus(Value):
           distinct points because B is part of the unimodular V.
         So the orders k with points are the multiples of q, the lcm of
         the denominators of c and of the torsion angles, and no Smith
-        form or solve runs per k.  As vectors the points are
-        n theta_0 + (n/k) B (Z/k)^d, taken mod n."""
+        form or solve runs per k.  c is taken mod 1, as
+        tau.value_parts gives it: adding an integer vector z to c moves
+        theta_0 = R c by the integer vector R z, to the same point.  As
+        vectors the points are n theta_0 + (n/k) B (Z/k)^d, taken mod n."""
         tau = self.translate
         if not tau.is_unitary:
             return
-        # H tau = c / den in integers, then reduced: den becomes the lcm
-        # of the denominators of H tau.
-        den = lcm(*(a.denominator for a in tau.angles))
-        t = [a.numerator * (den // a.denominator) for a in tau.angles]
-        c = [sum(x * y for x, y in zip(u, t)) for u in self.annihilator]
-        g = gcd(den, *c)
-        c, den = [x // g for x in c], den // g
-        q = lcm(den, *(a.denominator for a in tau.tors_angles))
+        c = [tau.value_parts(u)[1] for u in self.annihilator]
+        q = lcm(*(a.denominator for a in c + list(tau.tors_angles)))
         if q > max_order:
             return
-        # den | q <= max_order divides n, so n theta_0 = (n / den) R c.
+        # q <= max_order divides n, so n c is integral.
         n = torsion_modulus(max_order, self.torsion)
-        base = [n // den * sum(r * x for r, x in zip(row, c)) % n
+        nc = [a.numerator * (n // a.denominator) for a in c]
+        base = [sum(r * x for r, x in zip(row, nc)) % n
                 for row in self.right_inverse]
         tail = tuple(a.numerator * (n // a.denominator) for a in tau.tors_angles)
         rows = self.directions
@@ -144,11 +130,11 @@ class TranslatedSubtorus(Value):
         """Whether other (a translated subtorus) is contained in self: each
         row of self's annihilator kills other's directions (both lattices
         are saturated, so this is containment of the annihilator
-        lattices), and other's translate lies in self."""
-        if any(sum(x * y for x, y in zip(u, col))
-               for u in self.annihilator for col in zip(*other.directions)):
-            return False
-        return self.contains(other.translate)
+        lattices), and other's translate lies in self.  A coset on
+        another torus raises ValueError("dimension mismatch")."""
+        return self.contains(other.translate) and not any(
+            sum(x * y for x, y in zip(u, col))
+            for u in self.annihilator for col in zip(*other.directions))
 
     def sort_key(self):
         return (-self.dim, self.annihilator, self.translate.sort_key())

@@ -142,9 +142,7 @@ def coboundary_matrices(p: FinitePresentation, chi: Character):
     ab, fox = presentation_data(p)
     gen_vals = [chi.value(f, t) for f, t in ab.gen_images]
     d0 = [v - Cyc.one() for v in gen_vals]
-    free_vals = chi.free_values()
-    tors_vals = chi.torsion_values()
-    d1 = [[e.evaluate(free_vals, tors_vals) for e in row] for row in fox]
+    d1 = [[e.evaluate(chi.value) for e in row] for row in fox]
     return d0, d1
 
 
@@ -174,8 +172,7 @@ def fox_on_coset(p: FinitePresentation, directions, translate: Character):
     basis B = directions (module docstring), over Z[s_1^+-1..s_d^+-1]."""
     _, fox = presentation_data(p)
     dim = len(directions[0]) if directions else 0
-    free_vals, tors_vals = translate.free_values(), translate.torsion_values()
-    return [[e.substitute_monomials(directions, free_vals, dim, tors_vals)
+    return [[e.substitute_monomials(directions, translate.value, dim)
              for e in row] for row in fox]
 
 

@@ -5,6 +5,7 @@ independent statement of a property the program's results must have.
 """
 
 import cmath
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -157,9 +158,55 @@ def cover_module_is_torsion_by_rank(p):
         return g - 1 <= 0
     for omega in alexander._all_torsion_duals(ab.torsion):
         tors_vals = [Cyc.from_angle(a) for a in omega]
-        rows = [[e.substitute_monomials(identity(b), (), b, tors_vals)
+        rows = [[substitute_by_coordinate(e, identity(b), b, [Cyc.one()] * b,
+                                          tors_vals)
                  for e in row] for row in fox]
         if rank_generic(rows) < g - 1:
+            return False
+    return True
+
+
+def substitute_by_coordinate(poly, lattice_cols, new_nvars, free_values,
+                             torsion_values):
+    """LaurentPoly.substitute_monomials written per coordinate: z_j ->
+    free_values[j] * t^(lattice_cols[j]) and s_i -> torsion_values[i],
+    one value per coordinate, each term's value the product of the
+    per-coordinate Cyc powers."""
+    out = LaurentPoly(new_nvars)
+    for (v, w), c in poly.terms.items():
+        for x, e in zip(free_values + torsion_values, v + w):
+            c = c * x ** e
+        exps = tuple(sum(lattice_cols[j][k] * v[j] for j in range(len(v)))
+                     for k in range(new_nvars))
+        out = out + LaurentPoly.monomial((exps, ()), new_nvars, coeff=c)
+    return out
+
+
+def evaluate_by_coordinate(poly, chi):
+    """LaurentPoly.evaluate at an exact character, written per
+    coordinate: modulus times root of unity on each free generator, a
+    root of unity on each torsion generator."""
+    free = [Cyc.from_angle(a) * m for a, m in zip(chi.angles, chi.moduli)]
+    tors = [Cyc.from_angle(a) for a in chi.tors_angles]
+    out = substitute_by_coordinate(poly, (), 0, free, tors)
+    return out.terms.get(((), ()), Cyc.zero())
+
+
+def coset_contains_by_rows(sub, chi):
+    """TranslatedSubtorus.contains written out: chi has the translate's
+    torsion angles, and on every annihilator row u the product of
+    (m / m_tau)^u is 1 and the sum of (a - a_tau) u is an integer."""
+    tau = sub.translate
+    if chi.tors_angles != tau.tors_angles:
+        return False
+    for u in sub.annihilator:
+        mod, ang = Fraction(1), Fraction(0)
+        for m, tm, a, ta, e in zip(chi.moduli, tau.moduli, chi.angles,
+                                   tau.angles, u):
+            if e:
+                mod *= (m / tm) ** e
+                ang += (a - ta) * e
+        if mod != 1 or ang.denominator != 1:
             return False
     return True
 

@@ -123,14 +123,14 @@ def test_criterion_4_orbit_closure_suite():
         for t in (2, 3):
             assert sub.contains(rplus_act(Fraction(t), chi, "B"))
         # (c) the translate is unitary with root-of-unity coordinates
-        assert sub.is_unitary_translate()
+        assert sub.translate.is_unitary
         assert translate_root_of_unity_check(sub)
     # variant-A discrepancy: chi = (2) is a fixed point whose closure
     # is not a unitary translate
     chi2 = Character(1, (), (Fraction(2),), (Fraction(0),), ())
     assert rplus_act(Fraction(7), chi2, "A") == chi2
     bad = orbit_closure(chi2, "A")
-    assert not bad.is_unitary_translate()
+    assert not bad.translate.is_unitary
     _report(4, "100 orbit closures contain their orbits, are action-stable "
                "with torsion translates; variant-A counterexample recorded")
 

@@ -6,7 +6,9 @@ from itertools import combinations, product
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import (ModuleAction, _candidate_points_rank_two,
+from jumploci.alexander import (MAX_TORSION_DUALS, ModuleAction,
+                                _all_torsion_duals,
+                                _candidate_points_rank_two,
                                 _cover_module_is_torsion, _poly_key,
                                 _sigma_union_hits,
                                 cover_homology_rank_one, cyclotomic_roots,
@@ -436,3 +438,12 @@ def test_finite_locus_cover_checks():
     assert not r4.trivial_cover and r4.cover_index == 6 and not r4.passed
     with pytest.raises(Refusal):
         finite_locus_cover_check(corpus.get("free2"), 2, 4)
+
+
+def test_torsion_dual_limit_counts_characters():
+    # The limit is on the number of torsion-dual characters, the product
+    # of the torsion orders: (Z/2)^7 lists its 128, (Z/2)^8 is refused.
+    assert len(_all_torsion_duals((2,) * 7)) == MAX_TORSION_DUALS
+    for torsion in ((2,) * 8, (MAX_TORSION_DUALS + 1,), (3, 43)):
+        with pytest.raises(Refusal, match="above the limit"):
+            _all_torsion_duals(torsion)

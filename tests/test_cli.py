@@ -13,6 +13,7 @@ from conftest import REPO_ROOT, cli_env, within_seconds
 from jumploci import cli
 from jumploci.characters import ExponentMembers, torsion_modulus
 from jumploci.discovery import Component, JumpLocusReport
+from jumploci.alexander import MAX_TORSION_DUALS
 from jumploci.higgs import MAX_TORUS_DIMENSION
 from jumploci.report import (REPORT_SCHEMA, SchemaError, build_report,
                              check_schema, dumps_canonical)
@@ -357,6 +358,25 @@ def test_orbit_refuses_to_factor_past_its_limit():
                          "4,2305843009213693951", "--angles", "0,0")
     assert res.returncode == 2, res.stderr
     assert "is not factored" in res.stderr
+
+
+@pytest.mark.parametrize("gens,relators", [
+    (["a", "t"], ["a^1000", "[a, t]"]),
+    ([f"a{i}" for i in range(8)] + ["t"],
+     [f"a{i}^2" for i in range(8)] + [f"[a{i}, t]" for i in range(8)]
+     + [f"[a{i}, a{j}]" for i in range(8) for j in range(i + 1, 8)]),
+], ids=["Z1000xZ", "Z2^8xZ"])
+def test_weights_refuse_a_torsion_dual_past_its_limit(tmp_path, gens,
+                                                      relators):
+    # Z/1000 + Z ran past 60 s, one Fox specialization per character of
+    # Z/1000; both duals are now refused before the first one.
+    pres = tmp_path / "dual.pres"
+    pres.write_text(f"generators: [{', '.join(gens)}]\nrelators: "
+                    f"{json.dumps(relators)}\n")
+    for command in ("weights", "thm4"):
+        res = within_seconds(1, run_cli, command, str(pres), "--K", "2")
+        assert res.returncode == 2, res.stderr
+        assert f"above the limit {MAX_TORSION_DUALS}" in res.stderr
 
 
 def test_analyze_refuses_a_relator_past_the_letter_limit(tmp_path):

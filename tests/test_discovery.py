@@ -5,6 +5,7 @@ import pytest
 
 from jumploci import corpus, discovery
 from jumploci.characters import (Character, count_torsion_characters,
+                                 enumerate_torsion_characters,
                                  torsion_modulus)
 from jumploci.cyclotomic import rank_exact
 from jumploci.errors import Refusal
@@ -17,8 +18,9 @@ from jumploci.numutil import frac_mod1
 from jumploci.subtorus import TranslatedSubtorus, point_subtorus
 from jumploci.twisted import MAX_SCAN_CHARACTERS, presentation_data
 
-from oracles import (least_torsion_point, reports_agree_after_transport,
-                     tietze_transport, translate_root_of_unity_check)
+from oracles import (evaluate_by_coordinate, least_torsion_point,
+                     reports_agree_after_transport, tietze_transport,
+                     translate_root_of_unity_check)
 
 
 def test_surface_single_full_torus_component():
@@ -104,10 +106,7 @@ def test_certified_components_incomparable_and_semicontinuous():
                 continue
             generic_rank = (g - 1) - c.generic_h
             for chi in c.subtorus.torsion_points(3)[:20]:
-                from jumploci.cyclotomic import Cyc
-                free_vals = [Cyc.from_angle(a) for a in chi.angles]
-                tors_vals = chi.torsion_values()
-                mat = [[e.evaluate(free_vals, tors_vals) for e in row]
+                mat = [[evaluate_by_coordinate(e, chi) for e in row]
                        for row in fox]
                 assert rank_exact(mat) <= generic_rank
 
@@ -326,3 +325,55 @@ def test_kill_cover_index_and_kills():
         assert index == _subgroup_order(kill)
         for chi in kill:
             assert transport_character(chi, ab, cover, schreier).is_trivial
+
+
+def _transport_targets(p, rng):
+    """(target, generator words) pairs: three permute/invert Tietze
+    variants of p, and for c3xz and torus_bundle3, the corpus groups
+    with torsion (H1 = Z + Z/3), the covers that kill_cover builds for a
+    free, a torsion and a mixed character of order dividing 6."""
+    g = p.generator_count
+    targets = [tietze_transport(p, rng.sample(range(g), g),
+                                [rng.choice([1, -1]) for _ in range(g)])
+               for _ in range(3)]
+    ab, _ = presentation_data(p)
+    if ab.torsion == (3,) and ab.free_rank == 1:
+        for free, tors in ((Fraction(1, 2), 0), (0, Fraction(1, 3)),
+                           (Fraction(1, 2), Fraction(2, 3))):
+            chi = Character.unitary(1, ab.torsion, (free,), (tors,))
+            cover, schreier, _ = kill_cover(p, [chi])
+            targets.append((cover, schreier))
+    return targets
+
+
+def test_transport_matches_generator_values():
+    # transport_character gives chi' with chi'(x'_j) = chi(word_j) for
+    # every target generator j: chi'(x'_j) read through the target's
+    # gen_images, chi(word_j) through the base's project_word, so no lift
+    # is involved.  Characters: the torsion points of order <= 4 (200 of
+    # them drawn at random on the tori of rank 6 and 10, which have
+    # thousands), and bs12 at moduli 2 and 1/2.
+    rng = random.Random(24)
+    for name in corpus.names():
+        p = corpus.get(name)
+        ab, _ = presentation_data(p)
+        b, torsion = ab.free_rank, ab.torsion
+        if count_torsion_characters(b, torsion, 4) <= 1000:
+            n = torsion_modulus(4, torsion)
+            chars = [Character.from_exponents(b, torsion, e, n) for e in
+                     enumerate_torsion_characters(b, torsion, 4)]
+        else:
+            chars = [Character.unitary(
+                b, torsion, [Fraction(rng.randrange(k), k) for _ in range(b)])
+                for k in (rng.randint(1, 4) for _ in range(200))]
+        if name == "bs12":
+            chars += [Character(1, (), (m,), (0,), ())
+                      for m in (Fraction(2), Fraction(1, 2))]
+        for target, gen_words in _transport_targets(p, rng):
+            target_ab, _ = presentation_data(target)
+            expected = [ab.project_word(w) for w in gen_words]
+            for chi in chars:
+                moved = transport_character(chi, ab, target, gen_words)
+                assert all(moved.value_parts(*image) == chi.value_parts(*h)
+                           for image, h in zip(target_ab.gen_images,
+                                               expected)), (name, chi)

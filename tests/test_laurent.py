@@ -13,6 +13,8 @@ from jumploci.laurent import (LaurentPoly, det_bareiss, rank_generic,
                               resultant, univariate_view)
 from jumploci.twisted import presentation_data
 
+from oracles import evaluate_by_coordinate, substitute_by_coordinate
+
 
 def gens(nvars):
     return [LaurentPoly.monomial((tuple(1 if k == j else 0 for k in range(nvars)), ()),
@@ -69,16 +71,14 @@ def test_rank_generic_dominates_specializations():
         if not fox:
             continue
         b = ab.free_rank
-        generic = rank_generic([[e.substitute_monomials(
-            identity(b), (), b, [Cyc.from_angle(Fraction(0))] * len(ab.torsion))
+        generic = rank_generic([[substitute_by_coordinate(
+            e, identity(b), b, [Cyc.one()] * b, [Cyc.one()] * len(ab.torsion))
             for e in row] for row in fox])
         best = -1
         n = torsion_modulus(4, ab.torsion)
         for e in enumerate_torsion_characters(ab.free_rank, ab.torsion, 4):
             chi = Character.from_exponents(ab.free_rank, ab.torsion, e, n)
-            free_vals = [Cyc.from_angle(a) for a in chi.angles]
-            tors_vals = chi.torsion_values()
-            mat = [[e.evaluate(free_vals, tors_vals) for e in row] for row in fox]
+            mat = [[evaluate_by_coordinate(e, chi) for e in row] for row in fox]
             r = rank_exact(mat)
             assert r <= generic
             best = max(best, r)
@@ -111,11 +111,15 @@ def test_univariate_view():
 def test_substitute_monomials():
     # z1 -> s, z2 -> s^2 turns z1^2 z2 into s^4
     p = LaurentPoly.monomial(((2, 1), ()), 2)
-    q = p.substitute_monomials([[1], [2]], [Cyc.one(), Cyc.one()], 1)
+    q = p.substitute_monomials([[1], [2]], lambda v, w: Cyc.one(), 1)
     assert q == LaurentPoly.monomial(((4,), ()), 1)
-    # translate values multiply in
-    q2 = p.substitute_monomials([[1], [2]], [Cyc.rational(-1), Cyc.one()], 1)
+    # the monomial's value multiplies in: z1 -> -1 gives (-1)^2 = 1
+    chi = Character(2, (), (1, 1), (Fraction(1, 2), 0), ())
+    q2 = p.substitute_monomials([[1], [2]], chi.value, 1)
     assert q2 == LaurentPoly.monomial(((4,), ()), 1, coeff=Cyc.one())
+    q3 = LaurentPoly.monomial(((1, 0), ()), 2).substitute_monomials(
+        [[1], [2]], chi.value, 1)
+    assert q3 == LaurentPoly.monomial(((1,), ()), 1, coeff=Cyc.rational(-1))
 
 
 def test_divmod_is_euclidean_in_one_variable():

@@ -15,7 +15,6 @@ import jumploci.twisted as tw
 from jumploci import corpus
 from jumploci.characters import (Character, enumerate_torsion_characters,
                                  torsion_modulus)
-from jumploci.cyclotomic import Cyc
 from jumploci.errors import InvariantError
 from jumploci.laurent import LaurentPoly
 from jumploci.linalg import rank_exact
@@ -23,6 +22,8 @@ from jumploci.numutil import IS_PRIME_LIMIT, first_prime_congruent_one
 from jumploci.presentation import FinitePresentation
 from jumploci.twisted import (_ModularEvaluator, _rank_mod_p, scan_sigma,
                               twisted_cohomology_dims)
+
+from oracles import evaluate_by_coordinate
 
 # (group, K) for the corpus differential.
 CORPUS_SCANS = ([(name, 4) for name in ("z2", "z3", "z4", "c3xz", "s2xz2",
@@ -251,8 +252,8 @@ def fox_like(draw):
 
 
 def _exact_rank(fox, chi):
-    vals = [Cyc.from_angle(a) for a in chi.angles]
-    return rank_exact([[e.evaluate(vals, []) for e in row] for row in fox])
+    return rank_exact([[evaluate_by_coordinate(e, chi) for e in row]
+                       for row in fox])
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,8 @@ from jumploci.linalg import rank_exact
 from jumploci.subtorus import (TranslatedSubtorus, orbit_closure,
                                point_subtorus, subtorus_from_directions)
 
-from oracles import least_torsion_point, translate_root_of_unity_check
+from oracles import (coset_contains_by_rows, least_torsion_point,
+                     translate_root_of_unity_check)
 
 
 def full_torus(free_rank):
@@ -62,7 +63,7 @@ def test_variant_a_closure_of_positive_real_point_is_not_unitary():
     chi = Character(1, (), (Fraction(2),), (Fraction(0),), ())
     T = orbit_closure(chi, "A")
     assert T.dim == 0
-    assert not T.is_unitary_translate()
+    assert not T.translate.is_unitary
     assert rplus_act(Fraction(5), chi, "A") == chi
 
 
@@ -70,7 +71,7 @@ def test_variant_b_fixed_point_closures_are_torsion_points():
     chi = Character(2, (), (Fraction(1), Fraction(1)),
                     (Fraction(1, 3), Fraction(1, 2)), ())
     T = orbit_closure(chi, "B")
-    assert T.dim == 0 and T.is_unitary_translate()
+    assert T.dim == 0 and T.translate.is_unitary
     assert translate_root_of_unity_check(T)
 
 
@@ -102,7 +103,7 @@ def test_torsion_points_match_order_filter():
     for k1 in range(1, 13):
         for a in range(k1):
             chi = Character.unitary(2, (), (Fraction(a, k1), Fraction(1, 2)))
-            if chi.order() <= 4 and T.contains(chi):
+            if chi.order() <= 4 and coset_contains_by_rows(T, chi):
                 brute.add(chi.sort_key())
     assert keys == brute
 
@@ -129,13 +130,13 @@ def torsion_cosets(draw, shape=None):
 @given(torsion_cosets())
 def test_torsion_points_equal_filtered_enumeration(case):
     # The integer coset walk lists exactly the enumerated characters the
-    # exact rational membership test accepts.
+    # exact rational membership test, written out row by row, accepts.
     b, torsion, sub, K = case
     n = torsion_modulus(K, torsion)
     expected = [chi for chi in (Character.from_exponents(b, torsion, e, n)
                                 for e in enumerate_torsion_characters(
                                     b, torsion, K))
-                if sub.contains(chi)]
+                if coset_contains_by_rows(sub, chi)]
     assert sub.torsion_points(K) == expected
 
 
@@ -187,8 +188,8 @@ def test_least_listed_point_is_least_enumerated_member(case):
     tail = tuple(a.numerator * (n // a.denominator)
                  for a in sub.translate.tors_angles)
     first = next((e for e in enumerate_torsion_characters(b, torsion, K)
-                  if e[b:] == tail and sub.contains(
-                      Character.from_exponents(b, torsion, e, n))), None)
+                  if e[b:] == tail and coset_contains_by_rows(
+                      sub, Character.from_exponents(b, torsion, e, n))), None)
     assert least_torsion_point(sub, K) == first
 
 
@@ -248,3 +249,70 @@ def test_unsaturated_annihilator_is_refused():
     # A dependent row is dropped, not refused.
     sub = TranslatedSubtorus(2, (), ((1, 2), (2, 4)), Character.trivial(2))
     assert sub.annihilator == ((1, 2),) and sub.dim == 1
+
+
+def test_translate_from_another_torus_is_refused():
+    # A translate on another finite dual would list its points one
+    # coordinate short, so it is refused like one of another free rank.
+    with pytest.raises(Refusal, match="different torus"):
+        TranslatedSubtorus(1, (2,), ((1,),), Character.unitary(1, (), (0,)))
+    with pytest.raises(Refusal, match="different torus"):
+        TranslatedSubtorus(1, (), ((1,),),
+                           Character.unitary(1, (2,), (0,), (0,)))
+
+
+def test_contains_subtorus_on_another_torus_raises():
+    # Annihilator rows and directions of different lengths are not
+    # truncated to a silent answer.
+    line = TranslatedSubtorus(2, (), ((1, 0),), Character.trivial(2))
+    twisted = TranslatedSubtorus(2, (2,), (), Character.trivial(2, (2,)))
+    for outer, inner in ((line, full_torus(3)), (full_torus(3), line),
+                         (line, twisted), (twisted, line)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            outer.contains_subtorus(inner)
+
+
+_MODULI = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2),
+                           Fraction(3), Fraction(4, 9)])
+
+
+@st.composite
+def cosets_and_characters(draw):
+    """(coset, chi, member): the translate has moduli other than 1 and
+    torsion angles; half the time chi is the translate times a point of
+    the subtorus, with moduli 2^(B w) and angles B x for the direction
+    basis B (member True), otherwise any character (member None)."""
+    b = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    angle = st.builds(Fraction, st.integers(0, 11), st.integers(1, 6))
+
+    def character():
+        return Character(
+            b, torsion, tuple(draw(_MODULI) for _ in range(b)),
+            tuple(draw(angle) for _ in range(b)),
+            tuple(Fraction(draw(st.integers(0, d - 1)), d) for d in torsion))
+    directions = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=b, max_size=b), max_size=b))
+    sub = subtorus_from_directions(directions, character())
+    if not draw(st.booleans()):
+        return sub, character(), None
+    w = [draw(st.integers(-2, 2)) for _ in range(sub.dim)]
+    x = [draw(angle) for _ in range(sub.dim)]
+    step = Character(
+        b, torsion,
+        tuple(Fraction(2) ** sum(r * y for r, y in zip(row, w))
+              for row in sub.directions),
+        tuple(sum((r * y for r, y in zip(row, x)), Fraction(0))
+              for row in sub.directions), (0,) * len(torsion))
+    return sub, sub.translate * step, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(cosets_and_characters())
+def test_contains_against_rows(case):
+    # Membership through chi tau^-1 agrees with the row-by-row rational
+    # test, also off the unitary characters and with torsion.
+    sub, chi, member = case
+    assert sub.contains(chi) == coset_contains_by_rows(sub, chi)
+    if member:
+        assert sub.contains(chi)
