@@ -5,7 +5,7 @@ weights and low-degree jump loci.
 
 Conventions (recorded in the repo decisions): the module of the cover is
 ker(d1)/im(d2) over the group ring, read from the Smith form of the Fox
-matrix (see cover_homology_rank_one), the trivial weight contributed by
+matrix (see weights_and_inverses), the trivial weight contributed by
 degree 0 is added explicitly, and cohomology weights are the inverses of
 the homology eigenvalues (pinned by an asymmetric fixture where the two
 conventions differ).
@@ -40,24 +40,26 @@ def fitting_generators(p: FinitePresentation, k):
     """All (g - k)-minors of the Fox matrix, content-normalized and
     sorted; the empty list encodes the zero ideal."""
     ab, fox = presentation_data(p)
-    g = p.generator_count
-    r = p.relator_count
-    size = g - k
+    size = p.generator_count - k
     if size <= 0:
         raise ValueError("minor size must be positive; k < g required")
-    if size > min(r, g):
-        return []
-    minors = []
-    for rows in combinations(range(r), size):
-        for cols in combinations(range(g), size):
-            sub = [[fox[i][j] for j in cols] for i in rows]
-            d = _det_laplace(sub, ab.free_rank, ab.torsion)
-            if not d.is_zero():
-                minors.append(d.content_normalize())
     uniq = {}
-    for m in minors:
+    for d in _minors(fox, size,
+                     lambda m: _det_laplace(m, ab.free_rank, ab.torsion)):
+        m = d.content_normalize()
         uniq.setdefault(_poly_key(m), m)
     return [uniq[key] for key in sorted(uniq)]
+
+
+def _minors(mat, size, det):
+    """The nonzero size x size minors of mat by det, rows before columns
+    in lexicographic order; none when size exceeds either dimension."""
+    cols = len(mat[0]) if mat else 0
+    for rows in combinations(range(len(mat)), size):
+        for sub_cols in combinations(range(cols), size):
+            d = det([[mat[i][j] for j in sub_cols] for i in rows])
+            if not d.is_zero():
+                yield d
 
 
 def _poly_key(poly):
@@ -172,69 +174,11 @@ def vanishing_check(action: ModuleAction, chi_values):
 # The Alexander module of the maximal abelian cover
 
 
-class CoverModule:
-    """Finite-dimensional first homology of the maximal abelian cover,
-    split along the finite dual: per torsion character, the invariant
-    factors of the module over Q(zeta)[T, T^-1]."""
-
-    def __init__(self, finite_dimensional, eigen_angles, numeric_eigenvalues,
-                 invariant_factors):
-        self.finite_dimensional = finite_dimensional
-        # (torsion character angles, angle) exact pairs
-        self.eigen_angles = eigen_angles
-        self.numeric_eigenvalues = numeric_eigenvalues
-        # (torsion character angles, monic LaurentPoly in T) pairs
-        self.invariant_factors = invariant_factors
-
-
 def _dual_torus(ab, omega):
     """(directions, translate) of the full torus through the torsion-dual
     character omega: 1 on the free part, omega on the torsion."""
     b = ab.free_rank
     return identity(b), Character.unitary(b, ab.torsion, (0,) * b, omega)
-
-
-def _specialized_fox(p, omega_tors_angles):
-    """Fox matrix rows specialized at a torsion-dual character: Laurent
-    polynomials in the free variables."""
-    ab, _ = presentation_data(p)
-    return fox_on_coset(p, *_dual_torus(ab, omega_tors_angles))
-
-
-def cover_homology_rank_one(p: FinitePresentation):
-    """Exact Alexander module computation for free rank 1 (plus finite
-    torsion, split by Maschke along the finite dual).
-
-    At each torsion-dual character the Fox matrix presents R^g / im d2
-    over the PID R = Q(zeta)[T, T^-1].  Its image im d1 is a nonzero ideal
-    (some generator has a nonzero free coordinate), so free of rank one,
-    and ker d1 is a direct summand: R^g / im d2 = H1(cover) + R (Crowell).
-    The Smith form of the Fox matrix therefore gives H1 of the cover: the
-    torsion invariants are its diagonal entries with their unit factors
-    c T^k removed (monic), and the free rank is g - rank - 1."""
-    ab, _ = presentation_data(p)
-    if ab.free_rank != 1:
-        raise InvariantError("cover homology is computed for free rank 1 only")
-    eigen = []
-    numeric = []
-    factors = []
-    for omega in _all_torsion_duals(ab.torsion):
-        invariants = smith_invariants(_specialized_fox(p, omega))
-        free = p.generator_count - len(invariants) - 1
-        if free < 0:
-            raise InvariantError("Fox matrix rank exceeds g - 1")
-        if free > 0:
-            return CoverModule(False, [], [], [])
-        for f in invariants:
-            if f.span == 0:                 # c T^k is a unit of R
-                continue
-            factors.append((tuple(omega), f))
-            angles, residual = cyclotomic_roots(f)
-            for a in angles:
-                eigen.append((tuple(omega), a))
-            if residual.span >= 1:
-                numeric.extend(numeric_roots(residual))
-    return CoverModule(True, sorted(eigen), numeric, factors)
 
 
 def smith_invariants(mat):
@@ -306,45 +250,33 @@ def _all_torsion_duals(torsion):
             for cs in product(*(range(d) for d in torsion))]
 
 
-def _candidate_points_rank_two(p: FinitePresentation, omega):
-    """Finite candidate superset for weight points at free rank 2 via
-    pairwise resultants of the corank-1 Fox minors.
+def _candidate_points_rank_two(minors):
+    """Candidate angle pairs for the weight points over one torsion-dual
+    character at free rank 2, from the nonzero (g - 1)-minors of the Fox
+    matrix specialized there.
 
-    A nontrivial weight point is a common zero of every corank-1 minor,
-    so its coordinates are roots of any nonzero pairwise resultant.
-    Returns (candidate angle pairs, numeric flag, certified);
-    certified=False means no nonzero eliminant was found, so finiteness
-    could not be established this way."""
-    fox_s = _specialized_fox(p, omega)
-    g, r = p.generator_count, p.relator_count
-    size = g - 1
-    minors = []
-    if 0 < size <= min(r, g):
-        for rows in combinations(range(r), size):
-            for cols in combinations(range(g), size):
-                sub = [[fox_s[i][j] for j in cols] for i in rows]
-                d = det_bareiss(sub)
-                if not d.is_zero():
-                    minors.append(d)
+    A nontrivial weight point is a common zero of every such minor, so
+    each of its coordinates is a root of any nonzero pairwise resultant
+    that eliminates the other.  Returns (candidates, numeric flag), the
+    flag set when an eliminant has roots that are not roots of unity, or
+    None when there are fewer than two minors or a coordinate has no
+    nonzero eliminant, so that no finite candidate set is known."""
     if len(minors) < 2:
-        return [], False, False
+        return None
     axis_roots = []
     has_numeric = False
     for var in (0, 1):
-        elim = None
-        for a, b in combinations(range(len(minors)), 2):
-            cand = resultant(minors[a], minors[b], 1 - var)
-            if not cand.is_zero():
-                elim = cand
+        for f, h in combinations(minors, 2):
+            elim = resultant(f, h, 1 - var)
+            if not elim.is_zero():
                 break
-        if elim is None:
-            return [], False, False
+        else:
+            return None
         angles, residual = cyclotomic_roots(elim)
-        if residual.span >= 1:
-            has_numeric = True
+        has_numeric = has_numeric or residual.span >= 1
         axis_roots.append(sorted(set(angles)))
-    cands = [(a0, a1) for a0 in axis_roots[0] for a1 in axis_roots[1]]
-    return cands, has_numeric, True
+    return ([(a0, a1) for a0 in axis_roots[0] for a1 in axis_roots[1]],
+            has_numeric)
 
 
 class WeightsReport:
@@ -353,7 +285,7 @@ class WeightsReport:
         self.inverse_weights = inverse_weights  # W^{-1}, exact Characters
         # flagged, principal-embedding complex values
         self.numeric_weights = numeric_weights
-        self.finite_dim = finite_dim    # "exact" | "scan-bounded" | "refused"
+        self.finite_dim = finite_dim    # "exact" | "scan-bounded"
         self.identity_holds = identity_holds
         self.max_order = max_order
         self.detail = detail
@@ -382,8 +314,26 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     its inverse set, and the pointwise identity against the union of jump
     loci over a torsion scan.
 
-    Exact for free rank 1 (invariant factors over the PID) and rank 2
-    (resultant finiteness certificate); otherwise scan-bounded.
+    The cover homology splits along the finite dual (Maschke).  At bound 2
+    the Fox matrix F is specialized once at each torsion-dual character
+    omega, and one elimination of F says whether the cover homology over
+    omega is finite-dimensional, for every omega before any weight is
+    searched, and gives the weights:
+    - free rank 1: F presents R^g / im d2 over the PID R =
+      Q(zeta)[T, T^-1].  Its image im d1 is a nonzero ideal, so free of
+      rank one, and ker d1 is a direct summand: R^g / im d2 = H1(cover) +
+      R (Crowell).  So the cover homology is finite iff F has g - 1 Smith
+      invariant factors, and is then the sum of the R/(f) over them, where
+      a factor c T^k is a unit.  Their roots are its eigenvalues: exact
+      where they are roots of unity, numeric (flagged) otherwise.
+    - free rank 2: the generic rank of F is at most g - 1, because
+      d1 d0 = 0 and d0 != 0 at the nontrivial generic point, and it is at
+      least g - 1 iff some (g - 1)-minor of F is nonzero.  The pairwise
+      resultants of those minors bound the candidate weight points
+      (_candidate_points_rank_two), and each candidate is tested exactly.
+    - free rank 3 and up: twisted.coset_dims ranks F, and the weights are
+      the scan's hits ("scan-bounded"), as they are at free rank 2 from the
+      first omega whose minors bound no candidate set.
     """
     if degree_bound > 2:
         raise Refusal("degree bound above 2 is not supported for "
@@ -391,47 +341,59 @@ def weights_and_inverses(p: FinitePresentation, degree_bound=2, max_order=6):
     if degree_bound < 1:
         raise Refusal("degree bound must be at least 1")
     ab, _ = presentation_data(p)
-    b = ab.free_rank
+    b, g = ab.free_rank, p.generator_count
     if b == 0:
         raise Refusal("free rank zero input")
     # W^-1: the eigencharacters of the cover homology, whose inverses are
     # the cohomology weights; H^0 contributes the trivial one.
     inverse_weights = {Character.trivial(b, ab.torsion)}
     numeric = []
-    finite_dim = "exact"
+    duals = _all_torsion_duals(ab.torsion) if degree_bound >= 2 else []
+    finite_dim = "scan-bounded" if degree_bound >= 2 and b >= 3 else "exact"
     detail = ""
-    if degree_bound >= 2:
-        # At free rank 1 the module's own Smith form decides finiteness.
-        module = cover_homology_rank_one(p) if b == 1 else None
-        if not (module.finite_dimensional if b == 1
-                else _cover_module_is_torsion(p, ab)):
+    eliminated = []     # (omega, invariant factors at b = 1, minors at b = 2)
+    for omega in duals:
+        if b >= 3:
+            finite = coset_dims(p, *_dual_torus(ab, omega))[1] == 0
+        elif b == 1:
+            found = smith_invariants(fox_on_coset(p, *_dual_torus(ab, omega)))
+            if len(found) > g - 1:
+                raise InvariantError("Fox matrix rank exceeds g - 1")
+            finite = len(found) == g - 1
+        else:
+            found = list(_minors(fox_on_coset(p, *_dual_torus(ab, omega)),
+                                 g - 1, det_bareiss))
+            finite = bool(found)
+        if not finite:
             raise Refusal(
                 "cover homology is infinite-dimensional "
                 "(positive-dimensional jump locus expected instead)")
+        if b <= 2:
+            eliminated.append((omega, found))
+    for omega, found in eliminated:
         if b == 1:
-            inverse_weights.update(
-                Character.unitary(1, ab.torsion, (angle,), omega)
-                for omega, angle in module.eigen_angles)
-            numeric = [1 / z for z in module.numeric_eigenvalues if z != 0]
-        elif b == 2:
-            ok_all = True
-            for omega in _all_torsion_duals(ab.torsion):
-                cands, has_num, certified = _candidate_points_rank_two(p, omega)
-                if not certified:
-                    ok_all = False
-                    break
-                if has_num:
-                    detail = "non-cyclotomic eliminant factors ignored (flagged)"
-                for a0, a1 in cands:
-                    chi = Character.unitary(2, ab.torsion, (a0, a1), tuple(omega))
-                    if chi.is_trivial:
-                        continue
-                    if twisted_cohomology_dims(p, chi)[1] >= 1:
-                        inverse_weights.add(chi)
-            if not ok_all:
-                finite_dim = "scan-bounded"
-        else:
+            for f in found:
+                if f.span == 0:                 # c T^k is a unit of R
+                    continue
+                angles, residual = cyclotomic_roots(f)
+                inverse_weights.update(
+                    Character.unitary(1, ab.torsion, (a,), omega)
+                    for a in angles)
+                if residual.span >= 1:
+                    numeric.extend(1 / z for z in numeric_roots(residual)
+                                   if z != 0)
+            continue
+        search = _candidate_points_rank_two(found)
+        if search is None:
             finite_dim = "scan-bounded"
+            break
+        cands, has_numeric = search
+        if has_numeric:
+            detail = "non-cyclotomic eliminant factors ignored (flagged)"
+        for a0, a1 in cands:
+            chi = Character.unitary(2, ab.torsion, (a0, a1), omega)
+            if not chi.is_trivial and twisted_cohomology_dims(p, chi)[1] >= 1:
+                inverse_weights.add(chi)
     hits = _sigma_union_hits(p, degree_bound, max_order)
     if finite_dim == "scan-bounded":
         inverse_weights.update(hits)
@@ -448,15 +410,6 @@ def _sigma_union_hits(p, degree_bound, max_order):
     finite_locus_cover_check rescans, has b_cover >= b."""
     vectors = scan_sigma(p, degree_bound - 1, 1, max_order).vectors
     return [vectors.character(e) for e, _ in vectors.pairs]
-
-
-def _cover_module_is_torsion(p, ab):
-    """Generic-rank test, used at free rank b >= 2: the cover homology is
-    a torsion module iff the Fox matrix has generic rank g - 1, that is
-    h1 = 0, at the generic point of the full torus through each torsion
-    dual (a nontrivial point, as b >= 1)."""
-    return all(coset_dims(p, *_dual_torus(ab, omega))[1] == 0
-               for omega in _all_torsion_duals(ab.torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -67,13 +67,13 @@ class Character(Value):
             if (a * d).denominator != 1:
                 raise Refusal("torsion value is not a d-th root of unity")
             tors.append(a)
-        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+        self.__dict__.update(free_rank=free_rank, torsion=tuple(torsion),
                              moduli=moduli, angles=angles,
                              tors_angles=tuple(tors))
 
     @staticmethod
     def trivial(free_rank, torsion=()):
-        return Character(free_rank, tuple(torsion),
+        return Character(free_rank, torsion,
                          (Fraction(1),) * free_rank,
                          (Fraction(0),) * free_rank,
                          (Fraction(0),) * len(torsion))
@@ -82,8 +82,8 @@ class Character(Value):
     def unitary(free_rank, torsion, angles, tors_angles=None):
         if tors_angles is None:
             tors_angles = (Fraction(0),) * len(torsion)
-        return Character(free_rank, tuple(torsion),
-                         (Fraction(1),) * free_rank, tuple(angles), tuple(tors_angles))
+        return Character(free_rank, torsion, (Fraction(1),) * free_rank,
+                         angles, tors_angles)
 
     @staticmethod
     def from_exponents(free_rank, torsion, e, n):

@@ -6,15 +6,16 @@ from itertools import combinations, product
 import pytest
 
 from jumploci import corpus
+import jumploci.alexander as alexander
+import jumploci.twisted as twisted
 from jumploci.alexander import (MAX_TORSION_DUALS, ModuleAction,
                                 _all_torsion_duals,
-                                _candidate_points_rank_two,
-                                _cover_module_is_torsion, _poly_key,
-                                _sigma_union_hits,
-                                cover_homology_rank_one, cyclotomic_roots,
-                                finite_locus_cover_check, fitting_generators,
-                                is_weight, koszul_cohomology, vanishing_check,
-                                weights_and_inverses)
+                                _candidate_points_rank_two, _dual_torus,
+                                _minors, _poly_key, _sigma_union_hits,
+                                cyclotomic_roots, finite_locus_cover_check,
+                                fitting_generators, is_weight,
+                                koszul_cohomology, smith_invariants,
+                                vanishing_check, weights_and_inverses)
 from jumploci.characters import Character
 from jumploci.cyclotomic import Cyc, is_root_of_unity
 from jumploci.errors import Refusal
@@ -22,7 +23,8 @@ from jumploci.laurent import LaurentPoly, det_bareiss
 from jumploci.linalg import inverse
 from jumploci.presentation import FinitePresentation
 from jumploci.presfile import parse_presentation
-from jumploci.twisted import presentation_data, twisted_cohomology_dims
+from jumploci.twisted import (fox_on_coset, presentation_data,
+                              twisted_cohomology_dims)
 
 from oracles import (cover_module_is_torsion_by_rank, fitting_chain_holds,
                      sigma_union_hits_merged)
@@ -76,7 +78,6 @@ def test_fitting_chain():
 def test_fitting_chain_fails_on_tampered_generators(monkeypatch):
     # The check compares cofactors with the listed E_{k+1} generators, so
     # a list missing one of them must fail it.
-    import jumploci.alexander as alexander
     p = corpus.get("swap_torus")
     real = alexander.fitting_generators
     monkeypatch.setattr(alexander, "fitting_generators",
@@ -202,24 +203,37 @@ def test_vanishing_against_brute_force_search():
             assert verdict.consistent
 
 
-def _dim_over_field(mod):
-    """Dimension of the cover homology over the field: the sum of the
-    spans of its invariant factors."""
-    return sum(f.span for _, f in mod.invariant_factors)
+def _dual_invariants(p):
+    """(omega, Smith invariant factors of the Fox matrix specialized at
+    omega) for every torsion-dual character omega of a free-rank-one
+    presentation."""
+    ab, _ = presentation_data(p)
+    return [(omega, smith_invariants(fox_on_coset(p, *_dual_torus(ab, omega))))
+            for omega in _all_torsion_duals(ab.torsion)]
+
+
+def _homology_factors(p):
+    """The invariant factors of the finite-dimensional cover homology:
+    the non-unit factors over every torsion-dual character, after
+    checking that each dual has the g - 1 factors that make it finite."""
+    duals = _dual_invariants(p)
+    assert all(len(fs) == p.generator_count - 1 for _, fs in duals)
+    return [f for _, fs in duals for f in fs if f.span > 0]
 
 
 def test_cover_homology_examples():
     tre = corpus.get("trefoil")
-    mod = cover_homology_rank_one(tre)
-    assert mod.finite_dimensional and _dim_over_field(mod) == 2
-    assert [a for _, a in mod.eigen_angles] == [Fraction(1, 6), Fraction(5, 6)]
+    assert sum(f.span for f in _homology_factors(tre)) == 2
+    assert [str(c.angles[0]) for c in
+            weights_and_inverses(tre, 2, 6).inverse_weights] == ["0", "1/6",
+                                                                  "5/6"]
     bs = corpus.get("bs12")
-    modb = cover_homology_rank_one(bs)
-    assert modb.finite_dimensional and _dim_over_field(modb) == 1
-    assert modb.eigen_angles == [] and abs(modb.numeric_eigenvalues[0] - 2) < 1e-9
-    z1 = FinitePresentation(1, ())
-    modz = cover_homology_rank_one(z1)
-    assert modz.finite_dimensional and _dim_over_field(modz) == 0
+    assert sum(f.span for f in _homology_factors(bs)) == 1
+    rep = weights_and_inverses(bs, 2, 6)
+    assert rep.inverse_weights == [Character.trivial(1)]
+    assert len(rep.numeric_weights) == 1
+    assert abs(rep.numeric_weights[0] - 0.5) < 1e-9
+    assert _homology_factors(FinitePresentation(1, ())) == []
 
 
 def test_cover_homology_drops_unit_factors():
@@ -228,9 +242,8 @@ def test_cover_homology_drops_unit_factors():
     # of T this leaves in an invariant factor is a unit of the Laurent
     # ring, not homology.
     p = FinitePresentation(3, (((1, -1),), ((2, -1), (1, -1), (0, -1))))
-    mod = cover_homology_rank_one(p)
-    assert mod.finite_dimensional and _dim_over_field(mod) == 0
-    assert mod.invariant_factors == [] and mod.numeric_eigenvalues == []
+    assert _homology_factors(p) == []
+    assert weights_and_inverses(p, 2, 6).numeric_weights == []
 
 
 def test_cyclotomic_roots_of_cyclotomic_products():
@@ -322,7 +335,9 @@ def test_rank_two_weights_drop_non_cyclotomic_candidates_undecided():
     p = parse_presentation(
         'generators: [a, b, c]\nrelators: ["a^-1 b^-1 a b", '
         '"c^-1 c^-1 b c^-1 b^-1", "b c c b^-1 c^-1"]\n')
-    assert _candidate_points_rank_two(p, ()) == ([(0, 0)], True, True)
+    fox_w = fox_on_coset(p, *_dual_torus(presentation_data(p)[0], ()))
+    minors = list(_minors(fox_w, 2, det_bareiss))
+    assert _candidate_points_rank_two(minors) == ([(0, 0)], True)
     rep = weights_and_inverses(p, 2, 3)
     assert rep.finite_dim == "exact" and rep.identity_holds
     assert rep.detail == "non-cyclotomic eliminant factors ignored (flagged)"
@@ -343,34 +358,99 @@ def test_weights_refusals():
         weights_and_inverses(corpus.get("z2"), 3, 3)
 
 
+# H1 = Z + Z/4.  Over the torsion dual 0 the cover homology has a
+# non-unit invariant factor, and over 1/2 it is infinite-dimensional.
+LATE_INFINITE_DUAL = 'generators: [x, y]\nrelators: ["y x x y^-1 x x"]\n'
+
+
+def _refuses_as_infinite(p):
+    """Whether weights refuses p for infinite-dimensional cover homology;
+    any other refusal propagates."""
+    try:
+        weights_and_inverses(p, 2, 2)
+    except Refusal as exc:
+        if "infinite-dimensional" not in str(exc):
+            raise
+        return True
+    return False
+
+
 def test_rank_one_weights_refuse_from_the_module_itself():
     # <x, y | y^2>: H1 = Z + Z/2, and over the nontrivial torsion-dual
     # character y -> -1 the Fox row vanishes, so the cover homology has
-    # positive rank.  At free rank 1 the refusal comes from
-    # cover_homology_rank_one, and the generic-rank test agrees with it.
+    # positive rank: that dual has fewer than g - 1 invariant factors,
+    # and the generic-rank test agrees.
     p = FinitePresentation(2, (((1, 1), (1, 1)),))
     ab, _ = presentation_data(p)
     assert (ab.free_rank, ab.torsion) == (1, (2,))
-    assert not cover_homology_rank_one(p).finite_dimensional
-    assert not _cover_module_is_torsion(p, ab)
+    assert any(len(fs) < p.generator_count - 1
+               for _, fs in _dual_invariants(p))
+    assert not cover_module_is_torsion_by_rank(p)
     with pytest.raises(Refusal, match="infinite-dimensional"):
         weights_and_inverses(p, 2, 3)
 
 
 def test_cover_module_test_equals_generic_rank_oracle():
-    # h1 = 0 at the generic point of each full torus through a torsion
-    # dual says exactly that the Fox matrix has generic rank g - 1 there.
-    # product23 is left out: each side spends about 30 s in one Bareiss
-    # elimination of its 26 x 10 Fox matrix over ten Laurent variables.
+    # The cover homology over each torsion dual is finite-dimensional iff
+    # the Fox matrix specialized there has generic rank g - 1, whichever
+    # elimination weights uses at that free rank, so weights refuses
+    # exactly where the oracle says.  <x, y | y^2> has H1 = Z + Z/2, and
+    # over y -> -1 its Fox row vanishes.  product23 is left out: each
+    # side spends about 30 s in one generic rank of its 26 x 10 Fox
+    # matrix over ten Laurent variables.
+    extra = [FinitePresentation(2, (((1, 1), (1, 1)),)),
+             parse_presentation(LATE_INFINITE_DUAL)]
+    assert [presentation_data(p)[0].torsion for p in extra] == [(2,), (4,)]
     checked = 0
-    for name in corpus.names():
-        p = corpus.get(name)
-        ab, _ = presentation_data(p)
-        if ab.free_rank >= 2 and name != "product23":
-            assert (_cover_module_is_torsion(p, ab)
-                    == cover_module_is_torsion_by_rank(p)), name
-            checked += 1
-    assert checked == 10
+    for p in [corpus.get(name) for name in corpus.names()
+              if name != "product23"] + extra:
+        if presentation_data(p)[0].free_rank == 0:
+            continue
+        assert (_refuses_as_infinite(p)
+                == (not cover_module_is_torsion_by_rank(p))), p.names
+        checked += 1
+    assert checked == 16
+    for p in extra:
+        assert _refuses_as_infinite(p)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Count the calls made through module.name under counts[name]."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name,free_rank", [
+    ("torus_bundle3", 1), ("shared_minors", 2), ("z3", 3)])
+def test_weights_specialize_each_torsion_dual_once(monkeypatch, name,
+                                                   free_rank):
+    p = (parse_presentation(RANK_TWO_WEIGHTS[0][0])
+         if name == "shared_minors" else corpus.get(name))
+    ab, _ = presentation_data(p)
+    assert ab.free_rank == free_rank
+    counts = {}
+    _count_calls(monkeypatch, alexander, "fox_on_coset", counts)
+    _count_calls(monkeypatch, twisted, "fox_on_coset", counts)
+    weights_and_inverses(p, 2, 3)
+    assert counts["fox_on_coset"] == len(_all_torsion_duals(ab.torsion))
+
+
+def test_weights_refuse_before_any_root_search(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, alexander, "cyclotomic_roots", counts)
+    p = parse_presentation(LATE_INFINITE_DUAL)
+    with pytest.raises(Refusal) as exc:
+        weights_and_inverses(p, 2, 3)
+    assert str(exc.value) == ("cover homology is infinite-dimensional "
+                              "(positive-dimensional jump locus expected "
+                              "instead)")
+    assert counts == {}
+    # Over the dual 0 there is a factor whose roots would be searched.
+    assert any(f.span > 0 for f in _dual_invariants(p)[0][1])
 
 
 def test_sigma_union_is_one_scan():
@@ -386,12 +466,12 @@ def test_sigma_union_is_one_scan():
                     == sigma_union_hits_merged(p, bound, K)), (name, bound)
 
 
-def _companion_action(module):
+def _companion_action(factors):
     """The generator's action on a finite-dimensional cover homology:
     one companion block per invariant factor (monic with a nonzero
     constant term, so each block is invertible)."""
     blocks = []
-    for _omega, f in module.invariant_factors:
+    for f in factors:
         d = f.span
         blocks.append([[-f.terms.get(((i,), ()), Cyc.zero()) if j == d - 1
                         else (Cyc.one() if i == j + 1 else Cyc.zero())
@@ -412,9 +492,9 @@ def test_five_term_inequality_rank_one():
     # module is finite-dimensional.
     for name in ("trefoil", "bs12"):
         p = corpus.get(name)
-        module = cover_homology_rank_one(p)
-        assert module.finite_dimensional and module.invariant_factors
-        action_dual = dual(_companion_action(module))
+        factors = _homology_factors(p)
+        assert factors
+        action_dual = dual(_companion_action(factors))
         for denom, num in ((6, 1), (6, 5), (1, 0), (4, 1), (3, 1)):
             chi = Character.unitary(1, (), (Fraction(num, denom),))
             lhs = twisted_cohomology_dims(p, chi)[1]

@@ -13,6 +13,8 @@ never reads.
 """
 
 import ast
+import importlib
+import re
 from collections import Counter
 
 import jumploci
@@ -116,3 +118,29 @@ def unused_imports():
 def test_every_module_level_import_is_read():
     offenders = unused_imports()
     assert not offenders, "unused imports: " + ", ".join(offenders)
+
+
+def stale_readme_names():
+    """Every backticked module.attr[.attr] in README.md whose first part is
+    a module of the package and that getattr does not resolve; a file name
+    such as twisted.py is not a name."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    stale = []
+    for span in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+        module, *attrs = span.split(".")
+        if module not in modules or span.endswith(".py"):
+            continue
+        value = importlib.import_module(f"jumploci.{module}")
+        for attr in attrs:
+            if not hasattr(value, attr):
+                stale.append(span)
+                break
+            value = getattr(value, attr)
+    return stale
+
+
+def test_readme_names_only_what_exists():
+    stale = stale_readme_names()
+    assert not stale, "README.md names what the package lacks: " + ", ".join(
+        stale)

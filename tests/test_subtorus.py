@@ -261,6 +261,13 @@ def test_translate_from_another_torus_is_refused():
                            Character.unitary(1, (2,), (0,), (0,)))
 
 
+def test_character_torsion_given_as_a_list_is_the_same_torus():
+    listed = Character(1, [2], (1,), (0,), (0,))
+    tupled = Character(1, (2,), (1,), (0,), (0,))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert TranslatedSubtorus(1, (2,), ((1,),), listed).translate == tupled
+
+
 def test_contains_subtorus_on_another_torus_raises():
     # Annihilator rows and directions of different lengths are not
     # truncated to a silent answer.

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import ModuleAction, cover_homology_rank_one
+from jumploci.alexander import ModuleAction, _dual_torus, smith_invariants
 from jumploci.characters import Character, rplus_act
 from jumploci.discovery import Component, discover_components
 from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
@@ -21,6 +21,7 @@ from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
 from jumploci.presentation import (AbelianizationData, FinitePresentation,
                                    abelianize)
 from jumploci.subtorus import TranslatedSubtorus
+from jumploci.twisted import fox_on_coset
 
 
 def _companion(poly):
@@ -40,7 +41,8 @@ def _cases():
     numeric = rplus_act(Fraction(1, 2), chi)
     comp = discover_components(corpus.get("swap_torus"), 1, 1, 4).components[0]
     sub = comp.subtorus
-    alexander_poly = cover_homology_rank_one(trefoil).invariant_factors[0][1]
+    alexander_poly = next(f for f in smith_invariants(fox_on_coset(
+        trefoil, *_dual_torus(abelianize(trefoil), ()))) if f.span > 0)
     model = ComplexTorusModel.standard(2)
     rho = LatticeCharacter((1, 0, -1, 2), ("1/6", 0, 0, "1/2"))
     h = character_to_higgs(model, LatticeCharacter((1, 0, -1, 2), (0,) * 4))
