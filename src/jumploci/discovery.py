@@ -2,12 +2,17 @@
 translates of affine subtori, the genus-component count, and abelian
 cover certificates.
 
-Discovery scans torsion characters up to a cutoff order, then grows
-candidate cosets greedily: starting from a hit, a direction (lifted
-difference to another hit) is accepted only while every scanned torsion
-point of the enlarged coset is itself a hit.  Candidates are certified by
-generic rank along a monomial parametrization of the coset; semicontinuity
-then gives membership on the whole coset, not just generically.
+Discovery scans torsion characters up to a cutoff order.  From each hit
+that no earlier coset covers (a seed) it grows a coset greedily, accepting
+a direction (lifted difference to another hit) only while every scanned
+torsion point of the enlarged coset is a hit, and certifies the coset at
+once by generic rank along a monomial parametrization; semicontinuity gives
+membership on the whole coset.  Seed order cannot change the report:
+certification reads only the coset; no two grown cosets are equal, as a
+seed is never a covered point, so the final sort has no ties; the claimed
+and refuted point sets and the maximality filter are order-free; and no
+refusal fires in certification, as a translate has order <= K and the scan
+refuses K >= 53 (numutil.IS_PRIME_LIMIT), far below MAX_CERTIFY_CONDUCTOR.
 """
 
 from __future__ import annotations
@@ -163,7 +168,7 @@ def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
 
 
 def discover_components(p: FinitePresentation, degree=1, mult=1, max_order=6):
-    """Scan, fit, certify; returns a JumpLocusReport (cached per input).
+    """Scan, then grow and certify each coset; a JumpLocusReport, cached.
 
     Certified components are pairwise incomparable; hits of refuted
     positive-dimensional candidates are reported as residual points, and
@@ -186,13 +191,10 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
     for e, _ in vectors.pairs:
         by_class.setdefault(e[b:], []).append(e)
 
-    # A seed not yet covered lies outside every earlier coset of its
-    # class, so no coset is grown twice and the sort keys are distinct.
-    candidates = []
-    for tors_class, class_hits in sorted(by_class.items()):
-        covered = set()
+    components, claimed, refuted = [], set(), set()
+    for class_hits in by_class.values():
         for seed in class_hits:
-            if seed in covered:
+            if seed in claimed or seed in refuted:
                 continue
             grown, points = _grow_candidate(seed, vectors.character(seed),
                                             class_hits, hit_keys, max_order)
@@ -202,42 +204,24 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
             # covered point is the coset's least point of order <= K.
             grown = TranslatedSubtorus(b, vectors.torsion, grown.annihilator,
                                        vectors.character(min(points)))
-            candidates.append((grown, points))
-            covered |= points
+            status, generic_h = certify_component(p, grown, degree, mult)
+            (claimed if status == "certified" else refuted).update(points)
+            components.append(Component(grown, status, generic_h))
 
-    components = []
-    residual_keys = set()
-    covered_keys = set()
-    for sub, pts in sorted(candidates, key=lambda c: (
-            c[0].annihilator, c[0].translate.sort_key())):
-        status, generic_h = certify_component(p, sub, degree, mult)
-        if status == "certified":
-            covered_keys |= pts
-        else:
-            residual_keys |= pts
-        components.append(Component(sub, status, generic_h))
+    # Maximality; a dropped coset's points stay claimed.
+    certified = [c.subtorus for c in components if c.status == "certified"]
+    components = [c for c in components if c.status != "certified" or not any(
+        o is not c.subtorus and o.contains_subtorus(c.subtorus)
+        for o in certified)]
 
-    # Maximality among certified components.
-    certified = [c for c in components if c.status == "certified"]
-    keep = []
-    for c in certified:
-        if any(o is not c and o.subtorus.contains_subtorus(c.subtorus)
-               for o in certified):
-            continue
-        keep.append(c)
-    components = keep + [c for c in components if c.status != "certified"]
-
-    # Leftover hits: isolated certified points unless already residual.
+    residual = []
     for e, dims in vectors.pairs:
-        if e in covered_keys or e in residual_keys:
-            continue
-        chi = vectors.character(e)
-        components.append(Component(point_subtorus(chi), "certified",
-                                    dims[degree]))
-
+        if e not in claimed and e in refuted:
+            residual.append(vectors.character(e))
+        elif e not in claimed:
+            components.append(Component(point_subtorus(vectors.character(e)),
+                                        "certified", dims[degree]))
     components.sort(key=lambda c: c.subtorus.sort_key())
-    residual = [vectors.character(e) for e, _ in vectors.pairs
-                if e in residual_keys and e not in covered_keys]
     return JumpLocusReport(degree, mult, max_order, vectors,
                            components, residual, result.scanned)
 

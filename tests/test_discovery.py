@@ -15,7 +15,9 @@ from jumploci.discovery import (Component, _discovery_cached,
                                 discover_components, kill_cover,
                                 transport_character)
 from jumploci.numutil import frac_mod1
-from jumploci.subtorus import TranslatedSubtorus, point_subtorus
+from jumploci.presfile import parse_presentation
+from jumploci.subtorus import (TranslatedSubtorus, point_subtorus,
+                              subtorus_from_directions)
 from jumploci.twisted import MAX_SCAN_CHARACTERS, presentation_data
 
 from oracles import (evaluate_by_coordinate, least_torsion_point,
@@ -190,6 +192,72 @@ def test_insufficient_sampling_flag_and_residuals():
     for c in rep4.certified_components():
         if c.dim == 1:
             assert c.subtorus.translate.order() == 2
+
+
+def test_maximality_drops_a_certified_coset_inside_another(monkeypatch):
+    # No corpus input reaches the maximality filter, so growth is forced:
+    # the first seed of surface2 at K = 2 gets a circle, and the next
+    # uncovered seed grows as usual, to the full torus.  Both certify; the
+    # report keeps only the torus, and the circle's points stay claimed,
+    # neither isolated points nor residual.
+    grow, seeds = discovery._grow_candidate, []
+
+    def forced(seed, translate, class_hits, hit_keys, max_order):
+        seeds.append(seed)
+        if len(seeds) > 1:
+            return grow(seed, translate, class_hits, hit_keys, max_order)
+        circle = subtorus_from_directions([[1, 0, 0, 0]], translate)
+        return circle, set(circle.iter_torsion_points(max_order))
+
+    monkeypatch.setattr(discovery, "_grow_candidate", forced)
+    _discovery_cached.cache_clear()
+    try:
+        rep = discover_components(corpus.get("surface2"), 1, 1, 2)
+    finally:
+        _discovery_cached.cache_clear()
+    assert len(seeds) == 2 and len(rep.vectors.pairs) == 16
+    assert [(c.dim, c.status, c.subtorus.annihilator)
+            for c in rep.components] == [(4, "certified", ())]
+    assert rep.residual == []
+
+
+# Coset-growth reproducers: F2 x Z with H1 written in a skewed basis (a),
+# the same group in a basis growth handles (b), and a one-relator group
+# whose locus is non-reduced (c).
+REPRODUCERS = {
+    "a": 'generators: [a, b, d]\nrelators: ["[a, d a]", "[b, d a]"]',
+    "b": 'generators: [a, b, d]\nrelators: ["[a, d a^-1]", "[b, d a^-1]"]',
+    "c": 'generators: [x, y]\nrelators: ["x^2 [x,y] x^-2 x y x y^-1 x^-1 '
+         'x^-1 x y x y^-1 x^-1 x^-1 [x,y]"]',
+}
+REPRODUCER_DISCOVERY = {
+    # (a) pins a known defect: greedy growth from lifted differences never
+    # finds the true plane H = [[1, 0, 1]].  Growth from the tangent space
+    # at a hit (ROADMAP.md, "Coset growth from the tangent space") fixes
+    # it and changes these lists.
+    ("a", 2): ([(((1, 0, -1),), "refuted", 0)], 4),
+    ("a", 3): ([(((1, 6, -5),), "refuted", 0),
+                (((1, 0, -2), (0, 1, -2)), "refuted", 0),
+                (((1, 0, -2), (0, 1, -1)), "refuted", 0),
+                (((1, 0, -2), (0, 1, 0)), "refuted", 0),
+                (((1, 0, 0), (0, 0, 1)), "certified", 1)], 8),
+    ("a", 4): ([(((1, 12, -11),), "refuted", 0),
+                (((1, 0, -3), (0, 1, -3)), "refuted", 0),
+                (((1, 0, -3), (0, 1, -2)), "refuted", 0),
+                (((1, 0, -3), (0, 1, -1)), "refuted", 0),
+                (((1, 0, -3), (0, 1, 0)), "refuted", 0),
+                (((1, 0, 0), (0, 0, 1)), "certified", 1)], 18),
+    **{("b", K): ([(((1, 0, -1),), "certified", 1)], 0) for K in (2, 3, 4)},
+    **{("c", K): ([(((1, 0),), "certified", 1)], 0) for K in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name,K", sorted(REPRODUCER_DISCOVERY))
+def test_discovery_on_growth_reproducers(name, K):
+    rep = discover_components(parse_presentation(REPRODUCERS[name]), 1, 1, K)
+    found = [(c.subtorus.annihilator, c.status, c.generic_h)
+             for c in rep.components]
+    assert (found, len(rep.residual)) == REPRODUCER_DISCOVERY[name, K]
 
 
 def test_cover_certificate_on_square_commutator():
