@@ -148,11 +148,10 @@ def koszul_cohomology(action: ModuleAction, chi_values):
     return koszul_dims(ops, dim, Cyc.zero(), rank_exact)
 
 
-class VanishingVerdict:
-    def __init__(self, inverse_is_weight, h_dims, consistent):
-        self.inverse_is_weight = inverse_is_weight
-        self.h_dims = h_dims
-        self.consistent = consistent
+class VanishingVerdict(Value):
+    """The outcome of vanishing_check."""
+
+    _fields = ("inverse_is_weight", "h_dims", "consistent")
 
 
 def vanishing_check(action: ModuleAction, chi_values):
@@ -196,17 +195,23 @@ def cyclotomic_roots(poly: LaurentPoly):
     e^(2 pi i a) is a root, and residual is the cofactor with no
     root-of-unity roots left.
 
-    Any root of unity in the splitting picture has degree phi(q) at most
-    span(poly) * phi(conductor) over Q, which bounds the orders to try.
+    Orders q are tried upward, each cleared whole, with multiplicity.
+    Conjugates over Q(zeta_c), c the conductor of poly, share their
+    multiplicity, so the residual stays over Q(zeta_c), and a root of
+    order q left in it has all its conjugates there: phi(q) <= B =
+    span(residual) * phi(c).  As phi(q) >= sqrt(q / 2), the search ends
+    once q passes 2 B^2 + 2 or the residual is a constant.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
-    conductor = lcm(*(c.n for c in poly.terms.values()))
+    phi_c = euler_phi(lcm(*(c.n for c in poly.terms.values())))
     current, cs = poly, poly.coefficients()[1]
-    bound = max(1, (len(cs) - 1) * euler_phi(conductor))
-    orders = [q for q in range(1, 2 * bound * bound + 3) if euler_phi(q) <= bound]
     angles = []
-    for q in orders:
+    q = 0
+    while len(cs) > 1 and q <= 2 * ((len(cs) - 1) * phi_c) ** 2 + 1:
+        q += 1
+        if euler_phi(q) > (len(cs) - 1) * phi_c:
+            continue
         for a in range(q):
             if q > 1 and gcd(a, q) != 1:
                 continue
@@ -279,16 +284,13 @@ def _candidate_points_rank_two(minors):
             has_numeric)
 
 
-class WeightsReport:
-    def __init__(self, inverse_weights, numeric_weights, finite_dim,
-                 identity_holds, max_order, detail=""):
-        self.inverse_weights = inverse_weights  # W^{-1}, exact Characters
-        # flagged, principal-embedding complex values
-        self.numeric_weights = numeric_weights
-        self.finite_dim = finite_dim    # "exact" | "scan-bounded"
-        self.identity_holds = identity_holds
-        self.max_order = max_order
-        self.detail = detail
+class WeightsReport(Value):
+    """inverse_weights is W^(-1) as exact Characters, numeric_weights the
+    flagged principal-embedding complex values, and finite_dim "exact" or
+    "scan-bounded"."""
+
+    _fields = ("inverse_weights", "numeric_weights", "finite_dim",
+               "identity_holds", "max_order", "detail")
 
     @property
     def weights(self):
@@ -416,13 +418,10 @@ def _sigma_union_hits(p, degree_bound, max_order):
 # Finite-locus cover check
 
 
-class CoverCheckReport:
-    def __init__(self, cover_generators, cover_index, surviving, max_order):
-        self.cover_generators = cover_generators
-        self.cover_index = cover_index
-        # nontrivial torsion characters in the cover loci
-        self.surviving = surviving
-        self.max_order = max_order
+class CoverCheckReport(Value):
+    """surviving lists the nontrivial torsion characters in the cover loci."""
+
+    _fields = ("cover_generators", "cover_index", "surviving", "max_order")
 
     @property
     def trivial_cover(self):

@@ -181,19 +181,12 @@ class NumericCharacter(Value):
     _fields = ("free_rank", "torsion", "values", "tors_angles")
     flag = "numeric"
 
-    def __init__(self, free_rank: int, torsion: tuple, values: tuple,
-                 tors_angles: tuple):
-        self.__dict__.update(free_rank=free_rank, torsion=torsion,
-                             values=values, tors_angles=tors_angles)
 
-
-class ExponentMembers:
+class ExponentMembers(Value):
     """Members of a jump locus as (exponent vector, dims) pairs modulo n,
     in canonical order; a Character is built only on request."""
 
-    def __init__(self, free_rank, torsion, n, pairs):
-        self.free_rank, self.torsion, self.n = free_rank, torsion, n
-        self.pairs = pairs
+    _fields = ("free_rank", "torsion", "n", "pairs")
 
     def character(self, e):
         return Character.from_exponents(self.free_rank, self.torsion, e, self.n)

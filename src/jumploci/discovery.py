@@ -36,11 +36,6 @@ class Component(Value):
 
     _fields = ("subtorus", "status", "generic_h")
 
-    def __init__(self, subtorus: TranslatedSubtorus, status: str,
-                 generic_h: int):
-        self.__dict__.update(subtorus=subtorus, status=status,
-                             generic_h=generic_h)
-
     @property
     def dim(self):
         return self.subtorus.dim
@@ -72,16 +67,13 @@ class Component(Value):
         return out
 
 
-class JumpLocusReport:
-    def __init__(self, degree, mult, max_order, vectors, components,
-                 residual, scanned):
-        self.degree = degree
-        self.mult = mult
-        self.max_order = max_order
-        self.vectors = vectors          # ExponentMembers of the scan's hits
-        self.components = components    # Component, canonical order
-        self.residual = residual        # Characters no component explains
-        self.scanned = scanned
+class JumpLocusReport(Value):
+    """vectors holds the scan's hits as ExponentMembers, components the
+    Components in canonical order, and residual the Characters no
+    component explains."""
+
+    _fields = ("degree", "mult", "max_order", "vectors", "components",
+               "residual", "scanned")
 
     @property
     def members(self):
@@ -250,13 +242,10 @@ def kill_cover(p: FinitePresentation, characters):
     return reidemeister_schreier(p, targets, n)
 
 
-class CoverCertificate:
-    def __init__(self, cover: FinitePresentation, schreier_words: tuple,
-                 component: Component, base_component: Component):
-        self.cover = cover
-        self.schreier_words = schreier_words
-        self.component = component
-        self.base_component = base_component
+class CoverCertificate(Value):
+    """What abelian_cover_certificate returns."""
+
+    _fields = ("cover", "schreier_words", "component", "base_component")
 
     @property
     def trivial_cover(self):

@@ -8,6 +8,8 @@ Word syntax: juxtaposition (whitespace or * separated), ^k powers with
 k a possibly negative integer, [x,y] commutator sugar expanding to
 x y x^-1 y^-1, and (...) grouping.  Parse errors carry line/column info.
 Each of the three keys appears at most once, and no other key is read.
+A list item is quoted whole or not at all and is never empty, and a
+generator is one name of the word syntax.
 Relators with more than MAX_PRESENTATION_LETTERS letters written out,
 all of them together, are refused.
 """
@@ -153,38 +155,42 @@ def _tokenize(text, line=None):
 
 
 def _parse_list(value, line):
+    """Items of a [...] list, split at commas outside quotes and outside
+    an item's own brackets.  A quoted item must be the whole item, and no
+    item may be empty; [] is the empty list."""
     value = value.strip()
     if not (value.startswith("[") and value.endswith("]")):
         raise ParseError("expected a [...] list", line)
     inner = value[1:-1]
-    items = []
+    if not inner.strip():
+        return []
+    raw = [""]
     depth = 0
     quote = None
-    cur = ""
     for ch in inner:
         if quote:
-            if ch == quote:
-                quote = None
-            else:
-                cur += ch
-            continue
-        if ch in "\"'":
+            quote = None if ch == quote else quote
+        elif ch in "\"'":
             quote = ch
+        elif ch == "," and depth == 0:
+            raw.append("")
             continue
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append(cur.strip())
-            cur = ""
         else:
-            cur += ch
+            depth += (ch == "[") - (ch == "]")
+        raw[-1] += ch
     if quote:
         raise ParseError("unterminated quote", line)
-    if cur.strip() or items:
-        items.append(cur.strip())
-    return [x for x in items if x != ""]
+    items = []
+    for item in map(str.strip, raw):
+        if (item[:1] in ("'", '"') and item.count(item[0]) == 2
+                and item[-1] == item[0]):
+            item = item[1:-1].strip()
+        if "'" in item or '"' in item:
+            raise ParseError("a quoted item must be the whole item", line)
+        if not item:
+            raise ParseError("empty list item", line)
+        items.append(item)
+    return items
 
 
 KEYS = ("generators", "relators", "aspherical")
@@ -212,6 +218,13 @@ def parse_presentation(text):
         raise ParseError("missing 'generators' field")
     gen_value, gen_line = fields["generators"]
     names = _parse_list(gen_value, gen_line)
+    for name in names:
+        try:
+            one_name = _tokenize(name) == [("name", name, 0)]
+        except ParseError:
+            one_name = False
+        if not one_name:
+            raise ParseError(f"generator {name!r} is not one name", gen_line)
     if len(set(names)) != len(names):
         raise ParseError("duplicate generator names", gen_line)
     name_index = {n: i for i, n in enumerate(names)}

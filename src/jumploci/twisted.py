@@ -98,6 +98,7 @@ from .linalg import rank_exact
 from .numutil import euler_phi, factorint, first_prime_congruent_one
 from .presentation import (FinitePresentation, abelianize, fox_matrix,
                            fox_row_identity_holds)
+from .value import Value
 
 
 # Largest torsion scan scan_sigma runs, in characters.  Each member of a
@@ -194,23 +195,18 @@ def sigma_membership(p: FinitePresentation, chi: Character, degree, mult):
 # Fast scanning
 
 
-class ScanResult:
+class ScanResult(Value):
     """Hits of a scan, with the primes behind them (kept out of reports).
 
     vectors holds the hits as ExponentMembers, and hits builds their
     (Character, dims) pairs on each read, for library callers.
     filter_prime, always set, certified every rejection; certifying_prime
     gave the hits' dims, and is None only when the scan fell back to
-    exact elimination."""
+    exact elimination.  ranked counts the orbit representatives ranked
+    mod p, and block_rejects those of them a block rejected."""
 
-    def __init__(self, vectors, scanned, filter_prime, certifying_prime,
-                 ranked, block_rejects):
-        self.vectors = vectors
-        self.scanned = scanned
-        self.filter_prime = filter_prime
-        self.certifying_prime = certifying_prime
-        self.ranked = ranked    # orbit representatives ranked mod p
-        self.block_rejects = block_rejects  # of them, rejected by a block
+    _fields = ("vectors", "scanned", "filter_prime", "certifying_prime",
+               "ranked", "block_rejects")
 
     @property
     def hits(self):

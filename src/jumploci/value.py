@@ -1,7 +1,10 @@
-"""The one base of the frozen records.
+"""The one kind of record: every record in jumploci is a ``Value``.
 
 A subclass names its compared fields in ``_fields``, in declaration
-order, and its ``__init__`` stores every attribute through ``__dict__``.
+order.  ``Value.__init__`` stores one argument per field, so a record
+that only stores its fields has no constructor; one that checks,
+normalizes or computes has its own ``__init__``, which stores every
+attribute through ``__dict__``.
 Equality needs the same class and equal compared fields, and the hash is
 hash(tuple of compared fields), so the order of sets and dicts of
 records, and with it every report, follows from the field values alone.
@@ -13,6 +16,12 @@ class Value:
     """Immutable record compared by the fields named in ``_fields``."""
 
     _fields = ()
+
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes "
+                            f"{len(self._fields)} arguments, {len(args)} given")
+        self.__dict__.update(zip(self._fields, args))
 
     def _key(self):
         return tuple(map(self.__dict__.__getitem__, self._fields))

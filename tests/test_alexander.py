@@ -270,6 +270,34 @@ def test_cyclotomic_roots_of_cyclotomic_products():
         assert residual.monic() == t - one * 2
 
 
+def test_cyclotomic_roots_stop_at_the_bound_of_the_residual(monkeypatch):
+    # Once an order is cleared, the orders left are bounded by the span of
+    # the residual: the search ends when the residual is a constant, or
+    # when phi(q) <= span(residual) * phi(conductor) admits no more q.
+    orders = []
+    root = Cyc.root_of_unity
+    monkeypatch.setattr(Cyc, "root_of_unity",
+                        staticmethod(lambda q, a: orders.append(q)
+                                     or root(q, a)))
+    t = LaurentPoly.monomial(((1,), ()), 1)
+    one = LaurentPoly.one(1)
+    phi7 = sum((LaurentPoly.monomial(((k,), ()), 1) for k in range(1, 7)),
+               one)
+    golden = t * t - t * 3 + one    # roots (3 +- sqrt 5) / 2
+    for poly, want, residual_span, last_order in [
+            ((t - one) * (t + one), ["0", "1/2"], 0, 2),
+            ((t - one) * (t + one) * (t - one * 2), ["0", "1/2"], 1, 2),
+            (phi7, [f"{a}/7" for a in range(1, 7)], 0, 7),
+            (phi7 * golden, [f"{a}/7" for a in range(1, 7)], 2, 7)]:
+        orders.clear()
+        angles, residual = cyclotomic_roots(poly)
+        assert angles == [Fraction(a) for a in want]
+        assert residual.span == residual_span
+        assert residual.monic() == (golden if residual_span == 2 else
+                                    t - one * 2 if residual_span else one)
+        assert max(orders) == last_order
+
+
 def test_weight_convention_pinned_by_asymmetric_fixture():
     # For the eigenvalue-2 fixture the jump locus is {1, chi(t) = 2}, so
     # W must be {1, 1/2}: cohomology weights invert homology eigenvalues.
@@ -338,6 +366,9 @@ def test_rank_two_weights_drop_non_cyclotomic_candidates_undecided():
     fox_w = fox_on_coset(p, *_dual_torus(presentation_data(p)[0], ()))
     minors = list(_minors(fox_w, 2, det_bareiss))
     assert _candidate_points_rank_two(minors) == ([(0, 0)], True)
+    # With fewer than two minors no eliminant exists.
+    assert _candidate_points_rank_two(minors[:1]) is None
+    assert _candidate_points_rank_two([]) is None
     rep = weights_and_inverses(p, 2, 3)
     assert rep.finite_dim == "exact" and rep.identity_holds
     assert rep.detail == "non-cyclotomic eliminant factors ignored (flagged)"

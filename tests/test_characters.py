@@ -192,6 +192,21 @@ def test_variant_b_fixed_points_are_exactly_unitary():
         assert fixed == chi.is_unitary
 
 
+def test_action_on_numeric_characters():
+    # Variant B raises the moduli of a flagged numeric character and keeps
+    # its arguments; variant A is refused on it.
+    chi = Character(1, (3,), (Fraction(2),), (Fraction(1, 4),),
+                    (Fraction(1, 3),))
+    numeric = rplus_act(Fraction(1, 2), chi, "B")
+    out = rplus_act(Fraction(4), numeric, "B")
+    assert isinstance(out, NumericCharacter)
+    assert (out.free_rank, out.torsion, out.tors_angles) == (
+        1, (3,), (Fraction(1, 3),))
+    assert abs(out.values[0] - 4j) < 1e-9
+    with pytest.raises(ValueError, match="variant A"):
+        rplus_act(Fraction(2), numeric, "A")
+
+
 def test_variant_b_numeric_forcing_flagged():
     chi = Character(1, (), (Fraction(2),), (Fraction(0),), ())
     res = rplus_act(Fraction(1, 2), chi, "B")

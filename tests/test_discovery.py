@@ -181,11 +181,14 @@ def test_insufficient_sampling_flag_and_residuals():
     refuted = [c for c in rep2.components if c.status == "refuted"]
     assert len(refuted) == 1 and refuted[0].dim == 2
     assert refuted[0].insufficient_sampling
+    assert refuted[0].serialize()["insufficient_sampling"] is True
     assert len(rep2.residual) == 4
     assert rep2.certified_components() == []
 
     rep4 = discover_components(p, 1, 1, 4)
     assert rep4.residual == []
+    assert not any("insufficient_sampling" in c.serialize()
+                   for c in rep4.components)
     by_dim = sorted((c.dim, tuple(str(a) for a in c.subtorus.translate.angles))
                     for c in rep4.certified_components())
     assert by_dim == [(0, ("0", "0")), (1, ("0", "1/2")), (1, ("1/2", "0"))]

@@ -112,6 +112,34 @@ def test_parse_presentation_errors():
         parse_presentation("generators: [a]\nrelators")
 
 
+def test_generator_must_be_one_name():
+    # [a b] was once one generator named "a b", which no relator can use.
+    for gens in ("[a b]", "[a, b c]", '["a b"]', "[a-b]", "[1]", "[a*]"):
+        with pytest.raises(ParseError, match="is not one name at line 2"):
+            parse_presentation(f"# comment\ngenerators: {gens}")
+    assert parse_presentation('generators: ["a", b_1]').names == ("a", "b_1")
+
+
+def test_quoted_item_must_be_the_whole_item():
+    # ["a" "b"] was once the one relator "a b", and ["a"b] the relator ab.
+    for rels in ('["a" "b"]', '["a"b]', '[a"b"]', "['a' , \"b\"c]"):
+        with pytest.raises(ParseError,
+                           match="quoted item must be the whole item at "
+                                 "line 2"):
+            parse_presentation(f"generators: [a, b]\nrelators: {rels}")
+    assert parse_presentation(
+        "generators: [a, b]\nrelators: ['a', \" b \"]").relators == (
+            letters("a"), letters("b"))
+
+
+def test_list_items_are_not_empty():
+    # [a,,b] once dropped the empty item.
+    for rels in ("[a,,b]", "[a,]", "[,a]", "[ , ]", '[""]'):
+        with pytest.raises(ParseError, match="empty list item at line 2"):
+            parse_presentation(f"generators: [a, b]\nrelators: {rels}")
+    assert parse_presentation("generators: [ ]\nrelators: []").names == ()
+
+
 def test_long_words_parse_in_linear_time():
     # Repeated concatenation made these quadratic: (a b)^8000 took 22 s.
     ab = ((0, 1), (1, 1))

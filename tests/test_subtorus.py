@@ -93,6 +93,16 @@ def test_dimension_mismatch_errors():
         S.contains(Character.trivial(3))
 
 
+def test_non_unitary_translate_has_no_torsion_points():
+    # The coset {|chi(a)| = 2} holds no point of finite order.
+    tau = Character(2, (), (Fraction(2), Fraction(1)), (Fraction(1, 2), 0),
+                    ())
+    T = subtorus_from_directions([[Fraction(0), Fraction(1)]], tau)
+    assert T.dim == 1 and not T.translate.is_unitary
+    assert list(T.iter_torsion_points(4)) == []
+    assert T.torsion_points(4) == []
+
+
 def test_torsion_points_match_order_filter():
     # Brute-force cross-check of the per-order congruence enumeration.
     tau = Character.unitary(2, (), (Fraction(0), Fraction(1, 2)))

@@ -1,4 +1,4 @@
-"""Value semantics of the ten frozen records.
+"""Value semantics of the records: every record is a frozen ``Value``.
 
 Sets and dicts of these records decide the order of what reports list,
 so equality and hash must follow the compared fields as declared: the
@@ -13,15 +13,19 @@ from fractions import Fraction
 import pytest
 
 from jumploci import corpus
-from jumploci.alexander import ModuleAction, _dual_torus, smith_invariants
+from jumploci.alexander import (ModuleAction, _dual_torus,
+                                finite_locus_cover_check, smith_invariants,
+                                vanishing_check, weights_and_inverses)
 from jumploci.characters import Character, rplus_act
-from jumploci.discovery import Component, discover_components
+from jumploci.cyclotomic import Cyc
+from jumploci.discovery import (Component, abelian_cover_certificate,
+                                discover_components)
 from jumploci.higgs import (ComplexTorusModel, LatticeCharacter,
                             character_to_higgs)
 from jumploci.presentation import (AbelianizationData, FinitePresentation,
                                    abelianize)
 from jumploci.subtorus import TranslatedSubtorus
-from jumploci.twisted import fox_on_coset
+from jumploci.twisted import fox_on_coset, scan_sigma
 
 
 def _companion(poly):
@@ -34,19 +38,33 @@ def _companion(poly):
 
 def _cases():
     """(class, constructor args, index of an arg to change, its new value,
-    compared field names) per frozen record, built from corpus data."""
+    compared field names) per record, built from corpus data."""
     trefoil = corpus.get("trefoil")
     ab = abelianize(corpus.get("c3xz"))
     chi = Character(ab.free_rank, ab.torsion, (2,), ("1/4",), ("1/3",))
     numeric = rplus_act(Fraction(1, 2), chi)
-    comp = discover_components(corpus.get("swap_torus"), 1, 1, 4).components[0]
+    swap_torus = corpus.get("swap_torus")
+    discovery = discover_components(swap_torus, 1, 1, 4)
+    comp = discovery.components[0]
     sub = comp.subtorus
     alexander_poly = next(f for f in smith_invariants(fox_on_coset(
         trefoil, *_dual_torus(abelianize(trefoil), ()))) if f.span > 0)
     model = ComplexTorusModel.standard(2)
     rho = LatticeCharacter((1, 0, -1, 2), ("1/6", 0, 0, "1/2"))
     h = character_to_higgs(model, LatticeCharacter((1, 0, -1, 2), (0,) * 4))
-    return [
+    action = ModuleAction((_companion(alexander_poly),))
+    scan = scan_sigma(swap_torus, 1, 1, 4)
+    stored = [
+        (scan.vectors, 3, []),
+        (scan, 1, scan.scanned + 1),
+        (discovery, 1, 2),
+        (weights_and_inverses(trefoil, 2, 3), 5, "changed"),
+        (finite_locus_cover_check(trefoil, 2, 3), 1, 1),
+        (abelian_cover_certificate(swap_torus, 4), 1, ()),
+        (vanishing_check(action, [Cyc.one()]), 2, False),
+    ]
+    return [(type(x), tuple(getattr(x, name) for name in x._fields),
+             index, value, x._fields) for x, index, value in stored] + [
         (FinitePresentation,
          (trefoil.generator_count, trefoil.relators, True, trefoil.names),
          2, False, ("generator_count", "relators", "aspherical", "names")),
@@ -104,6 +122,11 @@ def test_frozen_record_value_semantics(cls, args, index, value, compared):
     changed[index] = value
     assert cls(*changed) != x
     assert type(cls.__name__, (cls,), {})(*args) != x
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    if "__init__" not in vars(cls):
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
     assert x != key and x != object()
     with pytest.raises(AttributeError):
         x.unknown_name = 1
