@@ -24,8 +24,9 @@ u raises chi to the u-th power, which is the Galois automorphism
 zeta_n -> zeta_n^u applied to chi's values.  A point of order k is
 (n/k).f with f in (Z/k)^(b+t) and gcd(f, k) = 1, and u.e = e only for
 u = 1 (mod k), so its orbit has exactly phi(k) members, all of order k.
-An orbit is represented by its least vector (is_orbit_representative,
-orbit_representatives); orbit_members lists all of it.
+An orbit is represented by its least vector, which
+orbit_representatives lists along a stabilizer chain, without testing
+any vector against the units; orbit_members lists all of an orbit.
 
 Numeric characters (complex values per generator) exist only for the
 flagged fallback paths.
@@ -262,47 +263,63 @@ def count_torsion_characters(free_rank, torsion, max_order):
                for d in range(1, max_order + 1) for e in divisors(d))
 
 
-def is_orbit_representative(e, n):
-    """Whether the vector e is the least of its orbit under (Z/n)^x.
-
-    Zero coordinates stay zero under a unit, so every member of the orbit
-    has its first nonzero coordinate where e has it, and the least member
-    has the least value there.  Let k be the order of e and c that
-    coordinate times k/n.  Over the units u, u.c mod k runs through the
-    residues whose gcd with k is gcd(c, k), the least of which is gcd(c, k)
-    itself: e can be least only if c divides k.  Then u.c = c (mod k)
-    exactly for u = 1 (mod k/c), and only those units can give a smaller
-    vector; every other unit gives a larger first nonzero coordinate."""
-    k = n // gcd(n, *e)
-    if k == 1:
-        return True         # the trivial point is its own orbit
-    c = next(x for x in e if x) * k // n
-    if k % c:
-        return False
-    step = k // c
-    return not any(gcd(u, k) == 1 and tuple(u * x % n for x in e) < e
-                   for u in range(1 + step, k, step))
-
-
 def orbit_representatives(free_rank, torsion, max_order):
     """The least vector of each orbit, order by order, listing no other
-    point: (n/k).f of order k is least if its first nonzero f_j is 1, never
-    if f_j does not divide k, and otherwise as is_orbit_representative says."""
+    point, along a stabilizer chain (Sims): no vector is tested against
+    the units one by one.
+
+    Write a point of order k as (n/k).f, f in (Z/k)^(b+t) with gcd(f, k)
+    = 1, and let S_j be the units of Z/k that fix f_0 .. f_j (S_-1 all of
+    them).  If u.f < f, the two first differ at some j where u fixes f_0
+    .. f_(j-1), so u is in S_(j-1) and u.f_j < f_j; conversely such a u
+    gives u.f < f.  Hence f is least in its orbit exactly when each f_j is
+    least in its orbit under S_(j-1) (a unit keeps f_j a multiple of the
+    coordinate's step, so the orbit stays among the allowed values).
+    The walk picks f_j among those values, coordinate by coordinate, and
+    passes the stabilizer of the pick on; per k, the allowed values and
+    their stabilizers are listed once per (S, step).  Under S = {1} every
+    value is least, so the remaining coordinates run through product,
+    filtered only by gcd so that f has order exactly k.  Vectors come by
+    k, then by first nonzero position, then lexicographically."""
     if max_order < 1:
         raise Refusal("max order must be at least 1")
     n = torsion_modulus(max_order, torsion)
-    yield (0,) * (free_rank + len(torsion))
+    dim = free_rank + len(torsion)
+    yield (0,) * dim
     for k in range(2, max_order + 1):
         m = n // k      # f_j runs over the multiples of steps[j] in Z/k
         steps = [1] * free_rank + [k // gcd(d, k) for d in torsion]
-        for j, s in enumerate(steps):
-            for c in [c for c in divisors(k)[:-1] if c % s == 0]:
-                head = (0,) * j + (c * m,)
-                tails = (range(0, n, m * t) for t in steps[j + 1:])
-                for e in map(head.__add__, product(*tails)):
-                    if c == 1 or (gcd(n, *e) == m
-                                  and is_orbit_representative(e, n)):
-                        yield e
+        least = {}      # (S, step) -> [(f_j least under S, its stabilizer)]
+
+        def allowed(units, step):
+            key = (units, step)
+            if key not in least:
+                least[key] = [
+                    (c, tuple(u for u in units if u * c % k == c))
+                    for c in range(0, k, step)
+                    if all(u * c % k >= c for u in units)]
+            return least[key]
+
+        def leaves(units, j, g, head):
+            """(head, j, gcd(n, head)) where the chain from head reaches
+            S = {1} or the last coordinate, in lexicographic order."""
+            if len(units) == 1 or j == dim:
+                return [(head, j, g)]
+            return [leaf for c, stab in allowed(units, steps[j])
+                    for leaf in leaves(stab, j + 1, gcd(g, c * m),
+                                       head + (c * m,))]
+
+        units = tuple(u for u in range(1, k) if gcd(u, k) == 1)
+        for j in range(dim):
+            for c, stab in allowed(units, steps[j])[1:]:    # f_j != 0
+                for head, i, g in leaves(stab, j + 1, gcd(n, c * m),
+                                         (0,) * j + (c * m,)):
+                    tails = product(*(range(0, n, m * s) for s in steps[i:]))
+                    if g == m:
+                        yield from map(head.__add__, tails)
+                    else:
+                        yield from (head + t for t in tails
+                                    if gcd(g, *t) == m)
 
 
 def orbit_members(e, n):

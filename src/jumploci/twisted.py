@@ -73,6 +73,18 @@ representative is ranked first.  A submatrix's mod-P rank is at most
 d1's, so a block rank above the threshold certifies non-membership as
 the filter does; only the other representatives take the full path.
 
+Each entry of d1 at e is an integer combination of the values w^(e.h)
+of the Fox matrix's monomials z^h, so the rows at e read e only through
+the exponents e.h mod n of those monomials (_ModularEvaluator.exponents).
+A scan computes that tuple once per representative and builds every row
+it ranks from it.  Rows, rank and verdict of a block are then functions
+of the block's part of the tuple (the threshold is the same at every
+nontrivial representative, the only ones a block sees), so the scan
+keeps the block's verdicts in a dict keyed by that part, and a
+representative whose key was seen takes the stored verdict, the one its
+own rank would give.  The dict goes with its block when a new rejection
+replaces the block.
+
 Along a coset tau * T with direction basis B (b x d), fox_on_coset
 substitutes z_j -> tau(z_j) * prod_k s_k^(B_jk) into the Fox matrix, and
 coset_dims reads dims_from_rank off its rank over the Laurent ring in
@@ -202,8 +214,9 @@ class ScanResult(Value):
     (Character, dims) pairs on each read, for library callers.
     filter_prime, always set, certified every rejection; certifying_prime
     gave the hits' dims, and is None only when the scan fell back to
-    exact elimination.  ranked counts the orbit representatives ranked
-    mod p, and block_rejects those of them a block rejected."""
+    exact elimination.  ranked counts the orbit representatives given a
+    mod-p verdict, cached or fresh (module docstring), and block_rejects
+    those of them a block rejected."""
 
     _fields = ("vectors", "scanned", "filter_prime", "certifying_prime",
                "ranked", "block_rejects")
@@ -217,12 +230,14 @@ class _ModularEvaluator:
     """Evaluates Fox matrix entries at torsion characters over F_p.
 
     Each distinct monomial of the Fox matrix is pre-flattened to sparse
-    (index, exponent) pairs and evaluated once per character; an entry is
-    then an integer combination of those values, and only structurally
-    nonzero entries are visited.  The evaluator carries the filter prime
-    and the certifying prime of the module docstring (None when that
-    prime would be past the deterministic primality range), with the
-    powers of an order-n root of unity mod each that a scan reads.
+    (index, exponent) pairs; exponents reads a character as the list of
+    its monomials' exponents, and rows builds d1 mod p from that list
+    alone: an entry is an integer combination of the powers of w that
+    its monomials' exponents name, and only structurally nonzero entries
+    are visited.  The evaluator carries the filter prime and the
+    certifying prime of the module docstring (None when that prime would
+    be past the deterministic primality range), with the powers of an
+    order-n root of unity w mod each that a scan reads.
     """
 
     def __init__(self, fox, free_rank, torsion, max_order):
@@ -260,24 +275,29 @@ class _ModularEvaluator:
                             for q in {self.prime, self.certifying_prime}
                             if q is not None}
 
-    def matrix_rows(self, e, prime):
-        """Sparse rows {col: value mod prime} of d1 at the character with
-        exponent vector e."""
+    def exponents(self, e):
+        """[e.h mod n for each monomial z^h in self.monomials]: the Fox
+        matrix at the character e reads e through these alone."""
         n = self.n
-        powers = self.root_powers[prime]
-        values = []
+        out = []
         for sparse in self.monomials:
             exp = 0
             for j, x in sparse:
                 exp += x * e[j]
-            values.append(powers[exp % n])
+            out.append(exp % n)
+        return out
+
+    def rows(self, exps, prime):
+        """Sparse rows {col: value mod prime} of d1 at the character whose
+        monomial exponents are exps."""
+        powers = self.root_powers[prime]
         rows = []
         for srow in self.rows_struct:
             row = {}
             for col, terms in srow:
                 val = 0
                 for coeff, m in terms:
-                    val += coeff * values[m]
+                    val += coeff * powers[exps[m]]
                 val %= prime
                 if val:
                     row[col] = val
@@ -285,13 +305,15 @@ class _ModularEvaluator:
         return rows
 
     def block(self, pivots):
-        """This evaluator on the rows and columns of the pairs pivots."""
+        """This evaluator on the rows and columns of the pairs pivots; its
+        monomials are those of this one at the indices picks."""
         cols, used = {col for _, col in pivots}, {}
         block = object.__new__(_ModularEvaluator)
         block.__dict__.update(self.__dict__, rows_struct=[
             [(col, [(c, used.setdefault(m, len(used))) for c, m in terms])
              for col, terms in self.rows_struct[i] if col in cols]
             for i, _ in pivots])
+        block.picks = tuple(used)
         block.monomials = [self.monomials[m] for m in used]
         return block
 
@@ -380,7 +402,9 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     b, torsion = ab.free_rank, ab.torsion
     count = count_torsion_characters(b, torsion, max_order)
     if count > MAX_SCAN_CHARACTERS:
-        raise Refusal(f"scan of {count} characters is above the "
+        digits = len(str(count))    # a cover's torus can give 173 of them
+        shown = count if digits <= 20 else f"at least 10^{digits - 1}"
+        raise Refusal(f"scan of {shown} characters is above the "
                       f"limit {MAX_SCAN_CHARACTERS}")
     evaluator = _modular_evaluator_cached(p, max_order)
     n, prime, cert = evaluator.n, evaluator.prime, evaluator.certifying_prime
@@ -398,29 +422,37 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     found = []          # (exponent vector, dims)
     ranked = block_rejects = 0
     block = None        # the last rejection's pivot block (module docstring)
+    verdicts = {}       # the block's verdicts by its monomials' exponents
     for e in representatives:
         trivial = not any(e)
         threshold = thresholds[trivial]
         if threshold < 0:
             continue
         ranked += 1
-        if block and _rank_mod_p(block.matrix_rows(e, prime), prime,
-                                 stop_at=threshold + 1) > threshold:
-            block_rejects += 1
-            continue
+        exps = evaluator.exponents(e)
+        if block:
+            key = tuple(map(exps.__getitem__, block.picks))
+            rejected = verdicts.get(key)
+            if rejected is None:
+                rejected = verdicts[key] = _rank_mod_p(
+                    block.rows(key, prime), prime,
+                    stop_at=threshold + 1) > threshold
+            if rejected:
+                block_rejects += 1
+                continue
         pivots = []
-        rank = _rank_mod_p(evaluator.matrix_rows(e, prime), prime,
+        rank = _rank_mod_p(evaluator.rows(exps, prime), prime,
                            stop_at=threshold + 1, pivots=pivots)
         if rank > threshold:
             if not trivial:
-                block = evaluator.block(pivots)
+                block, verdicts = evaluator.block(pivots), {}
             continue  # exact non-membership certificate
         if cert is None:
             chi = Character.from_exponents(b, torsion, e, n)
             dims = twisted_cohomology_dims(p, chi)
         else:
             if cert != prime:
-                rank = _rank_mod_p(evaluator.matrix_rows(e, cert), cert)
+                rank = _rank_mod_p(evaluator.rows(exps, cert), cert)
             dims = dims_from_rank(p, trivial, rank)
         if dims[degree] >= mult:
             found.extend((member, dims) for member in orbit_members(e, n))

@@ -220,3 +220,26 @@ def sigma_union_hits_merged(p, degree_bound, max_order):
         vectors = scan_sigma(p, degree, 1, max_order).vectors
         union.update(e for e, _ in vectors.pairs)
     return [vectors.character(e) for e in sorted(union)]
+
+
+def is_orbit_representative(e, n):
+    """Whether the vector e is the least of its orbit under (Z/n)^x: the
+    reference membership test for characters.orbit_representatives.
+
+    Zero coordinates stay zero under a unit, so every member of the orbit
+    has its first nonzero coordinate where e has it, and the least member
+    has the least value there.  Let k be the order of e and c that
+    coordinate times k/n.  Over the units u, u.c mod k runs through the
+    residues whose gcd with k is gcd(c, k), the least of which is gcd(c, k)
+    itself: e can be least only if c divides k.  Then u.c = c (mod k)
+    exactly for u = 1 (mod k/c), and only those units can give a smaller
+    vector; every other unit gives a larger first nonzero coordinate."""
+    k = n // gcd(n, *e)
+    if k == 1:
+        return True         # the trivial point is its own orbit
+    c = next(x for x in e if x) * k // n
+    if k % c:
+        return False
+    step = k // c
+    return not any(gcd(u, k) == 1 and tuple(u * x % n for x in e) < e
+                   for u in range(1 + step, k, step))

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from jumploci.characters import (Character, NumericCharacter,
                                  count_killed_by, count_torsion_characters,
-                                 enumerate_torsion_characters,
-                                 is_orbit_representative, orbit_members,
+                                 enumerate_torsion_characters, orbit_members,
                                  orbit_representatives, rplus_act,
                                  torsion_modulus)
 from jumploci.cyclotomic import Cyc
 from jumploci.errors import Refusal
+
+from oracles import is_orbit_representative
 
 
 def _characters(b, torsion, K):
@@ -102,23 +103,29 @@ def test_galois_orbits_partition_the_enumeration(b, torsion, K):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3), st.lists(st.integers(2, 6), max_size=2),
+@given(st.integers(0, 3), st.lists(st.integers(2, 6), max_size=3),
        st.integers(1, 8))
 def test_orbit_walk_equals_filtered_enumeration(b, torsion, K):
-    # The direct walk yields exactly the enumerated points that pass the
-    # orbit test, each once, and no other point.
+    # The stabilizer-chain walk yields exactly the enumerated points that
+    # pass the reference orbit test, each once and no other point, ordered
+    # by order, then first nonzero position, then vector.
     torsion = tuple(torsion)
     n = torsion_modulus(K, torsion)
-    walked = list(orbit_representatives(b, torsion, K))
-    assert len(walked) == len(set(walked))
-    assert set(walked) == {e for e in enumerate_torsion_characters(
-        b, torsion, K) if is_orbit_representative(e, n)}
-    assert walked[0] == (0,) * (b + len(torsion))
+
+    def key(e):
+        return (n // gcd(n, *e), next((j for j, x in enumerate(e) if x), -1),
+                e)
+
+    assert list(orbit_representatives(b, torsion, K)) == sorted(
+        (e for e in enumerate_torsion_characters(b, torsion, K)
+         if is_orbit_representative(e, n)), key=key)
 
 
 @pytest.mark.parametrize("b,K,orbits", [
     (4, 8, 2292),          # z4, the scan-sparse workload: 8,400 points
+    (4, 12, 11976),        # z4 at K = 12: 58,080 points
     (10, 2, 1024),         # product23: every point of order 2 is its orbit
+    (10, 3, 30548),        # product23 at K = 3: 60,072 points
 ])
 def test_orbit_walk_examples(b, K, orbits):
     walked = list(orbit_representatives(b, (), K))

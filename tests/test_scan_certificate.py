@@ -65,7 +65,7 @@ def _per_character_hits(p, degree, mult, max_order):
         if cert is None:
             dims = twisted_cohomology_dims(p, chi)
         else:
-            rank = _rank_mod_p(ev.matrix_rows(e, cert), cert)
+            rank = _rank_mod_p(ev.rows(ev.exponents(e), cert), cert)
             dims = tw.dims_from_rank(p, not any(e), rank)
         if dims[degree] >= mult:
             out.append((chi, dims))
@@ -264,10 +264,10 @@ def test_certified_prime_rank_equals_exact_rank(case):
     exact = _exact_rank(fox, chi)
     # The filter rank is a lower bound at any prime = 1 (mod n).
     e = _exponents(chi, ev.n)
-    assert _rank_mod_p(ev.matrix_rows(e, ev.prime), ev.prime) <= exact
+    assert _rank_mod_p(ev.rows(ev.exponents(e), ev.prime), ev.prime) <= exact
     if ev.certifying_prime is not None:
         cert = ev.certifying_prime
-        assert _rank_mod_p(ev.matrix_rows(e, cert), cert) == exact
+        assert _rank_mod_p(ev.rows(ev.exponents(e), cert), cert) == exact
 
 
 def test_filter_false_positive_is_corrected():
@@ -276,10 +276,10 @@ def test_filter_false_positive_is_corrected():
     e = (1,)       # the character of angle 1/2, with n = 2
     ev = _ModularEvaluator(fox, 1, (), 2)
     assert ev.prime == 1000003
-    assert _rank_mod_p(ev.matrix_rows(e, ev.prime), ev.prime) == 0
+    assert _rank_mod_p(ev.rows(ev.exponents(e), ev.prime), ev.prime) == 0
     assert ev.certifying_prime > 1000003
     cert = ev.certifying_prime
-    assert _rank_mod_p(ev.matrix_rows(e, cert), cert) == 1
+    assert _rank_mod_p(ev.rows(ev.exponents(e), cert), cert) == 1
 
 
 def test_presentation_data_checks_fox_identity(monkeypatch):
@@ -300,7 +300,7 @@ def test_presentation_data_checks_fox_identity(monkeypatch):
 
 
 def test_modular_values_are_images_of_cyc_values():
-    # matrix_rows gives the images of the Cyc entries of d1 under
+    # rows gives the images of the Cyc entries of d1 under
     # zeta_n -> w, for w of order exactly n.
     p = corpus.get("swap_torus")
     ev = tw._modular_evaluator_cached(p, 4)
@@ -314,7 +314,8 @@ def test_modular_values_are_images_of_cyc_values():
         assert [e for e in range(1, k + 1) if pow(w_k, e, q) == 1] == [k]
     # An entry of conductor c | 4 is a polynomial in zeta_c = zeta_n^(n/c),
     # whose image w^(n/c) is stored with its powers.
-    for row, mod_row in zip(d1, ev.matrix_rows(_exponents(chi, ev.n), q)):
+    for row, mod_row in zip(d1, ev.rows(
+            ev.exponents(_exponents(chi, ev.n)), q)):
         for col, entry in enumerate(row):
             step = ev.n // entry.n
             image = sum(int(c) * powers[i * step]

@@ -76,6 +76,37 @@ def test_scan_budget_is_the_exact_count(monkeypatch):
     assert scan_sigma(z4, 1, 1, 8).scanned == 8400
 
 
+def test_scan_refusal_writes_a_huge_count_by_its_digits(monkeypatch):
+    # The free group on 40 generators has a 69-digit count of characters
+    # of order at most 52; the refusal names its power of ten and comes
+    # before any evaluation.
+    def no_evaluation(p, max_order):
+        raise AssertionError("the refused scan built an evaluator")
+
+    monkeypatch.setattr(tw, "_modular_evaluator_cached", no_evaluation)
+    with pytest.raises(Refusal) as refusal:
+        scan_sigma(FinitePresentation(40, ()), 1, 1, 52)
+    assert str(refusal.value) == ("scan of at least 10^68 characters is "
+                                  "above the limit 100000")
+
+
+def test_scan_reuses_block_verdicts(monkeypatch):
+    # On z4 at K = 8, 2,263 of the 2,292 representatives are rejected on
+    # a pivot block, nearly all by a verdict cached on the block's
+    # monomial exponents: at most 100 ranks mod p (2,320 uncached).
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return rank_mod_p(*args, **kwargs)
+
+    rank_mod_p = tw._rank_mod_p
+    monkeypatch.setattr(tw, "_rank_mod_p", counting)
+    res = scan_sigma(corpus.get("z4"), 1, 1, 8)
+    assert (res.scanned, res.ranked, res.block_rejects) == (8400, 2292, 2263)
+    assert len(calls) <= 100
+
+
 def test_dims_check_fox_identity_on_corpus():
     # twisted_cohomology_dims raises unless d1 composed with d0 vanishes
     # (Fox fundamental identity) and h1 >= 0, at sampled characters.
