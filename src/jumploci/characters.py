@@ -204,14 +204,17 @@ class ExponentMembers(Value):
         name = {x: f'"{Fraction(x, n)}"'
                 for x in {x for e, _ in self.pairs for x in e}}
         moduli = _json_list(['"1"'] * b, key)
+        tails = {}      # the text after "angles", one per (dims, torsion)
         sep = "["
         for e, dims in self.pairs:
-            angles = [name[x] for x in e]
+            tail = tails.get((dims, e[b:]))
+            if tail is None:
+                tail = tails[dims, e[b:]] = (
+                    f',{key}"dims": {_json_list([str(d) for d in dims], key)}'
+                    f',{key}"moduli": {moduli},{key}"torsion": '
+                    f'{_json_list([name[x] for x in e[b:]], key)}{item}}}')
             out.write(f'{sep}{item}{{{key}"angles": '
-                      f'{_json_list(angles[:b], key)},{key}"dims": '
-                      f'{_json_list([str(d) for d in dims], key)},{key}'
-                      f'"moduli": {moduli},{key}"torsion": '
-                      f'{_json_list(angles[b:], key)}{item}}}')
+                      f'{_json_list([name[x] for x in e[:b]], key)}{tail}')
             sep = ","
         out.write(newline + "]" if self.pairs else "[]")
 

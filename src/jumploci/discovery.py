@@ -2,12 +2,31 @@
 translates of affine subtori, the genus-component count, and abelian
 cover certificates.
 
-Discovery scans torsion characters up to a cutoff order.  From each hit
-that no earlier coset covers (a seed) it grows a coset greedily, accepting
-a direction (lifted difference to another hit) only while every scanned
-torsion point of the enlarged coset is a hit, and certifies the coset at
-once by generic rank along a monomial parametrization; semicontinuity gives
-membership on the whole coset.  Seed order cannot change the report:
+Discovery scans torsion characters up to a cutoff order and groups the
+hits by torsion class, the coset C of the free torus through them.  A
+class of more than one hit that holds every point of C of order <= K,
+as TranslatedSubtorus.torsion_point_count counts them, is taken as the
+coset C at once.  In any other class, from each hit that no earlier
+coset covers (a seed) it grows a coset greedily, accepting a direction
+(lifted difference to another hit) only while every scanned torsion
+point of the enlarged coset is a hit.  Each coset is certified at once
+by generic rank along a monomial parametrization; semicontinuity gives
+membership on the whole coset.
+
+Taking a complete class at once gives what growth gives.  The class's
+hits are distinct points of C of order <= K, so equal counts mean every
+such point is a hit.  Growth from the class's first seed then accepts
+every candidate, as each is a coset through the seed inside C, and each
+hit it visits, which is every hit of the class, ends up in its coset.
+Let q be the least order killing a point of C, or 2 for the trivial
+class; q <= K, as C has hits and K >= 2.  C has q^b points killed by q,
+all hits, and a coset of dimension d holding one of them has q^d
+(TranslatedSubtorus.iter_torsion_points), so the grown coset holds them
+all only at d = b: it is C.  Its covered points are then exactly the
+class's hits, the least of them is the translate, and the component,
+its status, generic_h1 and the claimed and refuted sets are growth's.
+A one-hit class is left to growth, so at b = 0 its hit stays an
+isolated point.  Seed order cannot change the report:
 certification reads only the coset; no two grown cosets are equal, as a
 seed is never a covered point, so the final sort has no ties; the claimed
 and refuted point sets and the maximality filter are order-free; and no
@@ -130,16 +149,18 @@ def _lift_difference(e, base, n, b):
     return [(x - y) % n for x, y in zip(e[:b], base[:b])]
 
 
-def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
+def _grow_candidate(seed, translate, class_hits, class_keys, max_order):
     """(largest coset through seed whose scanned points are all hits,
     the exponent vectors of those points), or (None, None).
 
-    seed and class_hits are exponent vectors and translate is seed's
-    character.  The subset check iterates lazily so rejected directions
-    fail on the first non-hit point of the enlarged coset.  A hit whose
-    direction lies in the current span is a point of the current coset of
-    order at most max_order, so it is in covered and skipped, and every
-    candidate has one dimension more than the current coset."""
+    seed and class_hits are exponent vectors, class_keys is the set of
+    class_hits, and translate is seed's character; a coset through seed
+    keeps its torsion coordinates, so its hits are in class_keys.  The
+    subset check iterates lazily so rejected directions fail on the
+    first non-hit point of the enlarged coset.  A hit whose direction
+    lies in the current span is a point of the current coset of order at
+    most max_order, so it is in covered and skipped, and every candidate
+    has one dimension more than the current coset."""
     n = torsion_modulus(max_order, translate.torsion)
     b = translate.free_rank
     directions = []
@@ -151,7 +172,7 @@ def _grow_candidate(seed, translate, class_hits, hit_keys, max_order):
         cand = subtorus_from_directions(cand_dirs, translate)
         points = set()
         for pt in cand.iter_torsion_points(max_order):
-            if pt not in hit_keys:
+            if pt not in class_keys:
                 break
             points.add(pt)
         else:
@@ -174,31 +195,41 @@ def _discovery_cached(p: FinitePresentation, degree, mult, max_order):
     if max_order < 2:
         raise Refusal("scan order must be at least 2")
     result = scan_sigma(p, degree, mult, max_order)
-    # Hits travel as exponent vectors, with a Character only for a grow
-    # seed, a component or a residual point.
+    # Hits travel as exponent vectors, with a Character only for a class,
+    # a grow seed, a component or a residual point.
     vectors = result.vectors
-    hit_keys = {e for e, _ in vectors.pairs}
     b = vectors.free_rank
     by_class = {}
     for e, _ in vectors.pairs:
         by_class.setdefault(e[b:], []).append(e)
 
     components, claimed, refuted = [], set(), set()
+
+    def settle(annihilator, points):
+        # Exponent vectors sort as their characters do, so the least
+        # covered point is the coset's least point of order <= K.
+        coset = TranslatedSubtorus(b, vectors.torsion, annihilator,
+                                   vectors.character(min(points)))
+        status, generic_h = certify_component(p, coset, degree, mult)
+        (claimed if status == "certified" else refuted).update(points)
+        components.append(Component(coset, status, generic_h))
+
     for class_hits in by_class.values():
+        # A class holding every point of its coset of order <= K is that
+        # coset (module docstring); any of its hits names the coset.
+        if len(class_hits) > 1 and len(class_hits) == TranslatedSubtorus(
+                b, vectors.torsion, (), vectors.character(class_hits[0])
+        ).torsion_point_count(max_order):
+            settle((), class_hits)
+            continue
+        class_keys = set(class_hits)
         for seed in class_hits:
             if seed in claimed or seed in refuted:
                 continue
             grown, points = _grow_candidate(seed, vectors.character(seed),
-                                            class_hits, hit_keys, max_order)
-            if grown is None:
-                continue
-            # Exponent vectors sort as their characters do, so the least
-            # covered point is the coset's least point of order <= K.
-            grown = TranslatedSubtorus(b, vectors.torsion, grown.annihilator,
-                                       vectors.character(min(points)))
-            status, generic_h = certify_component(p, grown, degree, mult)
-            (claimed if status == "certified" else refuted).update(points)
-            components.append(Component(grown, status, generic_h))
+                                            class_hits, class_keys, max_order)
+            if grown is not None:
+                settle(grown.annihilator, points)
 
     # Maximality; a dropped coset's points stay claimed.
     certified = [c.subtorus for c in components if c.status == "certified"]

@@ -21,7 +21,7 @@ from .characters import Character, torsion_modulus
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_rows, mat_mul,
                         smith_normal_form)
-from .numutil import factorint
+from .numutil import divisors, factorint, mobius
 from .value import Value
 
 
@@ -106,13 +106,10 @@ class TranslatedSubtorus(Value):
         tau.value_parts gives it: adding an integer vector z to c moves
         theta_0 = R c by the integer vector R z, to the same point.  As
         vectors the points are n theta_0 + (n/k) B (Z/k)^d, taken mod n."""
+        c, q = self._least_killing_order()
+        if not 0 < q <= max_order:
+            return
         tau = self.translate
-        if not tau.is_unitary:
-            return
-        c = [tau.value_parts(u)[1] for u in self.annihilator]
-        q = lcm(*(a.denominator for a in c + list(tau.tors_angles)))
-        if q > max_order:
-            return
         # q <= max_order divides n, so n c is integral.
         n = torsion_modulus(max_order, self.torsion)
         nc = [a.numerator * (n // a.denominator) for a in c]
@@ -125,6 +122,35 @@ class TranslatedSubtorus(Value):
             for w in product(range(k), repeat=self.dim):
                 yield tuple((x + step * sum(e * y for e, y in zip(row, w))) % n
                             for x, row in zip(base, rows)) + tail
+
+    def _least_killing_order(self):
+        """(c, q): c = H tau mod 1, as tau.value_parts gives it, and q the
+        lcm of the denominators of c and of tau's torsion angles, so the
+        orders k that kill a point of the coset are the multiples of q
+        (iter_torsion_points); q = 0, killing none, for a translate that
+        is not unitary."""
+        tau = self.translate
+        if not tau.is_unitary:
+            return [], 0
+        c = [tau.value_parts(u)[1] for u in self.annihilator]
+        return c, lcm(*(a.denominator for a in c + list(tau.tors_angles)))
+
+    def torsion_point_count(self, max_order):
+        """len(torsion_points(max_order)), without listing a point.
+
+        By iter_torsion_points' soundness note, the coset has points
+        killed by i exactly when q | i, and then i^d of them (d = dim).
+        The points killed by i are those whose order divides i, so by
+        Moebius inversion those of order exactly j number
+            sum over i | j with q | i of mu(j/i) i^d,
+        and the count is the sum of that over j <= max_order, which only
+        the multiples j of q reach; 0 when the translate is not unitary."""
+        q = self._least_killing_order()[1]
+        if not q:
+            return 0
+        return sum(mobius(j // i) * i ** self.dim
+                   for j in range(q, max_order + 1, q)
+                   for i in divisors(j) if i % q == 0)
 
     def contains_subtorus(self, other):
         """Whether other (a translated subtorus) is contained in self: each

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, cli_env, within_seconds
@@ -533,8 +533,15 @@ def analyze_reports(draw):
                            components, residual, draw(st.integers(0, 10 ** 5)))
 
 
+# Members that repeat their dims, within one torsion class and across two.
+_REPEATED_DIMS = ExponentMembers(2, (2,), 2, [
+    ((0, 0, 0), (2, 1)), ((0, 1, 0), (1, 0)), ((0, 1, 1), (1, 0)),
+    ((1, 0, 0), (1, 0)), ((1, 0, 1), (1, 0)), ((1, 1, 1), (2, 1))])
+
+
 @settings(max_examples=150, deadline=None)
 @given(analyze_reports())
+@example(JumpLocusReport(1, 1, 2, _REPEATED_DIMS, [], [], 8))
 def test_dumps_canonical_writes_vector_members_as_json_dumps(rep):
     # The member list written from exponent vectors has the bytes of
     # json.dumps on the members' dicts, at the depth a report puts it.

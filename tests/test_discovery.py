@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumploci import corpus, discovery
 from jumploci.characters import (Character, count_torsion_characters,
@@ -23,6 +25,7 @@ from jumploci.twisted import MAX_SCAN_CHARACTERS, presentation_data
 from oracles import (evaluate_by_coordinate, least_torsion_point,
                      reports_agree_after_transport, tietze_transport,
                      translate_root_of_unity_check)
+from test_scan_certificate import presentations
 
 
 def test_surface_single_full_torus_component():
@@ -38,8 +41,8 @@ def test_surface_single_full_torus_component():
 
 def test_dense_locus_builds_no_character_per_member(monkeypatch):
     # surface3 at K = 3: all 792 characters are members of one component.
-    # Members stay exponent vectors, so the Characters built are the grow
-    # seed's and the least covered point's, not one per member.
+    # Members stay exponent vectors, so the Characters built are the
+    # torsion class's and its least point's, not one per member.
     built = []
     from_exponents = Character.from_exponents
 
@@ -199,20 +202,22 @@ def test_insufficient_sampling_flag_and_residuals():
 
 def test_maximality_drops_a_certified_coset_inside_another(monkeypatch):
     # No corpus input reaches the maximality filter, so growth is forced:
-    # the first seed of surface2 at K = 2 gets a circle, and the next
-    # uncovered seed grows as usual, to the full torus.  Both certify; the
-    # report keeps only the torus, and the circle's points stay claimed,
-    # neither isolated points nor residual.
+    # no class counts as complete, the first seed of surface2 at K = 2
+    # gets a circle, and the next uncovered seed grows as usual, to the
+    # full torus.  Both certify; the report keeps only the torus, and the
+    # circle's points stay claimed, neither isolated points nor residual.
     grow, seeds = discovery._grow_candidate, []
 
-    def forced(seed, translate, class_hits, hit_keys, max_order):
+    def forced(seed, translate, class_hits, class_keys, max_order):
         seeds.append(seed)
         if len(seeds) > 1:
-            return grow(seed, translate, class_hits, hit_keys, max_order)
+            return grow(seed, translate, class_hits, class_keys, max_order)
         circle = subtorus_from_directions([[1, 0, 0, 0]], translate)
         return circle, set(circle.iter_torsion_points(max_order))
 
     monkeypatch.setattr(discovery, "_grow_candidate", forced)
+    monkeypatch.setattr(TranslatedSubtorus, "torsion_point_count",
+                        lambda self, max_order: -1)
     _discovery_cached.cache_clear()
     try:
         rep = discover_components(corpus.get("surface2"), 1, 1, 2)
@@ -222,6 +227,82 @@ def test_maximality_drops_a_certified_coset_inside_another(monkeypatch):
     assert [(c.dim, c.status, c.subtorus.annihilator)
             for c in rep.components] == [(4, "certified", ())]
     assert rep.residual == []
+
+
+def _discover_uncached(p, K):
+    """discover_components(p, 1, 1, K), read past its cache."""
+    return _discovery_cached.__wrapped__(p, 1, 1, K)
+
+
+def _assert_class_count_changes_nothing(p, K):
+    counted = _discover_uncached(p, K).serialize()
+    with pytest.MonkeyPatch.context() as mp:
+        # No class counts as complete, so every class is grown.
+        mp.setattr(TranslatedSubtorus, "torsion_point_count",
+                   lambda self, max_order: -1)
+        assert _discover_uncached(p, K).serialize() == counted
+
+
+@pytest.mark.parametrize("name,K", [(name, K) for name in corpus.names()
+                                    for K in (2, 3, 4)
+                                    if name != "product23" or K == 2])
+def test_complete_class_count_gives_growths_report(name, K):
+    # Taking a complete torsion class as one coset, by its point count,
+    # reports what growing it point by point reports (module docstring).
+    _assert_class_count_changes_nothing(corpus.get(name), K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(2, 4))
+def test_complete_class_count_gives_growths_report_on_random_input(p, K):
+    _assert_class_count_changes_nothing(p, K)
+
+
+def _grow_seeds(monkeypatch):
+    """The seeds _grow_candidate is called with, from now on."""
+    grow, seeds = discovery._grow_candidate, []
+
+    def counted(seed, *args):
+        seeds.append(seed)
+        return grow(seed, *args)
+
+    monkeypatch.setattr(discovery, "_grow_candidate", counted)
+    return seeds
+
+
+@pytest.mark.parametrize("name", ["surface2", "surface3", "free2", "free3"])
+def test_curve_groups_grow_no_coset(monkeypatch, name):
+    # Every hit of a surface or free group lies in the trivial class, which
+    # holds all the torus's points of order <= K, so nothing is grown.
+    seeds = _grow_seeds(monkeypatch)
+    for K in (2, 3, 4):
+        rep = _discover_uncached(corpus.get(name), K)
+        assert [c.dim for c in rep.components] == [rep.vectors.free_rank]
+    assert seeds == []
+
+
+# The orbifold group Gamma(1; m, m) = <a, b, c, d | [a,b] c d, c^m, d^m>,
+# whose H1 is Z^2 + Z/m: each nontrivial torsion class is a translated
+# 2-dimensional component with generic h1 = 2g - 2 + 2 = 2.
+def _orbifold_curve(m):
+    return parse_presentation(f'generators: [a, b, c, d]\nrelators: '
+                              f'["[a,b] c d", "c^{m}", "d^{m}"]')
+
+
+@pytest.mark.parametrize("m,K,angles", [(2, 2, ["1/2"]), (2, 3, ["1/2"]),
+                                        (2, 4, ["1/2"]),
+                                        (4, 4, ["1/4", "1/2", "3/4"])])
+def test_translated_classes_are_taken_whole(monkeypatch, m, K, angles):
+    seeds = _grow_seeds(monkeypatch)
+    rep = _discover_uncached(_orbifold_curve(m), K)
+    assert rep.vectors.torsion == (m,)
+    planes = [c for c in rep.components if c.dim == 2]
+    assert [(c.status, c.subtorus.annihilator, c.generic_h,
+             c.subtorus.translate.serialize()) for c in planes] == [
+        ("certified", (), 2, {"moduli": ["1", "1"], "angles": ["0", "0"],
+                              "torsion": [a]}) for a in angles]
+    # Only the trivial character, alone in its class, reaches growth.
+    assert seeds == [(0, 0, 0)] and rep.residual == []
 
 
 # Coset-growth reproducers: F2 x Z with H1 written in a skewed basis (a),

@@ -203,6 +203,20 @@ def test_least_listed_point_is_least_enumerated_member(case):
     assert least_torsion_point(sub, K) == first
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(torsion_cosets(), wide_cosets()))
+@example((2, (3,), subtorus_from_directions([[0, 1]], _NO_POINT), 7))
+@example((3, (2, 4), point_subtorus(_POINT), 7))
+@example((1, (), point_subtorus(
+    Character(1, (), (Fraction(2),), (Fraction(0),), ())), 7))
+def test_torsion_point_count_is_listing_length(case):
+    # The Moebius count of the coset's points of order <= K, which
+    # discovery compares with a torsion class's hits, is the length of
+    # the listing; a translate that is not unitary has no such point.
+    b, torsion, sub, K = case
+    assert sub.torsion_point_count(K) == len(sub.torsion_points(K))
+
+
 @st.composite
 def coset_pairs(draw):
     """Two cosets on one torus; half the time they share a translate, so
