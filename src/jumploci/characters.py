@@ -253,17 +253,24 @@ def count_killed_by(free_rank, torsion, k):
     return n
 
 
+def count_by_order(max_order, killed_by):
+    """The number of points of order at most max_order, from killed_by(i),
+    the number of points killed by i.
+
+    The points killed by i are those whose order divides i, so by
+    Moebius inversion sum_{i | j} mu(j/i) killed_by(i) counts those of
+    order exactly j; the count sums that over j <= max_order."""
+    return sum(mobius(j // i) * killed_by(i)
+               for j in range(1, max_order + 1) for i in divisors(j))
+
+
 def count_torsion_characters(free_rank, torsion, max_order):
     """len(enumerate_torsion_characters(free_rank, torsion, max_order)),
-    without enumerating.
-
-    count_killed_by(d) counts the points of every order dividing d, so by
-    Moebius inversion sum_{e | d} mu(d/e) count_killed_by(e) counts those
-    of order exactly d; the enumeration holds the orders 1..max_order."""
+    without enumerating (count_by_order over count_killed_by)."""
     if max_order < 1:
         raise Refusal("max order must be at least 1")
-    return sum(mobius(d // e) * count_killed_by(free_rank, torsion, e)
-               for d in range(1, max_order + 1) for e in divisors(d))
+    return count_by_order(
+        max_order, lambda i: count_killed_by(free_rank, torsion, i))
 
 
 def orbit_representatives(free_rank, torsion, max_order):
@@ -305,24 +312,27 @@ def orbit_representatives(free_rank, torsion, max_order):
 
         def leaves(units, j, g, head):
             """(head, j, gcd(n, head)) where the chain from head reaches
-            S = {1} or the last coordinate, in lexicographic order."""
-            if len(units) == 1 or j == dim:
+            S = {1} with head nonzero, or the last coordinate, in the
+            walk's order: while head is zero (g == n), the nonzero picks
+            come before 0, whose vectors have a later first nonzero."""
+            if g != n and (len(units) == 1 or j == dim):
                 return [(head, j, g)]
-            return [leaf for c, stab in allowed(units, steps[j])
+            if j == dim:    # the zero vector, of order 1
+                return []
+            picks = allowed(units, steps[j])
+            if g == n:
+                picks = picks[1:] + picks[:1]
+            return [leaf for c, stab in picks
                     for leaf in leaves(stab, j + 1, gcd(g, c * m),
                                        head + (c * m,))]
 
         units = tuple(u for u in range(1, k) if gcd(u, k) == 1)
-        for j in range(dim):
-            for c, stab in allowed(units, steps[j])[1:]:    # f_j != 0
-                for head, i, g in leaves(stab, j + 1, gcd(n, c * m),
-                                         (0,) * j + (c * m,)):
-                    tails = product(*(range(0, n, m * s) for s in steps[i:]))
-                    if g == m:
-                        yield from map(head.__add__, tails)
-                    else:
-                        yield from (head + t for t in tails
-                                    if gcd(g, *t) == m)
+        for head, i, g in leaves(units, 0, n, ()):
+            tails = product(*(range(0, n, m * s) for s in steps[i:]))
+            if g == m:
+                yield from map(head.__add__, tails)
+            else:
+                yield from (head + t for t in tails if gcd(g, *t) == m)
 
 
 def orbit_members(e, n):

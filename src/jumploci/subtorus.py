@@ -17,11 +17,11 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .characters import Character, torsion_modulus
+from .characters import Character, count_by_order, torsion_modulus
 from .errors import Refusal
 from .intlinalg import (hnf_rows, identity, kernel_rows, mat_mul,
                         smith_normal_form)
-from .numutil import divisors, factorint, mobius
+from .numutil import factorint
 from .value import Value
 
 
@@ -66,13 +66,15 @@ class TranslatedSubtorus(Value):
         return self.free_rank - len(self.annihilator)
 
     def contains(self, chi: Character):
-        """Whether chi lies in the coset: d = chi tau^-1 has no torsion
-        angle and d(u) = 1 on every annihilator row u."""
+        """Whether chi lies in the coset: chi has tau's torsion angles and
+        chi(u) = tau(u) on every annihilator row u, compared as the
+        (modulus, angle mod 1) pairs value_parts gives."""
         if chi.free_rank != self.free_rank or chi.torsion != self.torsion:
             raise ValueError("dimension mismatch")
-        d = chi * self.translate.inverse()
-        return not any(d.tors_angles) and all(
-            d.value_parts(u) == (1, 0) for u in self.annihilator)
+        tau = self.translate
+        return chi.tors_angles == tau.tors_angles and all(
+            chi.value_parts(u) == tau.value_parts(u)
+            for u in self.annihilator)
 
     def torsion_points(self, max_order):
         """All points of the coset whose character order divides some
@@ -136,21 +138,13 @@ class TranslatedSubtorus(Value):
         return c, lcm(*(a.denominator for a in c + list(tau.tors_angles)))
 
     def torsion_point_count(self, max_order):
-        """len(torsion_points(max_order)), without listing a point.
-
-        By iter_torsion_points' soundness note, the coset has points
-        killed by i exactly when q | i, and then i^d of them (d = dim).
-        The points killed by i are those whose order divides i, so by
-        Moebius inversion those of order exactly j number
-            sum over i | j with q | i of mu(j/i) i^d,
-        and the count is the sum of that over j <= max_order, which only
-        the multiples j of q reach; 0 when the translate is not unitary."""
-        q = self._least_killing_order()[1]
-        if not q:
-            return 0
-        return sum(mobius(j // i) * i ** self.dim
-                   for j in range(q, max_order + 1, q)
-                   for i in divisors(j) if i % q == 0)
+        """len(torsion_points(max_order)), without listing a point:
+        count_by_order, as by iter_torsion_points' soundness note the
+        coset has points killed by i exactly when q | i, and then i^d of
+        them (d = dim); none when the translate is not unitary (q = 0)."""
+        q, d = self._least_killing_order()[1], self.dim
+        return count_by_order(
+            max_order, lambda i: i ** d if q and i % q == 0 else 0)
 
     def contains_subtorus(self, other):
         """Whether other (a translated subtorus) is contained in self: each

@@ -77,10 +77,12 @@ Each entry of d1 at e is an integer combination of the values w^(e.h)
 of the Fox matrix's monomials z^h, so the rows at e read e only through
 the exponents e.h mod n of those monomials (_ModularEvaluator.exponents).
 A scan computes that tuple once per representative and builds every row
-it ranks from it.  Rows, rank and verdict of a block are then functions
-of the block's part of the tuple (the threshold is the same at every
+it ranks from it.  The block is the evaluator's own row entries at the
+pivot rows and columns, and its rows are built from the full tuple.
+Rows, rank and verdict of a block are then functions of the exponents of
+the monomials its entries read (the threshold is the same at every
 nontrivial representative, the only ones a block sees), so the scan
-keeps the block's verdicts in a dict keyed by that part, and a
+keeps the block's verdicts in a dict keyed by those exponents, and a
 representative whose key was seen takes the stored verdict, the one its
 own rank would give.  The dict goes with its block when a new rejection
 replaces the block.
@@ -287,12 +289,13 @@ class _ModularEvaluator:
             out.append(exp % n)
         return out
 
-    def rows(self, exps, prime):
+    def rows(self, exps, prime, block=None):
         """Sparse rows {col: value mod prime} of d1 at the character whose
-        monomial exponents are exps."""
+        monomial exponents are exps; of the pivot block alone when block
+        holds its rows_struct entries (module docstring)."""
         powers = self.root_powers[prime]
         rows = []
-        for srow in self.rows_struct:
+        for srow in self.rows_struct if block is None else block:
             row = {}
             for col, terms in srow:
                 val = 0
@@ -303,19 +306,6 @@ class _ModularEvaluator:
                     row[col] = val
             rows.append(row)
         return rows
-
-    def block(self, pivots):
-        """This evaluator on the rows and columns of the pairs pivots; its
-        monomials are those of this one at the indices picks."""
-        cols, used = {col for _, col in pivots}, {}
-        block = object.__new__(_ModularEvaluator)
-        block.__dict__.update(self.__dict__, rows_struct=[
-            [(col, [(c, used.setdefault(m, len(used))) for c, m in terms])
-             for col, terms in self.rows_struct[i] if col in cols]
-            for i, _ in pivots])
-        block.picks = tuple(used)
-        block.monomials = [self.monomials[m] for m in used]
-        return block
 
 
 def _certifying_prime(n, norms_sq, size, max_order, filter_prime):
@@ -422,7 +412,8 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
     found = []          # (exponent vector, dims)
     ranked = block_rejects = 0
     block = None        # the last rejection's pivot block (module docstring)
-    verdicts = {}       # the block's verdicts by its monomials' exponents
+    picks = ()          # the indices of the monomials the block reads
+    verdicts = {}       # the block's verdicts by those monomials' exponents
     for e in representatives:
         trivial = not any(e)
         threshold = thresholds[trivial]
@@ -431,11 +422,11 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
         ranked += 1
         exps = evaluator.exponents(e)
         if block:
-            key = tuple(map(exps.__getitem__, block.picks))
+            key = tuple(map(exps.__getitem__, picks))
             rejected = verdicts.get(key)
             if rejected is None:
                 rejected = verdicts[key] = _rank_mod_p(
-                    block.rows(key, prime), prime,
+                    evaluator.rows(exps, prime, block), prime,
                     stop_at=threshold + 1) > threshold
             if rejected:
                 block_rejects += 1
@@ -445,7 +436,12 @@ def scan_sigma(p: FinitePresentation, degree, mult, max_order):
                            stop_at=threshold + 1, pivots=pivots)
         if rank > threshold:
             if not trivial:
-                block, verdicts = evaluator.block(pivots), {}
+                cols = {col for _, col in pivots}
+                block = [[entry for entry in evaluator.rows_struct[i]
+                          if entry[0] in cols] for i, _ in pivots]
+                picks = sorted({m for row in block for _, terms in row
+                                for _, m in terms})
+                verdicts = {}
             continue  # exact non-membership certificate
         if cert is None:
             chi = Character.from_exponents(b, torsion, e, n)

@@ -341,9 +341,28 @@ def cosets_and_characters(draw):
 @settings(max_examples=200, deadline=None)
 @given(cosets_and_characters())
 def test_contains_against_rows(case):
-    # Membership through chi tau^-1 agrees with the row-by-row rational
-    # test, also off the unitary characters and with torsion.
+    # Membership by chi's and tau's values on the annihilator rows agrees
+    # with the row-by-row rational test, also off the unitary characters
+    # and with torsion.
     sub, chi, member = case
     assert sub.contains(chi) == coset_contains_by_rows(sub, chi)
     if member:
         assert sub.contains(chi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cosets_and_characters())
+def test_contains_builds_no_character(case):
+    # contains reads chi's and tau's values as value_parts gives them; it
+    # builds no chi tau^-1, nor any other Character.
+    sub, chi, _ = case
+    calls = []
+    init = Character.__init__
+
+    def counted(self, *args):
+        calls.append(None)
+        init(self, *args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Character, "__init__", counted)
+        sub.contains(chi)
+    assert not calls
